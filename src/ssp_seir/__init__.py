@@ -6,7 +6,8 @@ The package provides
   functions (:mod:`ssp_seir.model`),
 * Butcher-tableau algebra, canonical Shu-Osher forms and SSP coefficients
   (:mod:`ssp_seir.shu_osher`),
-* explicit Euler and SSP Runge-Kutta stepping (:mod:`ssp_seir.stepping`),
+* SSP Runge-Kutta stepping, explicit Euler as its one-stage form
+  (:mod:`ssp_seir.stepping`),
 * theoretical step-size and population bounds (:mod:`ssp_seir.step_bounds`),
 * trajectory property checks and empirical threshold search
   (:mod:`ssp_seir.checks`),
@@ -40,9 +41,7 @@ from .shu_osher import (
 from .stepping import (
     IntegrationOverflowError,
     Trajectory,
-    euler_step,
     integrate,
-    ssp_rk_step,
     trajectory_to_csv,
 )
 from .step_bounds import (
@@ -97,7 +96,6 @@ __all__ = [
     "check_nonnegativity",
     "check_population_bound",
     "detect_oscillation",
-    "euler_step",
     "euler_step_bound",
     "exact_population",
     "find_empirical_bound",
@@ -113,7 +111,6 @@ __all__ = [
     "rk_step_bound",
     "shu_osher_from_butcher",
     "ssp_coefficient",
-    "ssp_rk_step",
     "sup_incidence",
     "trajectory_to_csv",
 ]

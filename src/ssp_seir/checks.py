@@ -2,8 +2,9 @@
 
 Negativity uses the threshold -1e-12 rather than 0 so trajectories that sit
 exactly on a compartment boundary are not failed by round-off.  The
-empirical threshold search checks step states only (stage checking is
-available behind a flag), matching what the step-size experiments observe.
+empirical threshold search checks step states only, matching what the
+step-size experiments observe; :func:`check_nonnegativity` can also check the
+internal stages.
 """
 
 from __future__ import annotations
@@ -119,13 +120,7 @@ def detect_oscillation(traj: Trajectory, period: int) -> tuple[float, ...]:
     return tuple(limits)
 
 
-def _positivity_ok(
-    setup: ProblemSetup,
-    method: ShuOsherForm,
-    tau: float,
-    t_f: float,
-    include_stages: bool,
-) -> bool:
+def _positivity_ok(setup: ProblemSetup, method: ShuOsherForm, tau: float, t_f: float) -> bool:
     n_steps = math.ceil(t_f / tau)
     try:
         traj = integrate(
@@ -134,7 +129,7 @@ def _positivity_ok(
         )
     except IntegrationOverflowError:
         return False
-    return check_nonnegativity(traj, include_stages).passed
+    return check_nonnegativity(traj).passed
 
 
 def find_empirical_bound(
@@ -143,7 +138,6 @@ def find_empirical_bound(
     t_f: float,
     bracket: tuple[float, float],
     tol: float = 1e-4,
-    include_stages: bool = False,
 ) -> float:
     """Bisect the step size at which positivity over [0, t_f] first fails.
 
@@ -159,7 +153,7 @@ def find_empirical_bound(
         raise ValueError(f"invalid bracket {bracket}")
 
     def ok(tau: float) -> bool:
-        return _positivity_ok(setup, method, tau, t_f, include_stages)
+        return _positivity_ok(setup, method, tau, t_f)
 
     attempts = 0
     while not ok(lo):

@@ -29,7 +29,8 @@ class ConfigError(ValueError):
 
 
 DEFAULT_CONFIG_TEXT = """\
-# SEIR SSP experiment configuration (defaults reproduce the bound tables)
+# SEIR SSP experiment configuration: the published rates and the trajectory
+# initial state; the published threshold table starts from s0=0.7 e0=0.1
 mu=0.05
 sigma=0.25
 gamma=0.1867
@@ -51,12 +52,11 @@ r0=0.0
 tf=1000.0
 methods=euler,ssprk22,ssprk33,ssprk104
 bisect_tol=1e-4
-quad_tol=1e-9
 """
 
 _FLOAT_KEYS = (
     "mu", "sigma", "gamma", "delta", "nu", "eta", "c1", "c2", "k",
-    "kappa", "s0", "e0", "i0", "r0", "tf", "bisect_tol", "quad_tol",
+    "kappa", "s0", "e0", "i0", "r0", "tf", "bisect_tol",
 )
 _LIST_KEYS = ("recruitments", "methods")
 _STR_KEYS = ("incidence",)
@@ -84,7 +84,6 @@ class ExperimentConfig:
     tf: float
     methods: tuple[str, ...]
     bisect_tol: float
-    quad_tol: float
 
     def params(self) -> ModelParams:
         return ModelParams(self.mu, self.sigma, self.gamma, self.delta)

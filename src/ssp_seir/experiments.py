@@ -1,9 +1,9 @@
 """The step-size bound table, violation demo, convergence study and the
 oscillating-recruitment counterexample, as reusable functions.
 
-The CLI and the runnable scripts are thin wrappers around these; everything
-here is deterministic (fixed row order, fixed seeds), so repeated runs give
-byte-identical CSV output.
+The CLI is a thin wrapper around these; everything here is deterministic
+(fixed row order, fixed seeds), so repeated runs give byte-identical CSV
+output.
 """
 
 from __future__ import annotations
@@ -72,9 +72,7 @@ class BoundsRow:
         return self.tau_r / self.tau_t
 
 
-def bounds_table(
-    config: ExperimentConfig, include_stages: bool = False
-) -> list[BoundsRow]:
+def bounds_table(config: ExperimentConfig) -> list[BoundsRow]:
     """Theoretical and empirical positivity thresholds, one row per
     recruitment choice and method, in config order."""
     rows = []
@@ -89,7 +87,6 @@ def bounds_table(
                 config.tf,
                 bracket=(tau_t, 2.0 * tau_t),
                 tol=config.bisect_tol,
-                include_stages=include_stages,
             )
             rows.append(BoundsRow(pi_key, method_key, tau_t, tau_r))
     return rows
@@ -133,7 +130,9 @@ def run_simulation(
     include_stages: bool = False,
 ) -> SimulationResult:
     """Integrate to the horizon and attach the positivity/bound verdicts."""
-    n_steps = math.ceil(t_f / tau) if tau > 0.0 else 0
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"step size must be finite and positive, got {tau}")
+    n_steps = math.ceil(t_f / tau)
     traj = integrate(
         setup.x0, tau, n_steps, method,
         setup.params, setup.incidence, setup.recruitment,

@@ -152,7 +152,11 @@ def linear_incidence() -> IncidenceFunction:
 
 
 def holling_incidence(c1: float, c2: float, k: float) -> IncidenceFunction:
-    """Holling-type saturating force of infection f(x) = c1*x / (1 + c2*x**k)."""
+    """Holling-type saturating force of infection f(x) = c1*x / (1 + c2*|x|**k).
+
+    The absolute value keeps f real when a probe drives x below zero with a
+    fractional exponent; for x >= 0 it is the textbook form.
+    """
     c1 = _require_finite("c1", c1)
     c2 = _require_finite("c2", c2)
     k = _require_finite("k", k)
@@ -160,7 +164,7 @@ def holling_incidence(c1: float, c2: float, k: float) -> IncidenceFunction:
         raise ValueError("Holling parameters must be non-negative")
 
     def fn(x: float) -> float:
-        return c1 * x / (1.0 + c2 * x**k)
+        return c1 * x / (1.0 + c2 * abs(x) ** k)
 
     return IncidenceFunction("holling", fn, alpha=c1)
 

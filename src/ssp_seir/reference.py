@@ -1,13 +1,16 @@
 """Independent ground-truth generators.
 
-Two oracles that never share code with the main steppers:
+Two oracles:
 
 * the total-population solution N(t) = N0*exp(-mu*t) + integral of
-  pi(s)*exp(-mu*(t-s)), evaluated by adaptive Simpson quadrature, and
+  pi(s)*exp(-mu*(t-s)), evaluated by adaptive Simpson quadrature; it shares
+  no code with the stepper, and
 * high-resolution reference trajectories for convergence-order measurement,
-  generated with the ten-stage fourth-order method at a step far below its
-  positivity bound, with output times forced onto the fine grid (no
-  interpolation).
+  generated by :func:`~ssp_seir.stepping.integrate` with the ten-stage
+  fourth-order method at a step far below its positivity bound
+  (:func:`~ssp_seir.step_bounds.bound_report`), with output times forced
+  onto the fine grid (no interpolation).  It measures the methods' order
+  but cannot expose a fault of the stepping loop they share.
 """
 
 from __future__ import annotations

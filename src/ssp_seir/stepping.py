@@ -1,8 +1,10 @@
-"""Explicit Euler and Shu-Osher SSP Runge-Kutta stepping of the SEIR system.
+"""Shu-Osher SSP Runge-Kutta stepping of the SEIR system.
 
-Stage recruitment is evaluated at the Butcher abscissa times carried by the
-Shu-Osher form (t_n + c_j * tau); this preserves classical order for
-time-dependent recruitment and collapses to pi(t_n) for forward Euler.
+Every method, explicit Euler included (the one-stage form), runs through the
+single loop in :func:`integrate`.  Stage recruitment is evaluated at the
+Butcher abscissa times carried by the Shu-Osher form (t_n + c_j * tau); this
+preserves classical order for time-dependent recruitment and collapses to
+pi(t_n) for forward Euler.
 Summation order inside stages is fixed (ascending stage index) so repeated
 runs are bitwise reproducible.  Negative compartment values are never
 clamped: observing them is the whole point of the property checks.
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO
 
 from .model import IncidenceFunction, ModelParams, RecruitmentFunction, State, _derivs
 from .shu_osher import ShuOsherForm
@@ -20,8 +22,6 @@ from .shu_osher import ShuOsherForm
 __all__ = [
     "Trajectory",
     "IntegrationOverflowError",
-    "euler_step",
-    "ssp_rk_step",
     "integrate",
     "trajectory_to_csv",
 ]
@@ -62,113 +62,6 @@ class Trajectory:
         return len(self.states)
 
 
-def euler_step(
-    x: State,
-    tau: float,
-    p: ModelParams,
-    f: IncidenceFunction,
-    pi: RecruitmentFunction,
-) -> State:
-    """One explicit Euler step: x + tau * rhs(t, x)."""
-    if tau < 0.0:
-        raise ValueError(f"step size must be non-negative, got {tau}")
-    ds, de, di, dr = _derivs(x.t, x.s, x.e, x.i, x.r, p, f, pi)
-    return State(
-        x.s + tau * ds, x.e + tau * de, x.i + tau * di, x.r + tau * dr, t=x.t + tau
-    )
-
-
-def _compiled_rows(
-    method: ShuOsherForm,
-) -> list[tuple[float, list[tuple[int, float]]]]:
-    # per-stage (v_i, nonzero alpha terms); skipping exact zeros keeps the
-    # one-stage method bitwise identical to euler_step
-    return [
-        (
-            method.v[i],
-            [(j, method.alpha[i][j]) for j in range(i) if method.alpha[i][j] != 0.0],
-        )
-        for i in range(1, method.m + 1)
-    ]
-
-
-def _ssp_step_core(
-    s: float,
-    e: float,
-    i_: float,
-    r: float,
-    t0: float,
-    tau: float,
-    method: ShuOsherForm,
-    rows: list[tuple[float, list[tuple[int, float]]]],
-    p: ModelParams,
-    f: IncidenceFunction,
-    pi: RecruitmentFunction,
-) -> tuple[float, float, float, float, float]:
-    h = tau / method.r
-    cs = method.c_stage
-    stage_s = [s]
-    stage_e = [e]
-    stage_i = [i_]
-    stage_r = [r]
-    fe: list[tuple[float, float, float, float]] = []
-    stage_min = min(s, e, i_, r)
-    for vi, terms in rows:
-        if vi != 0.0:
-            acc_s = vi * s
-            acc_e = vi * e
-            acc_i = vi * i_
-            acc_r = vi * r
-        else:
-            acc_s = acc_e = acc_i = acc_r = 0.0
-        for j, a in terms:
-            while len(fe) <= j:
-                k = len(fe)
-                ds, de, di, dr = _derivs(
-                    t0 + cs[k] * tau, stage_s[k], stage_e[k], stage_i[k], stage_r[k],
-                    p, f, pi,
-                )
-                fe.append(
-                    (
-                        stage_s[k] + h * ds,
-                        stage_e[k] + h * de,
-                        stage_i[k] + h * di,
-                        stage_r[k] + h * dr,
-                    )
-                )
-            fs, fev, fi, fr = fe[j]
-            acc_s += a * fs
-            acc_e += a * fev
-            acc_i += a * fi
-            acc_r += a * fr
-        stage_s.append(acc_s)
-        stage_e.append(acc_e)
-        stage_i.append(acc_i)
-        stage_r.append(acc_r)
-        low = min(acc_s, acc_e, acc_i, acc_r)
-        if low < stage_min:
-            stage_min = low
-    return stage_s[-1], stage_e[-1], stage_i[-1], stage_r[-1], stage_min
-
-
-def ssp_rk_step(
-    x: State,
-    tau: float,
-    method: ShuOsherForm,
-    p: ModelParams,
-    f: IncidenceFunction,
-    pi: RecruitmentFunction,
-) -> State:
-    """One step of the Shu-Osher staged scheme with effective sub-step tau/r."""
-    if tau < 0.0:
-        raise ValueError(f"step size must be non-negative, got {tau}")
-    rows = _compiled_rows(method)
-    s, e, i_, r, _ = _ssp_step_core(
-        x.s, x.e, x.i, x.r, x.t, tau, method, rows, p, f, pi
-    )
-    return State(s, e, i_, r, t=x.t + tau)
-
-
 def integrate(
     x0: State,
     tau: float,
@@ -178,42 +71,79 @@ def integrate(
     f: IncidenceFunction,
     pi: RecruitmentFunction,
 ) -> Trajectory:
-    """Repeated SSP stepping; deterministic given identical inputs.
+    """Repeated Shu-Osher stepping with effective sub-step tau/r; the
+    one-stage form is forward Euler, bit for bit.  Deterministic given
+    identical inputs.
 
     Step times are computed as t0 + k*tau directly (no accumulation drift).
     Raises :class:`IntegrationOverflowError` as soon as a non-finite state
     appears, carrying the partial trajectory.
     """
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ValueError(f"step size must be finite and non-negative, got {tau}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-    rows = _compiled_rows(method)
+    m = method.m
+    h = tau / method.r
+    # stage plan, built once: for k = 0..m-1, whether a later row reads the
+    # Euler sub-step of stage k, its time offset c_k*tau, then row k+1 as
+    # (v, nonzero alpha terms in ascending j).  Skipping exact zeros keeps
+    # the one-stage form bitwise identical to x + tau*rhs(t, x).
+    rows = [
+        [(j, method.alpha[i][j]) for j in range(i) if method.alpha[i][j] != 0.0]
+        for i in range(1, m + 1)
+    ]
+    read = {j for terms in rows for j, _ in terms}
+    plan = [
+        (k in read, method.c_stage[k] * tau, method.v[k + 1], rows[k])
+        for k in range(m)
+    ]
     states = [x0]
     stage_min = min(x0.s, x0.e, x0.i, x0.r)
     t0 = x0.t
     s, e, i_, r = x0.s, x0.e, x0.i, x0.r
-    key = method.key or f"shu-osher-{method.m}"
+    key = method.key or f"shu-osher-{m}"
     for k in range(n_steps):
         t = t0 + k * tau
+        low = stage_min
+        xs, xe, xi, xr = s, e, i_, r
+        sub: list = []
         try:
-            s, e, i_, r, low = _ssp_step_core(
-                s, e, i_, r, t, tau, method, rows, p, f, pi
-            )
+            for needed, c_tau, vi, terms in plan:
+                if needed:
+                    ds, de, di, dr = _derivs(t + c_tau, xs, xe, xi, xr, p, f, pi)
+                    sub.append((xs + h * ds, xe + h * de, xi + h * di, xr + h * dr))
+                else:
+                    sub.append(None)
+                # fixed summation order: v_i*x first, then ascending j
+                if vi != 0.0:
+                    xs, xe, xi, xr = vi * s, vi * e, vi * i_, vi * r
+                else:
+                    xs = xe = xi = xr = 0.0
+                for j, a in terms:
+                    fs, fe, fi, fr = sub[j]
+                    xs += a * fs
+                    xe += a * fe
+                    xi += a * fi
+                    xr += a * fr
+                stage_low = min(xs, xe, xi, xr)
+                if stage_low < low:
+                    low = stage_low
         except OverflowError:
             # divergent runs can push exp()-based catalog functions past the
             # double range before the state itself turns non-finite
             raise IntegrationOverflowError(
                 k, Trajectory(states, tau, key, stage_min)
             ) from None
-        if low < stage_min:
-            stage_min = low
-        state = State(s, e, i_, r, t=t0 + (k + 1) * tau)
+        stage_min = low
+        s, e, i_, r = xs, xe, xi, xr
         if not (
             math.isfinite(s) and math.isfinite(e) and math.isfinite(i_) and math.isfinite(r)
         ):
             raise IntegrationOverflowError(
                 k, Trajectory(states, tau, key, stage_min)
             )
-        states.append(state)
+        states.append(State(s, e, i_, r, t=t0 + (k + 1) * tau))
     return Trajectory(states, tau, key, stage_min)
 
 

@@ -19,6 +19,7 @@ from ssp_seir.model import (
     State,
     constant_recruitment,
     counterexample_cosine_recruitment,
+    holling_incidence,
     linear_incidence,
     media_incidence,
     recruitment_from_key,
@@ -178,6 +179,21 @@ def test_empirical_bound_is_deterministic():
         )
 
     assert search() == search()
+
+
+def test_empirical_bound_holling_fractional_exponent():
+    # probes above the bound drive I negative; with k=1.5 the incidence must
+    # stay real there, or the search dies comparing complex numbers
+    f = holling_incidence(1.0, 1.0, 1.5)
+    assert isinstance(f(-0.25), float)
+    setup = ProblemSetup(
+        EXPERIMENT_PARAMS, f, recruitment_from_key("choiceC"), State(0.2, 0.6, 0.2, 0.0)
+    )
+    method = builtin_method("ssprk22")
+    tau_t = bound_report(setup, method, 100.0).tau_method
+    tau_r = find_empirical_bound(setup, method, 100.0, (tau_t, 2.0 * tau_t), tol=1e-3)
+    assert math.isfinite(tau_r)
+    assert tau_r >= tau_t
 
 
 def test_empirical_bound_validates_inputs():

@@ -127,6 +127,14 @@ def test_cli_unknown_method_is_reported(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau", ["-1", "0", "nan", "inf"])
+def test_cli_simulate_rejects_bad_step(tmp_path, capsys, tau):
+    code = main(["--out", str(tmp_path), "simulate", "--method", "euler", "--tau", tau])
+    assert code == 2
+    assert "error: step size" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_cli_bad_config_file(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense\n")

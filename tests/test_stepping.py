@@ -1,4 +1,5 @@
-"""Euler and Shu-Osher stepping: reduction, conservation, determinism."""
+"""Shu-Osher stepping, Euler as its one-stage form: reduction, conservation,
+determinism."""
 
 import io
 import math
@@ -17,15 +18,10 @@ from ssp_seir.model import (
     linear_incidence,
     media_incidence,
     recruitment_from_key,
+    rhs,
 )
 from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, builtin_method
-from ssp_seir.stepping import (
-    IntegrationOverflowError,
-    euler_step,
-    integrate,
-    ssp_rk_step,
-    trajectory_to_csv,
-)
+from ssp_seir.stepping import IntegrationOverflowError, integrate, trajectory_to_csv
 
 ZERO_PI = constant_recruitment(0.0)
 FREE = ModelParams(0.0, 0.0, 0.0, 0.0)
@@ -46,21 +42,26 @@ def _random_setup(rng):
     return p, f, pi, x
 
 
+def _euler(x, tau, p, f, pi):
+    return integrate(x, tau, 1, builtin_method("euler"), p, f, pi).states[-1]
+
+
 def test_euler_zero_step_is_identity_in_value():
     x = State(1.0, 1.0, 1.0, 1.0, t=0.0)
-    y = euler_step(x, 0.0, FREE, linear_incidence(), ZERO_PI)
+    y = _euler(x, 0.0, FREE, linear_incidence(), ZERO_PI)
     assert y.as_tuple() == x.as_tuple()
     assert y.t == 0.0
 
 
 def test_euler_rejects_negative_step():
-    with pytest.raises(ValueError):
-        euler_step(State(1.0, 0.0, 0.0, 0.0), -0.1, FREE, linear_incidence(), ZERO_PI)
+    for tau in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            _euler(State(1.0, 0.0, 0.0, 0.0), tau, FREE, linear_incidence(), ZERO_PI)
 
 
 def test_euler_conserves_population_without_flows():
     x = State(0.3, 0.4, 0.2, 0.1)
-    y = euler_step(x, 0.7, ModelParams(0.0, 0.2, 0.3, 0.4), linear_incidence(), ZERO_PI)
+    y = _euler(x, 0.7, ModelParams(0.0, 0.2, 0.3, 0.4), linear_incidence(), ZERO_PI)
     assert abs(y.total - x.total) <= 1e-14 * x.total
 
 
@@ -68,20 +69,20 @@ def test_euler_oscillating_population_first_step():
     # mu=1, tau=1/2, N0=2, all mass susceptible, flows off: N1 = N0/2 + pi(0)/2
     p = ModelParams(1.0, 0.0, 0.0, 0.0)
     pi = counterexample_cosine_recruitment()
-    y = euler_step(State(2.0, 0.0, 0.0, 0.0), 0.5, p, linear_incidence(), pi)
+    y = _euler(State(2.0, 0.0, 0.0, 0.0), 0.5, p, linear_incidence(), pi)
     assert y.total == pytest.approx(1.0, abs=1e-15)
 
 
 def test_single_stage_form_reduces_to_euler_bitwise():
-    form = builtin_method("euler")
     rng = random.Random(11)
     for _ in range(100):
         p, f, pi, x = _random_setup(rng)
         tau = rng.uniform(0.0, 2.0)
-        a = euler_step(x, tau, p, f, pi)
-        b = ssp_rk_step(x, tau, form, p, f, pi)
-        assert a.as_tuple() == b.as_tuple()
-        assert a.t == b.t
+        ds, de, di, dr = rhs(x.t, x, p, f, pi)
+        expected = (x.s + tau * ds, x.e + tau * de, x.i + tau * di, x.r + tau * dr)
+        y = _euler(x, tau, p, f, pi)
+        assert y.as_tuple() == expected
+        assert y.t == x.t + tau
 
 
 def test_euler_population_recurrence_per_step():
@@ -89,7 +90,7 @@ def test_euler_population_recurrence_per_step():
     for _ in range(50):
         p, f, pi, x = _random_setup(rng)
         tau = rng.uniform(0.0, 1.0)
-        y = euler_step(x, tau, p, f, pi)
+        y = _euler(x, tau, p, f, pi)
         expected = (1.0 - tau * p.mu) * x.total + tau * pi(x.t)
         assert abs(y.total - expected) <= 1e-12 * (1.0 + abs(x.total))
 
