@@ -64,7 +64,6 @@ from .checks import (
     find_empirical_bound,
 )
 from .reference import (
-    ReferenceSolution,
     adaptive_simpson,
     exact_population,
     reference_trajectory,
@@ -82,7 +81,6 @@ __all__ = [
     "PopulationCap",
     "ProblemSetup",
     "RecruitmentFunction",
-    "ReferenceSolution",
     "ShuOsherForm",
     "State",
     "Trajectory",

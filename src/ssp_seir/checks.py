@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .model import ProblemSetup
 from .shu_osher import ShuOsherForm
@@ -68,10 +70,10 @@ class Verdict:
 
 def check_nonnegativity(traj: Trajectory, include_stages: bool = False) -> Verdict:
     """Pass iff every step state (and, if flagged, every stage) is >= -1e-12."""
-    for k, x in enumerate(traj.states):
-        for name, value in zip(_COMPARTMENTS, x.as_tuple()):
-            if not value >= NEGATIVITY_THRESHOLD:
-                return Verdict(False, k, name, value)
+    bad = np.flatnonzero(~(traj.data[:, 1:] >= NEGATIVITY_THRESHOLD))
+    if bad.size:
+        k, c = divmod(int(bad[0]), 4)
+        return Verdict(False, k, _COMPARTMENTS[c], float(traj.data[k, c + 1]))
     if include_stages and not traj.stage_min >= NEGATIVITY_THRESHOLD:
         return Verdict(False, None, "stage", traj.stage_min)
     return Verdict(True)
@@ -79,11 +81,11 @@ def check_nonnegativity(traj: Trajectory, include_stages: bool = False) -> Verdi
 
 def check_population_bound(traj: Trajectory, cap: float) -> Verdict:
     """Pass iff N_k <= cap * (1 + 1e-10) at every step."""
-    limit = cap * (1.0 + 1e-10)
-    for k, x in enumerate(traj.states):
-        n = x.total
-        if not n <= limit:
-            return Verdict(False, k, "N", n)
+    n = traj.populations
+    bad = np.flatnonzero(~(n <= cap * (1.0 + 1e-10)))
+    if bad.size:
+        k = int(bad[0])
+        return Verdict(False, k, "N", float(n[k]))
     return Verdict(True)
 
 
@@ -93,20 +95,20 @@ def check_limit(
     """Max |N_k - p_target/mu| over the trailing window (default: last 10%)."""
     if not mu > 0.0:
         raise ValueError("limit check requires mu > 0")
-    n = len(traj.states)
+    n = len(traj)
     if window is None:
         window = max(1, n // 10)
     if window > n:
         raise ValueError(f"window {window} longer than trajectory {n}")
     target = p_target / mu
-    return max(abs(x.total - target) for x in traj.states[n - window :])
+    return float(np.max(np.abs(traj.populations[n - window :] - target)))
 
 
 def detect_oscillation(traj: Trajectory, period: int) -> tuple[float, ...]:
     """Tail-averaged limit of each residue-class sub-sequence of N_k."""
     if period < 2:
         raise ValueError(f"period must be >= 2, got {period}")
-    n = len(traj.states)
+    n = len(traj)
     if n < 10 * period:
         raise InsufficientDataError(
             f"trajectory of {n} states too short for period {period}"

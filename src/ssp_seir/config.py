@@ -8,6 +8,7 @@ the published experiment values, so the CLI runs with no arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -132,6 +133,8 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = float(raw[key])
         except ValueError as exc:
             raise ConfigError(f"key {key}: not a number: {raw[key]!r}") from exc
+    if not (math.isfinite(values["tf"]) and values["tf"] > 0.0):
+        raise ConfigError(f"key tf: must be finite and positive, got {raw['tf']!r}")
     for key in _LIST_KEYS:
         items = tuple(item.strip() for item in raw[key].split(",") if item.strip())
         if not items:

@@ -132,6 +132,8 @@ def run_simulation(
     """Integrate to the horizon and attach the positivity/bound verdicts."""
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"step size must be finite and positive, got {tau}")
+    if not (math.isfinite(t_f) and t_f >= 0.0):
+        raise ValueError(f"final time must be finite and non-negative, got {t_f}")
     n_steps = math.ceil(t_f / tau)
     traj = integrate(
         setup.x0, tau, n_steps, method,
@@ -159,19 +161,9 @@ class ConvergenceResult:
     slope: float
 
 
-def _max_norm_error(traj: Trajectory, tau: float, ref_times, ref_states) -> float:
-    err = 0.0
-    for t, ref in zip(ref_times, ref_states):
-        k = round(t / tau)
-        x = traj.states[k]
-        err = max(
-            err,
-            abs(x.s - ref.s),
-            abs(x.e - ref.e),
-            abs(x.i - ref.i),
-            abs(x.r - ref.r),
-        )
-    return err
+def _max_norm_error(traj: Trajectory, reference: Trajectory) -> float:
+    rows = [round(t / traj.tau) for t in reference.times.tolist()]
+    return float(np.max(np.abs(traj.data[rows, 1:] - reference.data[:, 1:])))
 
 
 def convergence_study(
@@ -211,9 +203,7 @@ def convergence_study(
                 setup.params, setup.incidence, setup.recruitment,
             )
             taus.append(tau)
-            errors.append(
-                _max_norm_error(traj, tau, reference.times, reference.states)
-            )
+            errors.append(_max_norm_error(traj, reference))
         log_tau = np.log2(taus[-fit_points:])
         log_err = np.log2(errors[-fit_points:])
         slope = float(np.polyfit(log_tau, log_err, 1)[0])
@@ -282,7 +272,8 @@ def counterexample_report(
     )
     even_limit, odd_limit = detect_oscillation(traj, period=2)
     gaps = [
-        abs(x.total - pi.fn(x.t) / params.mu) for x in traj.states[-tail:]
+        abs(n - pi.fn(t) / params.mu)
+        for t, n in zip(traj.times[-tail:].tolist(), traj.populations[-tail:].tolist())
     ]
     return CounterexampleReport(
         even_limit=even_limit,

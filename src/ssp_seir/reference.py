@@ -16,17 +16,15 @@ Two oracles:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .model import ProblemSetup, RecruitmentFunction, State
+from .model import ProblemSetup, RecruitmentFunction
 from .shu_osher import ShuOsherForm, builtin_method
 from .step_bounds import bound_report
 from .stepping import Trajectory, integrate
 
 __all__ = [
     "QuadratureError",
-    "ReferenceSolution",
     "adaptive_simpson",
     "exact_population",
     "reference_trajectory",
@@ -115,24 +113,6 @@ def exact_population(
     return n0 * math.exp(-mu * t) + adaptive_simpson(integrand, 0.0, t, quad_tol)
 
 
-@dataclass(frozen=True)
-class ReferenceSolution:
-    """States at the requested output times, all lying on the generating grid."""
-
-    times: tuple[float, ...]
-    states: tuple[State, ...]
-    tau: float
-    method: str
-
-    @property
-    def populations(self) -> tuple[float, ...]:
-        return tuple(x.total for x in self.states)
-
-    def as_trajectory(self) -> Trajectory:
-        """Output states repackaged in the trajectory CSV schema."""
-        return Trajectory(list(self.states), self.tau, self.method, math.nan)
-
-
 def _output_base(output_times: Sequence[float]) -> float:
     positive = sorted(t for t in output_times if t > 0.0)
     if not positive:
@@ -154,16 +134,18 @@ def reference_trajectory(
     output_times: Sequence[float],
     method: Optional[ShuOsherForm] = None,
     refinement: float = DEFAULT_REFINEMENT,
-) -> ReferenceSolution:
+) -> Trajectory:
     """High-resolution reference run recorded at ``output_times``.
 
     The nominal step is the method's positivity bound times ``refinement``,
     shrunk minimally so every output time lands exactly on the step grid.
+    The result holds the fine run's rows at the output times, in their
+    order, with the fine step as ``tau``.
     """
     if method is None:
         method = builtin_method("ssprk104")
-    if not t_f > 0.0:
-        raise ValueError(f"t_f must be positive, got {t_f}")
+    if not (math.isfinite(t_f) and t_f > 0.0):
+        raise ValueError(f"t_f must be finite and positive, got {t_f}")
     base = _output_base(output_times)
     tau_bound = bound_report(setup, method, t_f).tau_method
     tau_nominal = tau_bound * refinement
@@ -172,16 +154,14 @@ def reference_trajectory(
     n_steps = round(t_f / tau)
     if n_steps * tau < t_f - 1e-9 * t_f:
         n_steps = math.ceil(t_f / tau)
-    traj = integrate(
+    full = integrate(
         setup.x0, tau, n_steps, method,
         setup.params, setup.incidence, setup.recruitment,
     )
-    times = []
-    states = []
+    rows = []
     for t in output_times:
         k = round(t / tau)
         if k > n_steps or abs(k * tau - t) > 1e-9 * (1.0 + t):
             raise ValueError(f"output time {t} not on the reference grid")
-        times.append(traj.states[k].t)
-        states.append(traj.states[k])
-    return ReferenceSolution(tuple(times), tuple(states), tau, method.key or "?")
+        rows.append(k)
+    return Trajectory(full.data[rows], tau, full.method, full.stage_min)

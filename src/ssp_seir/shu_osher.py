@@ -121,9 +121,6 @@ class ShuOsherForm:
         """Number of Butcher stages (the form has m+1 stages)."""
         return len(self.v) - 1
 
-    def min_coefficient(self) -> float:
-        return min(min(self.v), min(x for row in self.alpha for x in row))
-
 
 def k_matrix(t: ButcherTableau) -> list[list[float]]:
     """The (m+1) x (m+1) block matrix [[A, 0], [b^T, 0]]."""

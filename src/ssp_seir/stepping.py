@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import IO
 
+import numpy as np
+
 from .model import IncidenceFunction, ModelParams, RecruitmentFunction, State, _derivs
 from .shu_osher import ShuOsherForm
 
@@ -36,30 +38,47 @@ class IntegrationOverflowError(RuntimeError):
         super().__init__(f"non-finite state at step {step_index}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Time-stamped step states with the stepping metadata.
 
-    ``stage_min`` is the smallest compartment value seen over all internal
-    stages of all steps (step states included), a diagnostic for stage-level
-    positivity checks.
+    ``data`` is one float64 array of shape ``(n+1, 5)`` whose columns are
+    ``t, S, E, I, R``.  :attr:`states` builds :class:`State` objects from it
+    on every read; the checks work on the array.  ``stage_min`` is the
+    smallest compartment value seen over all internal stages of all steps
+    (step states included), a diagnostic for stage-level positivity checks.
     """
 
-    states: list[State]
+    data: np.ndarray
     tau: float
     method: str
     stage_min: float
 
     @property
-    def times(self) -> list[float]:
-        return [x.t for x in self.states]
+    def times(self) -> np.ndarray:
+        return self.data[:, 0]
 
     @property
-    def populations(self) -> list[float]:
-        return [x.total for x in self.states]
+    def populations(self) -> np.ndarray:
+        """N = ((S + E) + I) + R per row, bitwise :attr:`State.total`."""
+        d = self.data
+        return d[:, 1] + d[:, 2] + d[:, 3] + d[:, 4]
+
+    @property
+    def states(self) -> list[State]:
+        return [State(s, e, i, r, t) for t, s, e, i, r in self.data.tolist()]
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.data)
+
+
+def _trajectory(t0: float, history: list, tau: float, key: str, stage_min: float) -> Trajectory:
+    """Step values ``(s, e, i, r)`` stacked under the times ``t0 + k*tau``."""
+    data = np.empty((len(history), 5))
+    data[:, 0] = t0 + np.arange(len(history)) * tau
+    data[0, 0] = t0  # t0 + 0.0 would turn -0.0 into 0.0
+    data[:, 1:] = history
+    return Trajectory(data, tau, key, stage_min)
 
 
 def integrate(
@@ -98,7 +117,7 @@ def integrate(
         (k in read, method.c_stage[k] * tau, method.v[k + 1], rows[k])
         for k in range(m)
     ]
-    states = [x0]
+    history = [(x0.s, x0.e, x0.i, x0.r)]
     stage_min = min(x0.s, x0.e, x0.i, x0.r)
     t0 = x0.t
     s, e, i_, r = x0.s, x0.e, x0.i, x0.r
@@ -133,7 +152,7 @@ def integrate(
             # divergent runs can push exp()-based catalog functions past the
             # double range before the state itself turns non-finite
             raise IntegrationOverflowError(
-                k, Trajectory(states, tau, key, stage_min)
+                k, _trajectory(t0, history, tau, key, stage_min)
             ) from None
         stage_min = low
         s, e, i_, r = xs, xe, xi, xr
@@ -141,16 +160,14 @@ def integrate(
             math.isfinite(s) and math.isfinite(e) and math.isfinite(i_) and math.isfinite(r)
         ):
             raise IntegrationOverflowError(
-                k, Trajectory(states, tau, key, stage_min)
+                k, _trajectory(t0, history, tau, key, stage_min)
             )
-        states.append(State(s, e, i_, r, t=t0 + (k + 1) * tau))
-    return Trajectory(states, tau, key, stage_min)
+        history.append((s, e, i_, r))
+    return _trajectory(t0, history, tau, key, stage_min)
 
 
 def trajectory_to_csv(traj: Trajectory, out: IO[str]) -> None:
     """Write ``t,S,E,I,R,N`` rows at full double precision (round-trippable)."""
     out.write("t,S,E,I,R,N\n")
-    for x in traj.states:
-        out.write(
-            f"{x.t!r},{x.s!r},{x.e!r},{x.i!r},{x.r!r},{x.total!r}\n"
-        )
+    for t, s, e, i, r in traj.data.tolist():
+        out.write(f"{t!r},{s!r},{e!r},{i!r},{r!r},{s + e + i + r!r}\n")

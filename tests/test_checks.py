@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssp_seir.checks import (
     InsufficientDataError,
@@ -26,7 +29,7 @@ from ssp_seir.model import (
 )
 from ssp_seir.shu_osher import builtin_method
 from ssp_seir.step_bounds import bound_report
-from ssp_seir.stepping import integrate
+from ssp_seir.stepping import Trajectory, integrate
 
 EXPERIMENT_PARAMS = ModelParams(0.05, 0.25, 0.1867, 0.011)
 
@@ -96,6 +99,50 @@ def test_population_linear_growth_exact_for_mu_zero():
     )
     for k, x in enumerate(traj.states):
         assert x.total == pytest.approx(1.0 + k * tau * p, rel=1e-14)
+
+
+# a compartment value: ordinary, exactly at or just past the negativity
+# threshold, a signed zero, or NaN
+_CELL = st.one_of(
+    st.floats(-1.0, 3.0),
+    st.sampled_from([-1e-12, -2e-12, -0.0, math.nan]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_CELL, _CELL, _CELL, _CELL), min_size=1, max_size=20),
+    cap=st.floats(0.5, 8.0),
+)
+def test_array_checks_match_per_state_scan(rows, cap):
+    data = np.array([[0.5 * k, *row] for k, row in enumerate(rows)])
+    traj = Trajectory(data, 0.5, "euler", math.nan)
+    states = traj.states
+    negative = next(
+        (
+            (k, name, value)
+            for k, x in enumerate(states)
+            for name, value in zip("SEIR", x.as_tuple())
+            if not value >= -1e-12
+        ),
+        None,
+    )
+    over_cap = next(
+        ((k, "N", x.total) for k, x in enumerate(states) if not x.total <= cap * (1.0 + 1e-10)),
+        None,
+    )
+    for verdict, expected in (
+        (check_nonnegativity(traj), negative),
+        (check_population_bound(traj, cap), over_cap),
+    ):
+        if expected is None:
+            assert verdict == Verdict(True)
+            continue
+        assert not verdict.passed
+        assert (verdict.witness_index, verdict.witness_compartment) == expected[:2]
+        assert type(verdict.witness_value) is float
+        # repr compares NaN and the sign of zero too
+        assert repr(verdict.witness_value) == repr(expected[2])
 
 
 def test_check_limit_constant_recruitment_fixed_point():

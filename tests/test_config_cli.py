@@ -135,6 +135,48 @@ def test_cli_simulate_rejects_bad_step(tmp_path, capsys, tau):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("tf", ["inf", "nan", "-5"])
+def test_cli_simulate_rejects_bad_horizon(tmp_path, capsys, tf):
+    code = main([
+        "--out", str(tmp_path), "simulate", "--method", "euler", "--tau", "1", "--tf", tf,
+    ])
+    assert code == 2
+    assert "error: final time must be finite and non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_cli_simulate_zero_horizon(tmp_path, capsys):
+    code = main([
+        "--out", str(tmp_path), "simulate", "--method", "euler", "--tau", "1", "--tf", "0",
+    ])
+    assert code == 0
+    assert "steps       : 0" in capsys.readouterr().out
+    assert len((tmp_path / "trajectory.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("tf", ["inf", "nan", "-5"])
+def test_cli_convergence_rejects_bad_horizon(tmp_path, capsys, tf):
+    code = main(["--out", str(tmp_path), "convergence", "--tf", tf])
+    assert code == 2
+    assert "error: t_f must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("tf", ["inf", "nan", "0", "-1"])
+def test_config_rejects_bad_horizon(tf):
+    with pytest.raises(ConfigError, match="key tf"):
+        parse_config(DEFAULT_CONFIG_TEXT.replace("tf=1000.0", f"tf={tf}"))
+
+
+def test_cli_config_file_with_infinite_horizon(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    path.write_text(DEFAULT_CONFIG_TEXT.replace("tf=1000.0", "tf=inf"))
+    code = main(["--config", str(path), "--out", str(tmp_path), "bounds-table"])
+    assert code == 2
+    assert "error: key tf: must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "bounds_table.csv").exists()
+
+
 def test_cli_bad_config_file(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense\n")

@@ -19,6 +19,7 @@ from ssp_seir.reference import (
     exact_population,
     reference_trajectory,
 )
+from ssp_seir.stepping import Trajectory
 
 EXPERIMENT_PARAMS = ModelParams(0.05, 0.25, 0.1867, 0.011)
 
@@ -125,6 +126,6 @@ def test_reference_rejects_incommensurate_outputs():
 
 def test_reference_as_trajectory_schema():
     ref = reference_trajectory(_experiment_setup(), 4.0, [2.0, 4.0])
-    traj = ref.as_trajectory()
-    assert [x.t for x in traj.states] == list(ref.times)
-    assert traj.method == "ssprk104"
+    assert isinstance(ref, Trajectory)
+    assert [x.t for x in ref.states] == list(ref.times)
+    assert ref.method == "ssprk104"

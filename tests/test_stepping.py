@@ -109,7 +109,8 @@ def test_integrate_zero_steps():
     x0 = State(1.0, 0.0, 0.0, 0.0, t=2.0)
     traj = integrate(x0, 0.5, 0, builtin_method("euler"), FREE, linear_incidence(), ZERO_PI)
     assert len(traj) == 1
-    assert traj.states[0] is x0
+    assert traj.states[0] == x0
+    assert traj.data.tolist() == [[2.0, 1.0, 0.0, 0.0, 0.0]]
 
 
 def test_integrate_times_have_no_drift():
