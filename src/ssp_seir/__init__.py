@@ -16,10 +16,9 @@ The package provides
 """
 
 from .model import (
-    IncidenceFunction,
     ModelParams,
     ProblemSetup,
-    RecruitmentFunction,
+    RateFunction,
     State,
     incidence_from_key,
     recruitment_from_key,
@@ -74,13 +73,12 @@ __all__ = [
     "BoundReport",
     "ButcherTableau",
     "EulerBound",
-    "IncidenceFunction",
     "InfeasibleFormError",
     "IntegrationOverflowError",
     "ModelParams",
     "PopulationCap",
     "ProblemSetup",
-    "RecruitmentFunction",
+    "RateFunction",
     "ShuOsherForm",
     "State",
     "Trajectory",

@@ -116,7 +116,7 @@ def _cmd_simulate(args, config) -> int:
     verdict_path.write_text(result.as_text() + "\n")
     print(result.as_text())
     print(f"wrote {traj_path} and {verdict_path}")
-    if args.strict and not (result.nonnegativity and result.population):
+    if args.strict and not result.passed:
         return 1
     return 0
 

@@ -9,14 +9,13 @@ the published experiment values, so the CLI runs with no arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .model import (
-    IncidenceFunction,
     ModelParams,
     ProblemSetup,
-    RecruitmentFunction,
+    RateFunction,
     State,
     incidence_from_key,
     recruitment_from_key,
@@ -89,12 +88,12 @@ class ExperimentConfig:
     def params(self) -> ModelParams:
         return ModelParams(self.mu, self.sigma, self.gamma, self.delta)
 
-    def incidence_fn(self) -> IncidenceFunction:
+    def incidence_fn(self) -> RateFunction:
         return incidence_from_key(
             self.incidence, nu=self.nu, eta=self.eta, c1=self.c1, c2=self.c2, k=self.k
         )
 
-    def recruitment_fn(self, key: str) -> RecruitmentFunction:
+    def recruitment_fn(self, key: str) -> RateFunction:
         return recruitment_from_key(key, kappa=self.kappa, p=self.kappa)
 
     def initial_state(self) -> State:

@@ -24,10 +24,9 @@ from .checks import (
 )
 from .config import ExperimentConfig
 from .model import (
-    IncidenceFunction,
     ModelParams,
     ProblemSetup,
-    RecruitmentFunction,
+    RateFunction,
     State,
     counterexample_cosine_recruitment,
     holling_incidence,
@@ -35,9 +34,9 @@ from .model import (
     media_incidence,
     recruitment_from_key,
 )
-from .reference import reference_trajectory
-from .shu_osher import ShuOsherForm, builtin_method
-from .step_bounds import bound_report, population_cap
+from .reference import grid_run, reference_trajectory
+from .shu_osher import BUILTIN_METHOD_KEYS, ShuOsherForm, builtin_method
+from .step_bounds import bound_report
 from .stepping import IntegrationOverflowError, Trajectory, integrate
 
 __all__ = [
@@ -107,19 +106,28 @@ def write_bounds_table_csv(rows: Sequence[BoundsRow], out: IO[str]) -> None:
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """Verdicts on one run; a run that overflowed is judged on its steps before
+    the overflow, and ``overflow_step`` is the 0-based index of that step."""
+
     trajectory: Trajectory
     nonnegativity: Verdict
     population: Verdict
     cap: float
+    overflow_step: Optional[int]
+
+    @property
+    def passed(self) -> bool:
+        return self.overflow_step is None and bool(self.nonnegativity and self.population)
 
     def as_text(self) -> str:
-        return "\n".join(
-            [
-                f"steps       : {len(self.trajectory) - 1}  (tau={self.trajectory.tau!r})",
-                self.nonnegativity.as_text("non-negativity"),
-                self.population.as_text(f"population bound (cap {self.cap:.6g})"),
-            ]
-        )
+        lines = [f"steps       : {len(self.trajectory) - 1}  (tau={self.trajectory.tau!r})"]
+        if self.overflow_step is not None:  # numbered like the witness rows
+            lines.append(
+                f"integration : FAIL (non-finite state at step {self.overflow_step + 1})"
+            )
+        lines.append(self.nonnegativity.as_text("non-negativity"))
+        lines.append(self.population.as_text(f"population bound (cap {self.cap:.6g})"))
+        return "\n".join(lines)
 
 
 def run_simulation(
@@ -135,16 +143,21 @@ def run_simulation(
     if not (math.isfinite(t_f) and t_f >= 0.0):
         raise ValueError(f"final time must be finite and non-negative, got {t_f}")
     n_steps = math.ceil(t_f / tau)
-    traj = integrate(
-        setup.x0, tau, n_steps, method,
-        setup.params, setup.incidence, setup.recruitment,
-    )
+    overflow_step = None
+    try:
+        traj = integrate(
+            setup.x0, tau, n_steps, method,
+            setup.params, setup.incidence, setup.recruitment,
+        )
+    except IntegrationOverflowError as exc:
+        traj, overflow_step = exc.partial, exc.step_index
     report = bound_report(setup, method, max(t_f, tau, 1.0))
     return SimulationResult(
         trajectory=traj,
         nonnegativity=check_nonnegativity(traj, include_stages),
         population=check_population_bound(traj, report.pop_cap),
         cap=report.pop_cap,
+        overflow_step=overflow_step,
     )
 
 
@@ -161,51 +174,39 @@ class ConvergenceResult:
     slope: float
 
 
-def _max_norm_error(traj: Trajectory, reference: Trajectory) -> float:
-    rows = [round(t / traj.tau) for t in reference.times.tolist()]
-    return float(np.max(np.abs(traj.data[rows, 1:] - reference.data[:, 1:])))
+_CONVERGENCE_OUTPUTS = 50
+_CONVERGENCE_HALVINGS = 8
+_CONVERGENCE_FIT_POINTS = 5
 
 
 def convergence_study(
-    config: ExperimentConfig,
-    method_keys: Optional[Sequence[str]] = None,
-    recruitment_key: str = "choiceA",
-    n_outputs: int = 50,
-    halvings: int = 8,
-    fit_points: int = 5,
+    config: ExperimentConfig, recruitment_key: str = "choiceA"
 ) -> list[ConvergenceResult]:
     """Max-norm error against the fine fourth-order reference vs step size.
 
-    For each method the step sizes are tau_t * 2^-k (k = 1..halvings),
-    shrunk minimally so the shared output times lie on each step grid; the
-    order is the least-squares slope of log2(error) against log2(tau) over
-    the ``fit_points`` smallest steps.
+    For each method of ``config.methods`` the step sizes are tau_t * 2^-k
+    (k = 1.._CONVERGENCE_HALVINGS), shrunk minimally by
+    :func:`~ssp_seir.reference.grid_run` so the _CONVERGENCE_OUTPUTS evenly
+    spaced output times lie on each step grid; the order is the
+    least-squares slope of log2(error) against log2(tau) over the
+    _CONVERGENCE_FIT_POINTS smallest steps.
     """
-    if method_keys is None:
-        method_keys = config.methods
     setup = config.setup(recruitment_key)
-    spacing = config.tf / n_outputs
-    output_times = [spacing * (k + 1) for k in range(n_outputs)]
+    spacing = config.tf / _CONVERGENCE_OUTPUTS
+    output_times = [spacing * (k + 1) for k in range(_CONVERGENCE_OUTPUTS)]
     reference = reference_trajectory(setup, config.tf, output_times)
     results = []
-    for method_key in method_keys:
+    for method_key in config.methods:
         method = builtin_method(method_key)
         tau_t = bound_report(setup, method, config.tf).tau_method
         taus = []
         errors = []
-        for k in range(1, halvings + 1):
-            tau_nominal = tau_t * 2.0**-k
-            per_output = max(1, math.ceil(spacing / tau_nominal - 1e-12))
-            tau = spacing / per_output
-            n_steps = round(config.tf / tau)
-            traj = integrate(
-                setup.x0, tau, n_steps, method,
-                setup.params, setup.incidence, setup.recruitment,
-            )
-            taus.append(tau)
-            errors.append(_max_norm_error(traj, reference))
-        log_tau = np.log2(taus[-fit_points:])
-        log_err = np.log2(errors[-fit_points:])
+        for k in range(1, _CONVERGENCE_HALVINGS + 1):
+            run = grid_run(setup, method, tau_t * 2.0**-k, config.tf, output_times)
+            taus.append(run.tau)
+            errors.append(float(np.max(np.abs(run.data[:, 1:] - reference.data[:, 1:]))))
+        log_tau = np.log2(taus[-_CONVERGENCE_FIT_POINTS:])
+        log_err = np.log2(errors[-_CONVERGENCE_FIT_POINTS:])
         slope = float(np.polyfit(log_tau, log_err, 1)[0])
         results.append(
             ConvergenceResult(method_key, tuple(taus), tuple(errors), slope)
@@ -253,27 +254,31 @@ class CounterexampleReport:
         )
 
 
-def counterexample_report(
-    n_steps: int = 500, tail: int = 100
-) -> CounterexampleReport:
+_CEX_STEPS = 500
+_CEX_TAIL = 100
+
+
+def counterexample_report() -> CounterexampleReport:
     """Run the mu=1, tau=1/2, N0=2 oscillating-recruitment configuration.
 
     All mass starts in S with the other flows switched off, so the total
     population follows N{n+1} = N{n}/2 + pi(t_n)/2 exactly and splits into
-    even/odd subsequences with distinct limits.
+    even/odd subsequences with distinct limits.  The run takes
+    _CEX_STEPS steps; the gap range is read over the last
+    _CEX_TAIL states.
     """
     params = ModelParams(mu=1.0, sigma=0.0, gamma=0.0, delta=0.0)
     pi = counterexample_cosine_recruitment()
     setup = ProblemSetup(params, linear_incidence(), pi, State(2.0, 0.0, 0.0, 0.0))
     tau = 0.5
     traj = integrate(
-        setup.x0, tau, n_steps, builtin_method("euler"),
+        setup.x0, tau, _CEX_STEPS, builtin_method("euler"),
         params, setup.incidence, pi,
     )
     even_limit, odd_limit = detect_oscillation(traj, period=2)
     gaps = [
         abs(n - pi.fn(t) / params.mu)
-        for t, n in zip(traj.times[-tail:].tolist(), traj.populations[-tail:].tolist())
+        for t, n in zip(traj.times[-_CEX_TAIL:].tolist(), traj.populations[-_CEX_TAIL:].tolist())
     ]
     return CounterexampleReport(
         even_limit=even_limit,
@@ -300,7 +305,7 @@ class SweepReport:
         return not self.failures
 
 
-def _sweep_catalog(rng: random.Random) -> tuple[IncidenceFunction, RecruitmentFunction]:
+def _sweep_catalog(rng: random.Random) -> tuple[RateFunction, RateFunction]:
     incidence = rng.choice(
         [linear_incidence(), holling_incidence(1.0, 1.0, 2.0), media_incidence(0.0115, 0.001)]
     )
@@ -308,21 +313,20 @@ def _sweep_catalog(rng: random.Random) -> tuple[IncidenceFunction, RecruitmentFu
     return incidence, recruitment_from_key(pi_key, kappa=0.05, p=0.05)
 
 
-def property_sweep(
-    n_configs: int = 200,
-    n_steps: int = 100,
-    seed: int = 20240501,
-    method_keys: Sequence[str] = ("euler", "ssprk22", "ssprk33", "ssprk104"),
-) -> SweepReport:
+_SWEEP_STEPS = 100
+
+
+def property_sweep(n_configs: int = 200, seed: int = 20240501) -> SweepReport:
     """Randomized check of the positivity and population-cap guarantees.
 
     Draws random rates in [0,1], random non-negative initial data, catalog
     incidence/recruitment pairs and a step size below the method bound; every
-    run must keep all compartments non-negative and the total population
-    below N0 + K/mu.
+    run of _SWEEP_STEPS steps with each method of BUILTIN_METHOD_KEYS must
+    keep all compartments non-negative and the total population below
+    N0 + K/mu.
     """
     rng = random.Random(seed)
-    methods = [builtin_method(key) for key in method_keys]
+    methods = [builtin_method(key) for key in BUILTIN_METHOD_KEYS]
     failures: list[str] = []
     n_runs = 0
     for idx in range(n_configs):
@@ -341,8 +345,8 @@ def property_sweep(
             # grow the bound horizon until it covers the run it implies
             horizon = 1000.0
             report = bound_report(setup, method, horizon)
-            while n_steps * report.tau_method > horizon:
-                horizon = 2.0 * n_steps * report.tau_method
+            while _SWEEP_STEPS * report.tau_method > horizon:
+                horizon = 2.0 * _SWEEP_STEPS * report.tau_method
                 report = bound_report(setup, method, horizon)
             tau = fraction * report.tau_method
             label = (
@@ -351,7 +355,7 @@ def property_sweep(
             )
             try:
                 traj = integrate(
-                    x0, tau, n_steps, method, params, incidence, pi
+                    x0, tau, _SWEEP_STEPS, method, params, incidence, pi
                 )
             except IntegrationOverflowError as exc:
                 failures.append(f"{label}: overflow at step {exc.step_index}")
@@ -360,8 +364,7 @@ def property_sweep(
             verdict = check_nonnegativity(traj)
             if not verdict.passed:
                 failures.append(f"{label}: {verdict.as_text('non-negativity')}")
-            cap = population_cap(x0.total, report.k_sup, params.mu)
-            pop = check_population_bound(traj, cap.cap)
+            pop = check_population_bound(traj, report.pop_cap)
             if not pop.passed:
                 failures.append(f"{label}: {pop.as_text('population bound')}")
     return SweepReport(n_configs, n_runs, failures)

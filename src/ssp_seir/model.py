@@ -15,16 +15,15 @@ rate bounded by a constant K >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
     "ModelParams",
     "State",
-    "IncidenceFunction",
-    "RecruitmentFunction",
+    "RateFunction",
     "ProblemSetup",
     "INCIDENCE_KEYS",
     "RECRUITMENT_KEYS",
@@ -95,40 +94,26 @@ class State:
         return (self.s, self.e, self.i, self.r)
 
 
-@dataclass(frozen=True)
-class IncidenceFunction:
-    """Force-of-infection function ``x -> f(x)``.
+@dataclass(frozen=True, eq=False)
+class RateFunction:
+    """A catalog entry: a force of infection ``x -> f(x)`` or a recruitment
+    rate ``t -> pi(t)``.
 
-    ``alpha`` is the declared linear-bound constant of |f(x)| <= alpha*|x|.
-    Entries that do not satisfy that condition (kept only for comparison
-    purposes) carry ``alpha=None`` and are excluded from the certified
-    catalog guarantees.
+    ``alpha`` is an incidence's linear-bound constant of |f(x)| <= alpha*|x|;
+    it is None for every recruitment and for incidences kept only for
+    comparison, which are outside the certified guarantees.  ``sup(hi)`` is
+    a closed-form bound of ``fn`` over [0, hi]; ``sup=None`` means the
+    guarded grid maximum.  Instances compare and hash by identity, since
+    the parameters live in ``fn``.
     """
 
     key: str
-    fn: Callable[[float], float] = field(compare=False)
+    fn: Callable[[float], float]
     alpha: Optional[float] = None
-    # closed-form sup over [0, hi], when one is known
-    analytic_sup: Optional[Callable[[float], float]] = field(default=None, compare=False)
+    sup: Optional[Callable[[float], float]] = None
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
-
-
-@dataclass(frozen=True)
-class RecruitmentFunction:
-    """Recruitment rate ``t -> pi(t)`` with 0 <= pi(t) <= K.
-
-    ``bound`` holds an analytic upper bound K when one is known; otherwise
-    :func:`recruitment_sup` falls back to a guarded grid maximum.
-    """
-
-    key: str
-    fn: Callable[[float], float] = field(compare=False)
-    bound: Optional[float] = None
-
-    def __call__(self, t: float) -> float:
-        return self.fn(t)
 
 
 @dataclass(frozen=True)
@@ -136,8 +121,8 @@ class ProblemSetup:
     """A fully specified integration problem."""
 
     params: ModelParams
-    incidence: IncidenceFunction
-    recruitment: RecruitmentFunction
+    incidence: RateFunction
+    recruitment: RateFunction
     x0: State
 
 
@@ -146,12 +131,12 @@ class ProblemSetup:
 # ---------------------------------------------------------------------------
 
 
-def linear_incidence() -> IncidenceFunction:
+def linear_incidence() -> RateFunction:
     """f(x) = x."""
-    return IncidenceFunction("linear", lambda x: x, alpha=1.0, analytic_sup=lambda hi: hi)
+    return RateFunction("linear", lambda x: x, alpha=1.0, sup=lambda hi: hi)
 
 
-def holling_incidence(c1: float, c2: float, k: float) -> IncidenceFunction:
+def holling_incidence(c1: float, c2: float, k: float) -> RateFunction:
     """Holling-type saturating force of infection f(x) = c1*x / (1 + c2*|x|**k).
 
     The absolute value keeps f real when a probe drives x below zero with a
@@ -166,10 +151,10 @@ def holling_incidence(c1: float, c2: float, k: float) -> IncidenceFunction:
     def fn(x: float) -> float:
         return c1 * x / (1.0 + c2 * abs(x) ** k)
 
-    return IncidenceFunction("holling", fn, alpha=c1)
+    return RateFunction("holling", fn, alpha=c1)
 
 
-def media_incidence(nu: float, eta: float) -> IncidenceFunction:
+def media_incidence(nu: float, eta: float) -> RateFunction:
     """Media-effect force of infection f(x) = nu * exp(-eta*x) * x."""
     nu = _require_finite("nu", nu)
     eta = _require_finite("eta", eta)
@@ -179,15 +164,15 @@ def media_incidence(nu: float, eta: float) -> IncidenceFunction:
     def fn(x: float) -> float:
         return nu * math.exp(-eta * x) * x
 
-    def analytic_sup(hi: float) -> float:
+    def sup(hi: float) -> float:
         # f increases up to x = 1/eta and decreases afterwards
         xm = hi if (eta == 0.0 or hi <= 1.0 / eta) else 1.0 / eta
         return fn(xm)
 
-    return IncidenceFunction("media", fn, alpha=nu, analytic_sup=analytic_sup)
+    return RateFunction("media", fn, alpha=nu, sup=sup)
 
 
-def media_exp_incidence(nu: float, eta: float) -> IncidenceFunction:
+def media_exp_incidence(nu: float, eta: float) -> RateFunction:
     """The bare exponential g(x) = nu * exp(-eta*x) without the factor x.
 
     g(0) = nu != 0, so this entry is not a valid force of infection; it is
@@ -200,7 +185,7 @@ def media_exp_incidence(nu: float, eta: float) -> IncidenceFunction:
     def fn(x: float) -> float:
         return nu * math.exp(-eta * x)
 
-    return IncidenceFunction("media-exp", fn, alpha=None, analytic_sup=lambda hi: nu)
+    return RateFunction("media-exp", fn, sup=lambda hi: nu)
 
 
 def custom_incidence(
@@ -208,7 +193,7 @@ def custom_incidence(
     alpha: float,
     hi: float = 1e3,
     n_check: int = 10_001,
-) -> IncidenceFunction:
+) -> RateFunction:
     """Wrap a user function after validating f(0)=0, f>=0 and f <= alpha*x on a grid."""
     alpha = _require_finite("alpha", alpha)
     if alpha < 0.0:
@@ -224,7 +209,7 @@ def custom_incidence(
                 f"custom incidence violates declared linear bound at x={x}: "
                 f"f(x)={y} > alpha*x={alpha * x}"
             )
-    return IncidenceFunction("custom", fn, alpha=alpha)
+    return RateFunction("custom", fn, alpha=alpha)
 
 
 INCIDENCE_KEYS = ("linear", "holling", "media", "media-exp")
@@ -238,7 +223,7 @@ def incidence_from_key(
     c1: float = 1.0,
     c2: float = 1.0,
     k: float = 2.0,
-) -> IncidenceFunction:
+) -> RateFunction:
     """Catalog lookup by string key for CLI/config use."""
     if key == "linear":
         return linear_incidence()
@@ -256,7 +241,7 @@ def incidence_from_key(
 # ---------------------------------------------------------------------------
 
 
-def choice_a_recruitment(kappa: float) -> RecruitmentFunction:
+def choice_a_recruitment(kappa: float) -> RateFunction:
     """pi(t) = kappa * (2/pi * arctan(t) + sin(t)/t), with sin(t)/t := 1 at t=0."""
     kappa = _require_finite("kappa", kappa)
 
@@ -264,44 +249,44 @@ def choice_a_recruitment(kappa: float) -> RecruitmentFunction:
         sinc = 1.0 if t == 0.0 else math.sin(t) / t
         return kappa * (2.0 / math.pi * math.atan(t) + sinc)
 
-    return RecruitmentFunction("choiceA", fn)
+    return RateFunction("choiceA", fn)
 
 
-def choice_b_recruitment(kappa: float) -> RecruitmentFunction:
+def choice_b_recruitment(kappa: float) -> RateFunction:
     """pi(t) = kappa * (1/pi * arctan(t) + 1/2); sup is the limit kappa."""
     kappa = _require_finite("kappa", kappa)
 
     def fn(t: float) -> float:
         return kappa * (math.atan(t) / math.pi + 0.5)
 
-    return RecruitmentFunction("choiceB", fn, bound=kappa)
+    return RateFunction("choiceB", fn, sup=lambda horizon: kappa)
 
 
-def choice_c_recruitment(kappa: float) -> RecruitmentFunction:
+def choice_c_recruitment(kappa: float) -> RateFunction:
     """pi(t) = kappa * (-t*exp(-t) + 1); bounded by kappa, attained at t=0."""
     kappa = _require_finite("kappa", kappa)
 
     def fn(t: float) -> float:
         return kappa * (-t * math.exp(-t) + 1.0)
 
-    return RecruitmentFunction("choiceC", fn, bound=kappa)
+    return RateFunction("choiceC", fn, sup=lambda horizon: kappa)
 
 
-def constant_recruitment(p: float) -> RecruitmentFunction:
+def constant_recruitment(p: float) -> RateFunction:
     """pi(t) = p."""
     p = _require_finite("p", p)
     if p < 0.0:
         raise ValueError("constant recruitment must be non-negative")
-    return RecruitmentFunction("const", lambda t: p, bound=p)
+    return RateFunction("const", lambda t: p, sup=lambda horizon: p)
 
 
-def counterexample_cosine_recruitment() -> RecruitmentFunction:
+def counterexample_cosine_recruitment() -> RateFunction:
     """pi(t) = -cos(2*pi*t) + 1, the oscillating counterexample with K = 2."""
 
     def fn(t: float) -> float:
         return -math.cos(2.0 * math.pi * t) + 1.0
 
-    return RecruitmentFunction("cex-cos", fn, bound=2.0)
+    return RateFunction("cex-cos", fn, sup=lambda horizon: 2.0)
 
 
 def custom_recruitment(
@@ -309,7 +294,7 @@ def custom_recruitment(
     bound: float,
     horizon: float = 1e3,
     n_check: int = 10_001,
-) -> RecruitmentFunction:
+) -> RateFunction:
     """Wrap a user recruitment after validating 0 <= pi(t) <= bound on a grid."""
     bound = _require_finite("bound", bound)
     if bound < 0.0:
@@ -320,7 +305,7 @@ def custom_recruitment(
             raise ValueError(
                 f"custom recruitment leaves [0, {bound}] at t={t}: pi(t)={y}"
             )
-    return RecruitmentFunction("custom", fn, bound=bound)
+    return RateFunction("custom", fn, sup=lambda horizon: bound)
 
 
 RECRUITMENT_KEYS = ("choiceA", "choiceB", "choiceC", "const", "cex-cos")
@@ -328,7 +313,7 @@ RECRUITMENT_KEYS = ("choiceA", "choiceB", "choiceC", "const", "cex-cos")
 
 def recruitment_from_key(
     key: str, *, kappa: float = 0.05, p: float = 0.05
-) -> RecruitmentFunction:
+) -> RateFunction:
     """Catalog lookup by string key for CLI/config use."""
     if key == "choiceA":
         return choice_a_recruitment(kappa)
@@ -355,8 +340,8 @@ def _derivs(
     i: float,
     r: float,
     p: ModelParams,
-    f: IncidenceFunction,
-    pi: RecruitmentFunction,
+    f: RateFunction,
+    pi: RateFunction,
 ) -> tuple[float, float, float, float]:
     # hot path shared by rhs() and the steppers; no validation here
     inc = f.fn(i) * s
@@ -373,8 +358,8 @@ def rhs(
     t: float,
     x: State,
     p: ModelParams,
-    f: IncidenceFunction,
-    pi: RecruitmentFunction,
+    f: RateFunction,
+    pi: RateFunction,
 ) -> tuple[float, float, float, float]:
     """Evaluate the four-component derivative of the model at (t, x).
 
@@ -392,60 +377,53 @@ def rhs(
 # ---------------------------------------------------------------------------
 
 
-def _grid_sup(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    n: int = 50_001,
-    refine_rounds: int = 3,
-) -> float:
-    """Over-approximating maximum of ``fn`` on [lo, hi].
+_GRID_N = 50_001
+_GRID_REFINE_ROUNDS = 3
 
-    Dense grid plus local refinement around the best cell; the returned value
-    adds a Lipschitz slack estimated from the finest grid so the result never
+
+def _grid_sup(fn: Callable[[float], float], hi: float) -> float:
+    """Over-approximating maximum of ``fn`` on [0, hi].
+
+    A dense grid of ``_GRID_N`` points plus ``_GRID_REFINE_ROUNDS`` rounds of
+    local refinement around the best cell; the returned value adds a
+    Lipschitz slack estimated from the finest grid so the result never
     under-approximates a maximum hiding between grid points.
     """
-    if hi < lo:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    if hi == lo:
-        return fn(lo)
-    xs = np.linspace(lo, hi, n)
+    if hi == 0.0:
+        return fn(0.0)
+    xs = np.linspace(0.0, hi, _GRID_N)
     ys = np.array([fn(float(x)) for x in xs])
-    step = (hi - lo) / (n - 1)
+    step = hi / (_GRID_N - 1)
     best = int(np.argmax(ys))
     best_y = float(ys[best])
     slope = float(np.max(np.abs(np.diff(ys)))) / step
-    window_lo = max(lo, float(xs[best]) - step)
+    window_lo = max(0.0, float(xs[best]) - step)
     window_hi = min(hi, float(xs[best]) + step)
-    for _ in range(refine_rounds):
+    for _ in range(_GRID_REFINE_ROUNDS):
         xs = np.linspace(window_lo, window_hi, 2001)
         ys = np.array([fn(float(x)) for x in xs])
         step = (window_hi - window_lo) / 2000.0
         best = int(np.argmax(ys))
         best_y = max(best_y, float(ys[best]))
         slope = max(slope, float(np.max(np.abs(np.diff(ys)))) / step if step > 0 else 0.0)
-        window_lo = max(lo, float(xs[best]) - step)
+        window_lo = max(0.0, float(xs[best]) - step)
         window_hi = min(hi, float(xs[best]) + step)
         if step == 0.0:
             break
     return best_y + slope * step
 
 
-def sup_incidence(f: IncidenceFunction, hi: float) -> float:
-    """sup of f over [0, hi], analytic where available, guarded grid otherwise."""
+def sup_incidence(f: RateFunction, hi: float) -> float:
+    """sup of f over [0, hi], closed-form where declared, guarded grid otherwise."""
     hi = float(hi)
     if not math.isfinite(hi) or hi < 0.0:
         raise ValueError(f"upper bound must be finite and non-negative, got {hi}")
-    if f.analytic_sup is not None:
-        return f.analytic_sup(hi)
-    return _grid_sup(f.fn, 0.0, hi)
+    return f.sup(hi) if f.sup is not None else _grid_sup(f.fn, hi)
 
 
-def recruitment_sup(pi: RecruitmentFunction, horizon: float) -> float:
-    """Upper bound K with pi(t) <= K on [0, horizon] (analytic if declared)."""
+def recruitment_sup(pi: RateFunction, horizon: float) -> float:
+    """Upper bound K with pi(t) <= K on [0, horizon] (closed-form if declared)."""
     horizon = float(horizon)
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    if pi.bound is not None:
-        return pi.bound
-    return _grid_sup(pi.fn, 0.0, horizon)
+    return pi.sup(horizon) if pi.sup is not None else _grid_sup(pi.fn, horizon)

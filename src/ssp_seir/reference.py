@@ -16,9 +16,9 @@ Two oracles:
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from .model import ProblemSetup, RecruitmentFunction
+from .model import ProblemSetup, RateFunction
 from .shu_osher import ShuOsherForm, builtin_method
 from .step_bounds import bound_report
 from .stepping import Trajectory, integrate
@@ -27,6 +27,7 @@ __all__ = [
     "QuadratureError",
     "adaptive_simpson",
     "exact_population",
+    "grid_run",
     "reference_trajectory",
 ]
 
@@ -90,7 +91,7 @@ def adaptive_simpson(
 def exact_population(
     n0: float,
     mu: float,
-    pi: RecruitmentFunction,
+    pi: RateFunction,
     t: float,
     quad_tol: float = 1e-9,
 ) -> float:
@@ -128,27 +129,20 @@ def _output_base(output_times: Sequence[float]) -> float:
     return base
 
 
-def reference_trajectory(
+def grid_run(
     setup: ProblemSetup,
+    method: ShuOsherForm,
+    tau_nominal: float,
     t_f: float,
     output_times: Sequence[float],
-    method: Optional[ShuOsherForm] = None,
-    refinement: float = DEFAULT_REFINEMENT,
 ) -> Trajectory:
-    """High-resolution reference run recorded at ``output_times``.
+    """Run ``method`` to ``t_f`` and keep the rows at ``output_times``.
 
-    The nominal step is the method's positivity bound times ``refinement``,
-    shrunk minimally so every output time lands exactly on the step grid.
-    The result holds the fine run's rows at the output times, in their
-    order, with the fine step as ``tau``.
+    The step is ``tau_nominal`` shrunk minimally so every output time lands
+    exactly on the step grid (no interpolation).  The result holds the run's
+    rows at the output times, in their order, with that step as ``tau``.
     """
-    if method is None:
-        method = builtin_method("ssprk104")
-    if not (math.isfinite(t_f) and t_f > 0.0):
-        raise ValueError(f"t_f must be finite and positive, got {t_f}")
     base = _output_base(output_times)
-    tau_bound = bound_report(setup, method, t_f).tau_method
-    tau_nominal = tau_bound * refinement
     per_base = max(1, math.ceil(base / tau_nominal - 1e-12))
     tau = base / per_base
     n_steps = round(t_f / tau)
@@ -162,6 +156,24 @@ def reference_trajectory(
     for t in output_times:
         k = round(t / tau)
         if k > n_steps or abs(k * tau - t) > 1e-9 * (1.0 + t):
-            raise ValueError(f"output time {t} not on the reference grid")
+            raise ValueError(f"output time {t} not on the step grid")
         rows.append(k)
     return Trajectory(full.data[rows], tau, full.method, full.stage_min)
+
+
+def reference_trajectory(
+    setup: ProblemSetup,
+    t_f: float,
+    output_times: Sequence[float],
+    refinement: float = DEFAULT_REFINEMENT,
+) -> Trajectory:
+    """High-resolution ``ssprk104`` run recorded at ``output_times``.
+
+    The nominal step is the method's positivity bound times ``refinement``;
+    :func:`grid_run` puts the output times on the step grid.
+    """
+    if not (math.isfinite(t_f) and t_f > 0.0):
+        raise ValueError(f"t_f must be finite and positive, got {t_f}")
+    method = builtin_method("ssprk104")
+    tau_bound = bound_report(setup, method, t_f).tau_method
+    return grid_run(setup, method, tau_bound * refinement, t_f, output_times)

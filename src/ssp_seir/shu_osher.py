@@ -14,8 +14,7 @@ small floating-point tolerance); the SSP coefficient is the largest feasible
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass, replace
 
 __all__ = [
     "ButcherTableau",
@@ -259,7 +258,7 @@ def builtin_tableau(name: str) -> ButcherTableau:
 def builtin_method(name: str) -> ShuOsherForm:
     """Optimal Shu-Osher form (r = C) of a builtin method."""
     tableau = builtin_tableau(name)
-    c_opt = _BUILTIN_SSP_C[name] if name in _BUILTIN_SSP_C else ssp_coefficient(tableau)
+    c_opt = _BUILTIN_SSP_C[name]
     form = shu_osher_from_butcher(tableau, c_opt, tol=1e-9)
     # at r = C some coefficients are exactly zero in exact arithmetic; clamp
     # the rounding noise so downstream non-negativity arguments hold verbatim

@@ -16,14 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (
-    IncidenceFunction,
-    ModelParams,
-    ProblemSetup,
-    RecruitmentFunction,
-    recruitment_sup,
-    sup_incidence,
-)
+from .model import ModelParams, ProblemSetup, recruitment_sup, sup_incidence
 from .shu_osher import ShuOsherForm
 
 __all__ = [

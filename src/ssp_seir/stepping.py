@@ -18,7 +18,7 @@ from typing import IO
 
 import numpy as np
 
-from .model import IncidenceFunction, ModelParams, RecruitmentFunction, State, _derivs
+from .model import ModelParams, RateFunction, State, _derivs
 from .shu_osher import ShuOsherForm
 
 __all__ = [
@@ -87,8 +87,8 @@ def integrate(
     n_steps: int,
     method: ShuOsherForm,
     p: ModelParams,
-    f: IncidenceFunction,
-    pi: RecruitmentFunction,
+    f: RateFunction,
+    pi: RateFunction,
 ) -> Trajectory:
     """Repeated Shu-Osher stepping with effective sub-step tau/r; the
     one-stage form is forward Euler, bit for bit.  Deterministic given

@@ -143,7 +143,7 @@ def test_criterion_3_violation_demo(config):
 
 
 def test_criterion_4_oscillating_counterexample():
-    report = counterexample_report(n_steps=500, tail=100)
+    report = counterexample_report()
     even_ok = abs(report.even_limit - 4.0 / 3.0) <= 1e-8
     odd_ok = abs(report.odd_limit - 2.0 / 3.0) <= 1e-8
     gap_ok = report.gap_tail_min > 0.2

@@ -98,6 +98,25 @@ def test_cli_simulate_strict_failure_exit_code(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("strict, expected", [(False, 0), (True, 1)])
+def test_cli_simulate_diverging_run_reports_verdict(tmp_path, capsys, strict, expected):
+    args = [
+        "--out", str(tmp_path), "simulate", "--stages", "--pi", "choiceA",
+        "--tf", "300", "--method", "euler", "--tau", "25",
+    ]
+    code = main(args + (["--strict"] if strict else []))
+    assert code == expected
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = (tmp_path / "trajectory.csv").read_text().strip().splitlines()
+    # header, the initial state and the 7 finite steps before the blow-up
+    assert len(lines) == 1 + 8
+    verdict = (tmp_path / "verdict.txt").read_text()
+    assert "integration : FAIL (non-finite state at step 8)" in verdict
+    assert "non-negativity: FAIL (step 1, E," in verdict
+    assert verdict in captured.out
+
+
 def test_cli_simulate_deterministic_bytes(tmp_path):
     args = ["simulate", "--method", "euler", "--tau", "2.0", "--tf", "40"]
     main(["--out", str(tmp_path / "a")] + args)

@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ssp_seir.model import (
+    INCIDENCE_KEYS,
+    RECRUITMENT_KEYS,
     ModelParams,
     State,
     choice_a_recruitment,
@@ -238,3 +240,32 @@ def test_custom_recruitment_validates():
     assert pi(0.0) == 0.5
     with pytest.raises(ValueError, match="leaves"):
         custom_recruitment(lambda t: math.sin(t), bound=1.0)
+
+
+def test_catalog_entries_compare_by_identity():
+    # the parameters live in fn, so equal keys must not make entries equal
+    pairs = [
+        (holling_incidence(1.0, 1.0, 2.0), holling_incidence(1.0, 5.0, 0.5)),
+        (choice_a_recruitment(0.05), choice_a_recruitment(0.9)),
+    ]
+    for a, b in pairs:
+        assert a.key == b.key
+        assert a != b and a == a
+        assert len({a, b}) == 2
+    assert linear_incidence() != linear_incidence()
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [("incidence", key) for key in INCIDENCE_KEYS]
+    + [("recruitment", key) for key in RECRUITMENT_KEYS],
+)
+def test_catalog_sup_never_underestimates(kind, key):
+    if kind == "incidence":
+        f, hi = incidence_from_key(key), 3.0
+        sup = sup_incidence(f, hi)
+    else:
+        f, hi = recruitment_from_key(key), 1000.0
+        sup = recruitment_sup(f, hi)
+    grid_max = max(f(float(x)) for x in np.linspace(0.0, hi, 10_001))
+    assert sup >= grid_max
