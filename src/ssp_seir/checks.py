@@ -59,14 +59,6 @@ class Verdict:
             where += f", {self.witness_compartment}"
         return f"{name}: FAIL ({where}, value {self.witness_value!r})"
 
-    def as_csv_row(self, name: str) -> str:
-        return (
-            f"{name},{'pass' if self.passed else 'fail'},"
-            f"{'' if self.witness_index is None else self.witness_index},"
-            f"{self.witness_compartment or ''},"
-            f"{'' if self.witness_value is None else repr(self.witness_value)}"
-        )
-
 
 def check_nonnegativity(traj: Trajectory, include_stages: bool = False) -> Verdict:
     """Pass iff every step state (and, if flagged, every stage) is >= -1e-12."""

@@ -53,6 +53,15 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _round_out(value: float) -> float:
+    """A closed-form maximum evaluated in floats, raised by a few ulps.
+
+    Rounding in ``fn`` lets a sample next to the maximiser come out a few
+    ulps (3 seen) above ``fn`` at the maximiser; the factor adds 16 or more.
+    """
+    return value * (1.0 + 2.0**-48)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Rate constants of the model, all non-negative and finite (1/time)."""
@@ -99,18 +108,18 @@ class RateFunction:
     """A catalog entry: a force of infection ``x -> f(x)`` or a recruitment
     rate ``t -> pi(t)``.
 
-    ``alpha`` is an incidence's linear-bound constant of |f(x)| <= alpha*|x|;
-    it is None for every recruitment and for incidences kept only for
-    comparison, which are outside the certified guarantees.  ``sup(hi)`` is
-    a closed-form bound of ``fn`` over [0, hi]; ``sup=None`` means the
-    guarded grid maximum.  Instances compare and hash by identity, since
-    the parameters live in ``fn``.
+    ``sup(hi)`` is a closed-form upper bound of ``fn`` over [0, hi]; every
+    entry must state one.  ``alpha`` is an incidence's linear-bound constant
+    of |f(x)| <= alpha*|x|; it is None for every recruitment and for
+    incidences kept only for comparison, which are outside the certified
+    guarantees.  Instances compare and hash by identity, since the
+    parameters live in ``fn``.
     """
 
     key: str
     fn: Callable[[float], float]
+    sup: Callable[[float], float]
     alpha: Optional[float] = None
-    sup: Optional[Callable[[float], float]] = None
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -151,7 +160,14 @@ def holling_incidence(c1: float, c2: float, k: float) -> RateFunction:
     def fn(x: float) -> float:
         return c1 * x / (1.0 + c2 * abs(x) ** k)
 
-    return RateFunction("holling", fn, alpha=c1)
+    # f increases up to x* = (c2*(k-1))**(-1/k) and decreases afterwards;
+    # for c2 = 0 or k <= 1 it increases throughout
+    x_star = (c2 * (k - 1.0)) ** (-1.0 / k) if c2 > 0.0 and k > 1.0 else math.inf
+
+    def sup(hi: float) -> float:
+        return _round_out(fn(min(hi, x_star)))
+
+    return RateFunction("holling", fn, alpha=c1, sup=sup)
 
 
 def media_incidence(nu: float, eta: float) -> RateFunction:
@@ -167,7 +183,7 @@ def media_incidence(nu: float, eta: float) -> RateFunction:
     def sup(hi: float) -> float:
         # f increases up to x = 1/eta and decreases afterwards
         xm = hi if (eta == 0.0 or hi <= 1.0 / eta) else 1.0 / eta
-        return fn(xm)
+        return _round_out(fn(xm))
 
     return RateFunction("media", fn, alpha=nu, sup=sup)
 
@@ -177,10 +193,13 @@ def media_exp_incidence(nu: float, eta: float) -> RateFunction:
 
     g(0) = nu != 0, so this entry is not a valid force of infection; it is
     kept in the catalog only so that the two readings of the experiment
-    incidence can be compared.  ``alpha`` is None accordingly.
+    incidence can be compared.  ``alpha`` is None accordingly.  Its sup is
+    g(0) = nu, which needs eta >= 0.
     """
     nu = _require_finite("nu", nu)
     eta = _require_finite("eta", eta)
+    if nu < 0.0 or eta < 0.0:
+        raise ValueError("media parameters must be non-negative")
 
     def fn(x: float) -> float:
         return nu * math.exp(-eta * x)
@@ -194,7 +213,8 @@ def custom_incidence(
     hi: float = 1e3,
     n_check: int = 10_001,
 ) -> RateFunction:
-    """Wrap a user function after validating f(0)=0, f>=0 and f <= alpha*x on a grid."""
+    """Wrap a user function after validating f(0)=0, f>=0 and f <= alpha*x on a
+    grid; its sup over [0, hi] is the declared linear bound alpha*hi."""
     alpha = _require_finite("alpha", alpha)
     if alpha < 0.0:
         raise ValueError("alpha must be non-negative")
@@ -209,7 +229,7 @@ def custom_incidence(
                 f"custom incidence violates declared linear bound at x={x}: "
                 f"f(x)={y} > alpha*x={alpha * x}"
             )
-    return RateFunction("custom", fn, alpha=alpha)
+    return RateFunction("custom", fn, alpha=alpha, sup=lambda hi: alpha * hi)
 
 
 INCIDENCE_KEYS = ("linear", "holling", "media", "media-exp")
@@ -241,20 +261,33 @@ def incidence_from_key(
 # ---------------------------------------------------------------------------
 
 
-def choice_a_recruitment(kappa: float) -> RateFunction:
-    """pi(t) = kappa * (2/pi * arctan(t) + sin(t)/t), with sin(t)/t := 1 at t=0."""
+# max of 2/pi*atan(t) + sin(t)/t over t >= 0, 1.341736984114146826... at
+# t ~ 1.0312, rounded up; for t >= 3 the function is below 1 + 1/t <= 4/3
+_CHOICE_A_MAX = 1.341736984114147
+
+
+def _require_kappa(kappa: float) -> float:
     kappa = _require_finite("kappa", kappa)
+    if kappa < 0.0:
+        raise ValueError(f"kappa must be non-negative, got {kappa}")
+    return kappa
+
+
+def choice_a_recruitment(kappa: float) -> RateFunction:
+    """pi(t) = kappa * (2/pi * arctan(t) + sin(t)/t), with sin(t)/t := 1 at t=0;
+    bounded by kappa * _CHOICE_A_MAX on every horizon."""
+    kappa = _require_kappa(kappa)
 
     def fn(t: float) -> float:
         sinc = 1.0 if t == 0.0 else math.sin(t) / t
         return kappa * (2.0 / math.pi * math.atan(t) + sinc)
 
-    return RateFunction("choiceA", fn)
+    return RateFunction("choiceA", fn, sup=lambda horizon: kappa * _CHOICE_A_MAX)
 
 
 def choice_b_recruitment(kappa: float) -> RateFunction:
     """pi(t) = kappa * (1/pi * arctan(t) + 1/2); sup is the limit kappa."""
-    kappa = _require_finite("kappa", kappa)
+    kappa = _require_kappa(kappa)
 
     def fn(t: float) -> float:
         return kappa * (math.atan(t) / math.pi + 0.5)
@@ -264,7 +297,7 @@ def choice_b_recruitment(kappa: float) -> RateFunction:
 
 def choice_c_recruitment(kappa: float) -> RateFunction:
     """pi(t) = kappa * (-t*exp(-t) + 1); bounded by kappa, attained at t=0."""
-    kappa = _require_finite("kappa", kappa)
+    kappa = _require_kappa(kappa)
 
     def fn(t: float) -> float:
         return kappa * (-t * math.exp(-t) + 1.0)
@@ -377,53 +410,17 @@ def rhs(
 # ---------------------------------------------------------------------------
 
 
-_GRID_N = 50_001
-_GRID_REFINE_ROUNDS = 3
-
-
-def _grid_sup(fn: Callable[[float], float], hi: float) -> float:
-    """Over-approximating maximum of ``fn`` on [0, hi].
-
-    A dense grid of ``_GRID_N`` points plus ``_GRID_REFINE_ROUNDS`` rounds of
-    local refinement around the best cell; the returned value adds a
-    Lipschitz slack estimated from the finest grid so the result never
-    under-approximates a maximum hiding between grid points.
-    """
-    if hi == 0.0:
-        return fn(0.0)
-    xs = np.linspace(0.0, hi, _GRID_N)
-    ys = np.array([fn(float(x)) for x in xs])
-    step = hi / (_GRID_N - 1)
-    best = int(np.argmax(ys))
-    best_y = float(ys[best])
-    slope = float(np.max(np.abs(np.diff(ys)))) / step
-    window_lo = max(0.0, float(xs[best]) - step)
-    window_hi = min(hi, float(xs[best]) + step)
-    for _ in range(_GRID_REFINE_ROUNDS):
-        xs = np.linspace(window_lo, window_hi, 2001)
-        ys = np.array([fn(float(x)) for x in xs])
-        step = (window_hi - window_lo) / 2000.0
-        best = int(np.argmax(ys))
-        best_y = max(best_y, float(ys[best]))
-        slope = max(slope, float(np.max(np.abs(np.diff(ys)))) / step if step > 0 else 0.0)
-        window_lo = max(0.0, float(xs[best]) - step)
-        window_hi = min(hi, float(xs[best]) + step)
-        if step == 0.0:
-            break
-    return best_y + slope * step
-
-
 def sup_incidence(f: RateFunction, hi: float) -> float:
-    """sup of f over [0, hi], closed-form where declared, guarded grid otherwise."""
+    """sup of f over [0, hi], the entry's closed form."""
     hi = float(hi)
     if not math.isfinite(hi) or hi < 0.0:
         raise ValueError(f"upper bound must be finite and non-negative, got {hi}")
-    return f.sup(hi) if f.sup is not None else _grid_sup(f.fn, hi)
+    return f.sup(hi)
 
 
 def recruitment_sup(pi: RateFunction, horizon: float) -> float:
-    """Upper bound K with pi(t) <= K on [0, horizon] (closed-form if declared)."""
+    """Upper bound K with pi(t) <= K on [0, horizon], the entry's closed form."""
     horizon = float(horizon)
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
-    return pi.sup(horizon) if pi.sup is not None else _grid_sup(pi.fn, horizon)
+    return pi.sup(horizon)

@@ -48,7 +48,8 @@ class PopulationCap:
     """Discrete population bound N^k <= cap (mu > 0) or the linear envelope.
 
     For mu = 0 the cap is infinite and ``growth_rate`` is the K of the
-    envelope N^0 + n * (tau/C) * K.
+    envelope N^n <= N^0 + n * tau * K: each step adds (tau/C) times the
+    final gamma row's weighted recruitment, and that row sums to C.
     """
 
     cap: float
@@ -68,23 +69,6 @@ class BoundReport:
     b_sup: float
     k_sup: float
     binding_term: str
-
-    def as_text(self) -> str:
-        return (
-            f"method       : {self.method}\n"
-            f"dt*          : {self.dt_star:.6g}\n"
-            f"tau bound    : {self.tau_method:.6g}\n"
-            f"population   : <= {self.pop_cap:.6g}\n"
-            f"B (sup f)    : {self.b_sup:.6g}\n"
-            f"K (sup pi)   : {self.k_sup:.6g}\n"
-            f"binding term : {self.binding_term}"
-        )
-
-    def as_csv_row(self) -> str:
-        return (
-            f"{self.method},{self.dt_star!r},{self.tau_method!r},"
-            f"{self.pop_cap!r},{self.b_sup!r},{self.k_sup!r},{self.binding_term}"
-        )
 
 
 def euler_step_bound(p: ModelParams, b_sup: float) -> EulerBound:

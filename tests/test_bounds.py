@@ -5,11 +5,15 @@ import random
 
 import pytest
 
+from ssp_seir.checks import check_nonnegativity, check_population_bound
 from ssp_seir.model import (
+    RECRUITMENT_KEYS,
     ModelParams,
     ProblemSetup,
     State,
     choice_b_recruitment,
+    holling_incidence,
+    linear_incidence,
     media_incidence,
     recruitment_from_key,
     sup_incidence,
@@ -210,5 +214,55 @@ def test_bound_report_experiment_setup():
     assert report.k_sup <= 0.1
     assert report.pop_cap == pytest.approx(1.0 + report.k_sup / 0.05, rel=1e-12)
     assert report.binding_term == "sigma"
-    assert "tau bound" in report.as_text()
-    assert report.as_csv_row().startswith("ssprk104,")
+
+
+def _random_incidence(rng):
+    kind = rng.choice(["linear", "holling", "media"])
+    if kind == "linear":
+        return linear_incidence()
+    if kind == "holling":
+        c1, c2, k = rng.uniform(0.1, 2.0), rng.uniform(0.0, 2.0), rng.uniform(0.5, 3.0)
+        return holling_incidence(c1, c2, k)
+    return media_incidence(rng.uniform(0.001, 0.1), rng.uniform(0.0, 0.5))
+
+
+def test_guarantees_hold_exactly_at_the_bound():
+    # The criterion 6 sweep draws tau strictly below the bound and mu > 0 only.
+    # Here tau is C*dt* itself, internal stages are checked, and half of the
+    # setups have mu = 0, where the population obeys only the linear envelope
+    # N^n <= N^0 + n*tau*K.
+    rng = random.Random(20261018)
+    methods = [builtin_method(key) for key in BUILTIN_METHOD_KEYS]
+    n_steps = 100
+    failures = []
+    for idx in range(300):
+        params = ModelParams(
+            0.0 if idx % 2 else rng.uniform(1e-6, 1.0),
+            rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0),
+        )
+        incidence = _random_incidence(rng)
+        kappa = rng.uniform(0.0, 1.0)
+        pi = recruitment_from_key(rng.choice(RECRUITMENT_KEYS), kappa=kappa, p=kappa)
+        x0 = State(*(rng.uniform(0.0, 2.0) for _ in range(4)))
+        setup = ProblemSetup(params, incidence, pi, x0)
+        for method in methods:
+            horizon = 1000.0
+            report = bound_report(setup, method, horizon)
+            while n_steps * report.tau_method > horizon:
+                horizon = 2.0 * n_steps * report.tau_method
+                report = bound_report(setup, method, horizon)
+            tau = report.tau_method
+            label = f"setup {idx} ({incidence.key}/{pi.key}, mu={params.mu}), {method.key}"
+            traj = integrate(x0, tau, n_steps, method, params, incidence, pi)
+            verdict = check_nonnegativity(traj, include_stages=True)
+            if not verdict:
+                failures.append(f"{label}: {verdict.as_text('non-negativity')}")
+            if params.mu > 0.0:
+                if not check_population_bound(traj, report.pop_cap):
+                    failures.append(f"{label}: population above {report.pop_cap!r}")
+            else:
+                steps = range(n_steps + 1)
+                envelope = [(x0.total + n * tau * report.k_sup) * (1.0 + 1e-12) for n in steps]
+                if any(traj.populations[n] > envelope[n] for n in steps):
+                    failures.append(f"{label}: population above N0 + n*tau*K")
+    assert not failures, failures[:5]

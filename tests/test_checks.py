@@ -62,7 +62,6 @@ def test_nonnegativity_fails_above_threshold_with_witness():
     assert verdict.witness_compartment == "I"
     assert verdict.witness_value < 0.0
     assert "FAIL" in verdict.as_text("nonneg")
-    assert verdict.as_csv_row("nonneg").startswith("nonneg,fail,")
 
 
 def test_nonnegativity_on_identically_zero_trajectory():

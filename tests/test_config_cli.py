@@ -204,3 +204,29 @@ def test_cli_bad_config_file(tmp_path, capsys):
     code = main(["--config", str(bad), "counterexample"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pi", ["choiceA", "choiceB", "choiceC"])
+def test_cli_simulate_rejects_negative_kappa(tmp_path, capsys, pi):
+    path = tmp_path / "exp.cfg"
+    path.write_text(DEFAULT_CONFIG_TEXT.replace("kappa=0.05", "kappa=-0.05"))
+    code = main([
+        "--config", str(path), "--out", str(tmp_path), "simulate",
+        "--method", "euler", "--tau", "1", "--pi", pi,
+    ])
+    assert code == 2
+    assert "error: kappa must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_cli_simulate_rejects_negative_media_exp_rate(tmp_path, capsys):
+    path = tmp_path / "exp.cfg"
+    text = DEFAULT_CONFIG_TEXT.replace("incidence=media", "incidence=media-exp")
+    path.write_text(text.replace("eta=0.001", "eta=-0.05"))
+    code = main([
+        "--config", str(path), "--out", str(tmp_path), "simulate",
+        "--method", "euler", "--tau", "1",
+    ])
+    assert code == 2
+    assert "error: media parameters must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()

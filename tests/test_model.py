@@ -1,6 +1,7 @@
 """Right-hand side, catalog functions and the sup helpers."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ssp_seir.model import (
     INCIDENCE_KEYS,
     RECRUITMENT_KEYS,
     ModelParams,
+    RateFunction,
     State,
     choice_a_recruitment,
     choice_b_recruitment,
@@ -147,6 +149,14 @@ def test_media_exp_entry_is_not_a_valid_incidence():
     assert g.alpha is None
 
 
+@pytest.mark.parametrize("nu, eta", [(0.0115, -0.05), (-0.0115, 0.001)])
+def test_media_exp_rejects_negative_parameters(nu, eta):
+    # with eta < 0 the function grows, and sup = nu under-estimates it:
+    # nu=0.0115, eta=-0.05 gives g(10) = 0.01896 > 0.0115
+    with pytest.raises(ValueError, match="non-negative"):
+        media_exp_incidence(nu, eta)
+
+
 def test_incidence_from_key():
     assert incidence_from_key("linear").key == "linear"
     assert incidence_from_key("holling", c1=2.0).alpha == 2.0
@@ -226,6 +236,60 @@ def test_choice_a_removable_singularity():
     pi = choice_a_recruitment(1.0)
     assert pi(0.0) == 1.0  # sin(t)/t defined as 1 at t=0
     assert pi(1e-9) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "make", [choice_a_recruitment, choice_b_recruitment, choice_c_recruitment]
+)
+def test_choice_recruitments_reject_negative_kappa(make):
+    # the closed-form sups kappa*M and kappa hold only for kappa >= 0
+    with pytest.raises(ValueError, match="kappa"):
+        make(-0.05)
+    assert recruitment_sup(make(0.0), 10.0) == 0.0
+
+
+def test_rate_function_requires_a_sup():
+    with pytest.raises(TypeError):
+        RateFunction("bare", lambda x: x)  # type: ignore[call-arg]
+
+
+def test_recruitment_sup_choice_a_is_horizon_free():
+    pi = choice_a_recruitment(0.05)
+    sups = {recruitment_sup(pi, horizon) for horizon in (1e-3, 1.0, 1.0312, 3.0, 1e6)}
+    assert sups == {0.05 * 1.341736984114147}
+
+
+def test_holling_sup_closed_form():
+    # k > 1: interior maximum at x* = (c2*(k-1))**(-1/k); here x* = 1, f(x*) = 1/2
+    f = holling_incidence(1.0, 1.0, 2.0)
+    assert 0.5 <= sup_incidence(f, 10.0) <= 0.5 * (1.0 + 1e-14)
+    # before x* the sup sits at hi
+    assert f(0.5) <= sup_incidence(f, 0.5) <= f(0.5) * (1.0 + 1e-14)
+    # k <= 1 or c2 = 0: f increases throughout
+    for g in (holling_incidence(2.0, 3.0, 0.7), holling_incidence(2.0, 0.0, 2.0)):
+        assert g(50.0) <= sup_incidence(g, 50.0) <= g(50.0) * (1.0 + 1e-14)
+
+
+def test_custom_incidence_sup_is_its_linear_bound():
+    f = custom_incidence(lambda x: 0.5 * x / (1.0 + x), alpha=0.5)
+    assert sup_incidence(f, 4.0) == 2.0
+
+
+@pytest.mark.parametrize("kind", ["holling", "media"])
+def test_interior_max_sup_beats_every_sample_near_the_maximiser(kind):
+    # float rounding lets fn just next to the maximiser exceed fn at the
+    # maximiser by up to a few ulps, which a bare closed form would miss
+    rng = random.Random(f"interior-max:{kind}")
+    for _ in range(40):
+        if kind == "holling":
+            c1, c2, k = rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0), rng.uniform(1.05, 4.0)
+            f, x_star = holling_incidence(c1, c2, k), (c2 * (k - 1.0)) ** (-1.0 / k)
+        else:
+            eta = rng.uniform(5e-4, 0.5)
+            f, x_star = media_incidence(rng.uniform(1e-3, 0.1), eta), 1.0 / eta
+        sup = sup_incidence(f, 2.0 * x_star)
+        for x in np.linspace(x_star * (1.0 - 1e-6), x_star * (1.0 + 1e-6), 501):
+            assert f(float(x)) <= sup
 
 
 def test_recruitment_from_key():
