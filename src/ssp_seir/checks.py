@@ -4,7 +4,9 @@ Negativity uses the threshold -1e-12 rather than 0 so trajectories that sit
 exactly on a compartment boundary are not failed by round-off.  The
 empirical threshold search checks step states only, matching what the
 step-size experiments observe; :func:`check_nonnegativity` can also check the
-internal stages.
+internal stages.  Each probe of the search stops at its first step state
+below the threshold, where its verdict is settled, instead of integrating on
+to the horizon.
 """
 
 from __future__ import annotations
@@ -120,6 +122,7 @@ def _positivity_ok(setup: ProblemSetup, method: ShuOsherForm, tau: float, t_f: f
         traj = integrate(
             setup.x0, tau, n_steps, method,
             setup.params, setup.incidence, setup.recruitment,
+            stop_below=NEGATIVITY_THRESHOLD,
         )
     except IntegrationOverflowError:
         return False
@@ -136,9 +139,10 @@ def find_empirical_bound(
     """Bisect the step size at which positivity over [0, t_f] first fails.
 
     The bracket is expanded/shrunk geometrically until positivity holds at
-    the lower end and fails at the upper end, then bisected to width ``tol``;
-    the returned threshold is the midpoint of the final bracket.  The run
-    count ceil(t_f/tau) covers the horizon with a constant step throughout.
+    the lower end and fails at the upper end, then bisected to width ``tol``
+    (or until its ends are adjacent doubles); the returned threshold is the
+    midpoint of the final bracket.  The run count ceil(t_f/tau) covers the
+    horizon with a constant step throughout.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -165,6 +169,8 @@ def find_empirical_bound(
             raise RuntimeError("could not find a failing upper bracket")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent doubles: tol is below their spacing
         if ok(mid):
             lo = mid
         else:

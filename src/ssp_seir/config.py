@@ -132,8 +132,13 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = float(raw[key])
         except ValueError as exc:
             raise ConfigError(f"key {key}: not a number: {raw[key]!r}") from exc
-    if not (math.isfinite(values["tf"]) and values["tf"] > 0.0):
-        raise ConfigError(f"key tf: must be finite and positive, got {raw['tf']!r}")
+    for key in ("tf", "bisect_tol"):
+        if not (math.isfinite(values[key]) and values[key] > 0.0):
+            raise ConfigError(f"key {key}: must be finite and positive, got {raw[key]!r}")
+    # the positivity results assume non-negative initial data
+    for key in ("s0", "e0", "i0", "r0"):
+        if not (math.isfinite(values[key]) and values[key] >= 0.0):
+            raise ConfigError(f"key {key}: must be finite and non-negative, got {raw[key]!r}")
     for key in _LIST_KEYS:
         items = tuple(item.strip() for item in raw[key].split(",") if item.strip())
         if not items:

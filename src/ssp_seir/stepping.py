@@ -89,6 +89,8 @@ def integrate(
     p: ModelParams,
     f: RateFunction,
     pi: RateFunction,
+    *,
+    stop_below: float | None = None,
 ) -> Trajectory:
     """Repeated Shu-Osher stepping with effective sub-step tau/r; the
     one-stage form is forward Euler, bit for bit.  Deterministic given
@@ -97,11 +99,19 @@ def integrate(
     Step times are computed as t0 + k*tau directly (no accumulation drift).
     Raises :class:`IntegrationOverflowError` as soon as a non-finite state
     appears, carrying the partial trajectory.
+
+    With a floor ``stop_below``, the run ends at the first step state (the
+    initial state included) with a compartment not ``>= stop_below``: the
+    trajectory is truncated there, so that state is its last row, and a run
+    cut short has fewer than ``n_steps + 1`` rows.  Every row up to it is the
+    same as in the full run; ``stage_min`` covers the steps that ran.
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"step size must be finite and non-negative, got {tau}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+    if stop_below is not None and math.isnan(stop_below):
+        raise ValueError("stop floor must not be NaN")
     m = method.m
     h = tau / method.r
     # stage plan, built once: for k = 0..m-1, whether a later row reads the
@@ -119,6 +129,8 @@ def integrate(
     ]
     history = [(x0.s, x0.e, x0.i, x0.r)]
     stage_min = min(x0.s, x0.e, x0.i, x0.r)
+    if stop_below is not None and not stage_min >= stop_below:
+        n_steps = 0  # stage_min is still the initial state's minimum
     t0 = x0.t
     s, e, i_, r = x0.s, x0.e, x0.i, x0.r
     key = method.key or f"shu-osher-{m}"
@@ -163,6 +175,8 @@ def integrate(
                 k, _trajectory(t0, history, tau, key, stage_min)
             )
         history.append((s, e, i_, r))
+        if stop_below is not None and not min(s, e, i_, r) >= stop_below:
+            break
     return _trajectory(t0, history, tau, key, stage_min)
 
 

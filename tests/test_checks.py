@@ -1,6 +1,7 @@
 """Trajectory verdicts, oscillation detection and the threshold search."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssp_seir.checks import (
+    NEGATIVITY_THRESHOLD,
     InsufficientDataError,
     Verdict,
     check_limit,
@@ -15,21 +17,26 @@ from ssp_seir.checks import (
     check_population_bound,
     detect_oscillation,
     find_empirical_bound,
+    _positivity_ok,
 )
 from ssp_seir.model import (
+    INCIDENCE_KEYS,
+    RECRUITMENT_KEYS,
     ModelParams,
     ProblemSetup,
+    RateFunction,
     State,
     constant_recruitment,
     counterexample_cosine_recruitment,
     holling_incidence,
+    incidence_from_key,
     linear_incidence,
     media_incidence,
     recruitment_from_key,
 )
-from ssp_seir.shu_osher import builtin_method
+from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, builtin_method
 from ssp_seir.step_bounds import bound_report
-from ssp_seir.stepping import Trajectory, integrate
+from ssp_seir.stepping import IntegrationOverflowError, Trajectory, integrate
 
 EXPERIMENT_PARAMS = ModelParams(0.05, 0.25, 0.1867, 0.011)
 
@@ -216,6 +223,35 @@ def test_empirical_bound_linear_decay_oracle():
     assert tau_r == pytest.approx(4.0, abs=1e-4)
 
 
+def test_empirical_bound_ends_at_adjacent_doubles():
+    # a tol below the float spacing at the threshold used to spin forever;
+    # the search now ends with lo and hi adjacent, returning one of them.
+    # The recruitment counts its calls, so a regression fails instead of hanging.
+    calls = 0
+
+    def zero(t):
+        nonlocal calls
+        calls += 1
+        if calls > 100_000:
+            raise RuntimeError("bisection did not end")
+        return 0.0
+
+    setup = ProblemSetup(
+        ModelParams(0.0, 0.25, 0.0, 0.0),
+        linear_incidence(),
+        RateFunction("zero", zero, sup=lambda horizon: 0.0),
+        State(0.0, 1.0, 0.0, 0.0),
+    )
+    method = builtin_method("euler")
+    tau_r = find_empirical_bound(setup, method, t_f=8.0, bracket=(2.0, 3.0), tol=1e-20)
+    assert tau_r == pytest.approx(4.0, abs=1e-11)
+    up, down = math.nextafter(tau_r, math.inf), math.nextafter(tau_r, -math.inf)
+    if _positivity_ok(setup, method, tau_r, 8.0):
+        assert not _positivity_ok(setup, method, up, 8.0)
+    else:
+        assert _positivity_ok(setup, method, down, 8.0)
+
+
 def test_empirical_bound_is_deterministic():
     setup = _experiment_setup("choiceC")
 
@@ -240,6 +276,70 @@ def test_empirical_bound_holling_fractional_exponent():
     tau_r = find_empirical_bound(setup, method, 100.0, (tau_t, 2.0 * tau_t), tol=1e-3)
     assert math.isfinite(tau_r)
     assert tau_r >= tau_t
+
+
+def _run_to_end(setup, method, tau, n_steps, **floor):
+    """The trajectory and the overflow step (None if the run finished)."""
+    try:
+        traj = integrate(
+            setup.x0, tau, n_steps, method,
+            setup.params, setup.incidence, setup.recruitment, **floor,
+        )
+    except IntegrationOverflowError as exc:
+        return exc.partial, exc.step_index
+    return traj, None
+
+
+@pytest.mark.parametrize("method_key", BUILTIN_METHOD_KEYS)
+@pytest.mark.parametrize("f_key", INCIDENCE_KEYS)
+def test_stopped_probe_is_a_prefix_of_the_full_run(method_key, f_key):
+    # tau from below the a priori bound to about 3x it: passing runs, runs
+    # that turn negative and runs that overflow
+    rng = random.Random(f"{method_key}/{f_key}")
+    method = builtin_method(method_key)
+    t_f = 150.0
+    for pi_key in RECRUITMENT_KEYS:
+        setup = ProblemSetup(
+            ModelParams(
+                rng.uniform(0.02, 0.1), rng.uniform(0.1, 0.5),
+                rng.uniform(0.05, 0.3), rng.uniform(0.0, 0.05),
+            ),
+            incidence_from_key(
+                f_key, nu=rng.uniform(0.005, 0.05), eta=rng.uniform(0.0, 0.01),
+                c1=rng.uniform(0.5, 2.0), c2=rng.uniform(0.5, 2.0), k=rng.uniform(1.0, 3.0),
+            ),
+            recruitment_from_key(pi_key, kappa=rng.uniform(0.03, 0.07)),
+            State(*(rng.uniform(0.0, 1.0) for _ in range(4))),
+        )
+        tau_t = bound_report(setup, method, t_f).tau_method
+        for factor in (rng.uniform(0.5, 1.0), rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0)):
+            tau = factor * tau_t
+            n_steps = math.ceil(t_f / tau)
+            full, full_overflow = _run_to_end(setup, method, tau, n_steps)
+            verdict = check_nonnegativity(full)
+            row_min = full.data[:, 1:].min(axis=1)
+            # the package floor, and floors tied exactly with a row minimum
+            # (the global one included), where >= and > part ways
+            floors = [NEGATIVITY_THRESHOLD, float(row_min.min())]
+            floors += [float(row_min[rng.randrange(len(full))]) for _ in range(2)]
+            lengths = []
+            for floor in floors:
+                stopped, overflow = _run_to_end(setup, method, tau, n_steps, stop_below=floor)
+                n = len(stopped)
+                lengths.append(n)
+                assert stopped.data.tobytes() == full.data[:n].tobytes()
+                below = np.flatnonzero(~(row_min >= floor))
+                if below.size:
+                    assert overflow is None
+                    assert n == below[0] + 1
+                else:
+                    assert overflow == full_overflow
+                    assert n == len(full)
+            # the probe floor ends the run at the full run's witness row
+            assert lengths[0] == (len(full) if verdict.passed else verdict.witness_index + 1)
+            assert _positivity_ok(setup, method, tau, t_f) == (
+                verdict.passed and full_overflow is None
+            )
 
 
 def test_empirical_bound_validates_inputs():

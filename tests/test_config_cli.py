@@ -1,5 +1,11 @@
 """Config parsing and the command-line entry points."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ssp_seir.cli import main
@@ -185,6 +191,61 @@ def test_cli_convergence_rejects_bad_horizon(tmp_path, capsys, tf):
 def test_config_rejects_bad_horizon(tf):
     with pytest.raises(ConfigError, match="key tf"):
         parse_config(DEFAULT_CONFIG_TEXT.replace("tf=1000.0", f"tf={tf}"))
+
+
+@pytest.mark.parametrize("key", ["s0", "e0", "i0", "r0"])
+@pytest.mark.parametrize("value", ["-0.1", "-1e-300", "nan", "inf"])
+def test_config_rejects_inadmissible_initial_state(key, value):
+    text = re.sub(rf"^{key}=.*$", f"{key}={value}", DEFAULT_CONFIG_TEXT, flags=re.M)
+    with pytest.raises(ConfigError, match=f"key {key}: must be finite and non-negative"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-4"])
+def test_config_rejects_bad_bisect_tol(tol):
+    text = DEFAULT_CONFIG_TEXT.replace("bisect_tol=1e-4", f"bisect_tol={tol}")
+    with pytest.raises(ConfigError, match="key bisect_tol: must be finite and positive"):
+        parse_config(text)
+
+
+def _cli(tmp_path, config_text, *args):
+    """Run ``python -m ssp_seir.cli`` in a child process, so a hang fails the
+    test at the timeout instead of stalling the suite."""
+    path = tmp_path / "exp.cfg"
+    path.write_text(config_text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ssp_seir.cli", "--config", str(path),
+         "--out", str(tmp_path), *args],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+def test_cli_bounds_table_ends_with_tol_below_float_spacing(tmp_path):
+    text = (
+        DEFAULT_CONFIG_TEXT.replace("s0=0.2", "s0=0.7").replace("e0=0.6", "e0=0.1")
+        .replace("bisect_tol=1e-4", "bisect_tol=1e-20").replace("tf=1000.0", "tf=100.0")
+        .replace("recruitments=choiceA,choiceB,choiceC", "recruitments=choiceC")
+        .replace("methods=euler,ssprk22,ssprk33,ssprk104", "methods=ssprk22")
+    )
+    done = _cli(tmp_path, text, "bounds-table")
+    assert done.returncode == 0, done.stderr
+    rows = (tmp_path / "bounds_table.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("choiceC,ssprk22,")
+    assert "choiceC  ssprk22" in done.stdout
+
+
+@pytest.mark.parametrize("command", [
+    ["bounds-table"], ["simulate", "--method", "euler", "--tau", "1"],
+])
+def test_cli_rejects_negative_initial_state(tmp_path, command):
+    done = _cli(tmp_path, DEFAULT_CONFIG_TEXT.replace("s0=0.2", "s0=-0.1"), *command)
+    assert done.returncode == 2
+    assert "error: key s0: must be finite and non-negative, got '-0.1'" in done.stderr
+    assert done.stdout == ""
+    assert not any(tmp_path.glob("*.csv"))
 
 
 def test_cli_config_file_with_infinite_horizon(tmp_path, capsys):

@@ -113,6 +113,23 @@ def test_integrate_zero_steps():
     assert traj.data.tolist() == [[2.0, 1.0, 0.0, 0.0, 0.0]]
 
 
+def test_stop_floor_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        integrate(
+            State(1.0, 0.0, 0.0, 0.0), 0.5, 3, builtin_method("euler"),
+            FREE, linear_incidence(), ZERO_PI, stop_below=math.nan,
+        )
+
+
+def test_stop_floor_ends_at_a_failing_initial_state():
+    x0 = State(1.0, -0.5, 0.0, 0.0)
+    args = (x0, 0.5, 4, builtin_method("euler"), FREE, linear_incidence(), ZERO_PI)
+    assert len(integrate(*args)) == 5
+    assert len(integrate(*args, stop_below=-0.5)) == 5
+    stopped = integrate(*args, stop_below=0.0)
+    assert stopped.data.tolist() == [[0.0, 1.0, -0.5, 0.0, 0.0]]
+
+
 def test_integrate_times_have_no_drift():
     traj = integrate(
         State(1.0, 0.0, 0.0, 0.0), 0.1, 1000, builtin_method("ssprk22"),
