@@ -159,14 +159,18 @@ def find_empirical_bound(
         lo *= 0.5
         attempts += 1
         if attempts > 60:
-            raise RuntimeError("could not find a passing lower bracket")
+            raise RuntimeError(
+                f"could not find a passing lower bracket (smallest step probed {hi!r})"
+            )
     attempts = 0
     while ok(hi):
         lo = hi
         hi *= 2.0
         attempts += 1
         if attempts > 60:
-            raise RuntimeError("could not find a failing upper bracket")
+            raise RuntimeError(
+                f"could not find a failing upper bracket (largest step probed {lo!r})"
+            )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

@@ -80,13 +80,16 @@ def bounds_table(config: ExperimentConfig) -> list[BoundsRow]:
         for method_key in config.methods:
             method = builtin_method(method_key)
             tau_t = bound_report(setup, method, config.tf).tau_method
-            tau_r = find_empirical_bound(
-                setup,
-                method,
-                config.tf,
-                bracket=(tau_t, 2.0 * tau_t),
-                tol=config.bisect_tol,
-            )
+            try:
+                tau_r = find_empirical_bound(
+                    setup,
+                    method,
+                    config.tf,
+                    bracket=(tau_t, 2.0 * tau_t),
+                    tol=config.bisect_tol,
+                )
+            except RuntimeError as exc:
+                raise RuntimeError(f"row {pi_key}/{method_key}: {exc}") from exc
             rows.append(BoundsRow(pi_key, method_key, tau_t, tau_r))
     return rows
 

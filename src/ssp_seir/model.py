@@ -113,7 +113,9 @@ class RateFunction:
     of |f(x)| <= alpha*|x|; it is None for every recruitment and for
     incidences kept only for comparison, which are outside the certified
     guarantees.  Instances compare and hash by identity, since the
-    parameters live in ``fn``.
+    parameters live in ``fn``.  ``fn`` must be pure: the steppers evaluate a
+    recruitment once per distinct stage time within a step and reuse the
+    value.
     """
 
     key: str
@@ -328,7 +330,11 @@ def custom_recruitment(
     horizon: float = 1e3,
     n_check: int = 10_001,
 ) -> RateFunction:
-    """Wrap a user recruitment after validating 0 <= pi(t) <= bound on a grid."""
+    """Wrap a user recruitment after validating 0 <= pi(t) <= bound on a grid.
+
+    ``fn`` must be pure (no state, no side effects): a step evaluates it once
+    per distinct stage time, so stages at equal times share one value.
+    """
     bound = _require_finite("bound", bound)
     if bound < 0.0:
         raise ValueError("bound must be non-negative")
@@ -366,27 +372,6 @@ def recruitment_from_key(
 # ---------------------------------------------------------------------------
 
 
-def _derivs(
-    t: float,
-    s: float,
-    e: float,
-    i: float,
-    r: float,
-    p: ModelParams,
-    f: RateFunction,
-    pi: RateFunction,
-) -> tuple[float, float, float, float]:
-    # hot path shared by rhs() and the steppers; no validation here
-    inc = f.fn(i) * s
-    pi_t = pi.fn(t)
-    return (
-        pi_t - p.mu * s - inc,
-        inc - (p.mu + p.sigma) * e,
-        p.sigma * e - (p.mu + p.gamma) * i + p.delta * r,
-        p.gamma * i - (p.mu + p.delta) * r,
-    )
-
-
 def rhs(
     t: float,
     x: State,
@@ -402,7 +387,16 @@ def rhs(
     for name, value in (("t", t), ("s", x.s), ("e", x.e), ("i", x.i), ("r", x.r)):
         if not math.isfinite(value):
             raise ValueError(f"non-finite input {name}={value!r}")
-    return _derivs(t, x.s, x.e, x.i, x.r, p, f, pi)
+    # stepping's generated kernel inlines these expressions in this order
+    s, e, i, r = x.s, x.e, x.i, x.r
+    inc = f.fn(i) * s
+    pi_t = pi.fn(t)
+    return (
+        pi_t - p.mu * s - inc,
+        inc - (p.mu + p.sigma) * e,
+        p.sigma * e - (p.mu + p.gamma) * i + p.delta * r,
+        p.gamma * i - (p.mu + p.delta) * r,
+    )
 
 
 # ---------------------------------------------------------------------------

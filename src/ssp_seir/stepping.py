@@ -1,24 +1,35 @@
 """Shu-Osher SSP Runge-Kutta stepping of the SEIR system.
 
-Every method, explicit Euler included (the one-stage form), runs through the
-single loop in :func:`integrate`.  Stage recruitment is evaluated at the
-Butcher abscissa times carried by the Shu-Osher form (t_n + c_j * tau); this
-preserves classical order for time-dependent recruitment and collapses to
-pi(t_n) for forward Euler.
-Summation order inside stages is fixed (ascending stage index) so repeated
-runs are bitwise reproducible.  Negative compartment values are never
+Every method, explicit Euler included (the one-stage form), runs through
+:func:`integrate`, and the only step loop is a kernel generated from the
+Shu-Osher form: the source of one function holding the whole loop, with the
+stages unrolled and the model right-hand side inlined, compiled on the first
+:func:`integrate` call for a form and cached by the form's value (equal forms
+share one kernel).  The coefficients are bound from the form, not written
+into the source.
+
+Stage recruitment is evaluated at the Butcher abscissa times carried by the
+form (t_n + c_j * tau); this preserves classical order for time-dependent
+recruitment and collapses to pi(t_n) for forward Euler.  Within a step, pi is
+evaluated once per distinct abscissa, so catalog functions must be pure.
+The arithmetic and its order are fixed: the stage combination is v_i*x
+first, then the alpha terms in ascending stage index, so repeated runs are
+bitwise reproducible, and the kernel computes bit for bit what a plain
+stage-by-stage loop computes.  Negative compartment values are never
 clamped: observing them is the whole point of the property checks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
-from .model import ModelParams, RateFunction, State, _derivs
+from .model import ModelParams, RateFunction, State
 from .shu_osher import ShuOsherForm
 
 __all__ = [
@@ -112,72 +123,96 @@ def integrate(
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
     if stop_below is not None and math.isnan(stop_below):
         raise ValueError("stop floor must not be NaN")
-    m = method.m
-    h = tau / method.r
-    # stage plan, built once: for k = 0..m-1, whether a later row reads the
-    # Euler sub-step of stage k, its time offset c_k*tau, then row k+1 as
-    # (v, nonzero alpha terms in ascending j).  Skipping exact zeros keeps
-    # the one-stage form bitwise identical to x + tau*rhs(t, x).
-    rows = [
-        [(j, method.alpha[i][j]) for j in range(i) if method.alpha[i][j] != 0.0]
-        for i in range(1, m + 1)
-    ]
-    read = {j for terms in rows for j, _ in terms}
-    plan = [
-        (k in read, method.c_stage[k] * tau, method.v[k + 1], rows[k])
-        for k in range(m)
-    ]
     history = [(x0.s, x0.e, x0.i, x0.r)]
     stage_min = min(x0.s, x0.e, x0.i, x0.r)
     if stop_below is not None and not stage_min >= stop_below:
         n_steps = 0  # stage_min is still the initial state's minimum
-    t0 = x0.t
-    s, e, i_, r = x0.s, x0.e, x0.i, x0.r
-    key = method.key or f"shu-osher-{m}"
-    for k in range(n_steps):
-        t = t0 + k * tau
-        low = stage_min
-        xs, xe, xi, xr = s, e, i_, r
-        sub: list = []
-        try:
-            for needed, c_tau, vi, terms in plan:
-                if needed:
-                    ds, de, di, dr = _derivs(t + c_tau, xs, xe, xi, xr, p, f, pi)
-                    sub.append((xs + h * ds, xe + h * de, xi + h * di, xr + h * dr))
-                else:
-                    sub.append(None)
-                # fixed summation order: v_i*x first, then ascending j
-                if vi != 0.0:
-                    xs, xe, xi, xr = vi * s, vi * e, vi * i_, vi * r
-                else:
-                    xs = xe = xi = xr = 0.0
-                for j, a in terms:
-                    fs, fe, fi, fr = sub[j]
-                    xs += a * fs
-                    xe += a * fe
-                    xi += a * fi
-                    xr += a * fr
-                stage_low = min(xs, xe, xi, xr)
-                if stage_low < low:
-                    low = stage_low
-        except OverflowError:
-            # divergent runs can push exp()-based catalog functions past the
-            # double range before the state itself turns non-finite
-            raise IntegrationOverflowError(
-                k, _trajectory(t0, history, tau, key, stage_min)
-            ) from None
-        stage_min = low
-        s, e, i_, r = xs, xe, xi, xr
-        if not (
-            math.isfinite(s) and math.isfinite(e) and math.isfinite(i_) and math.isfinite(r)
-        ):
-            raise IntegrationOverflowError(
-                k, _trajectory(t0, history, tau, key, stage_min)
-            )
-        history.append((s, e, i_, r))
-        if stop_below is not None and not min(s, e, i_, r) >= stop_below:
-            break
-    return _trajectory(t0, history, tau, key, stage_min)
+    failed_at, stage_min = _kernel(method)(
+        x0.s, x0.e, x0.i, x0.r, x0.t, tau, n_steps,
+        p, f, pi, stop_below, history, stage_min,
+    )
+    traj = _trajectory(x0.t, history, tau, method.key or f"shu-osher-{method.m}", stage_min)
+    if failed_at is not None:
+        raise IntegrationOverflowError(failed_at, traj)
+    return traj
+
+
+@functools.cache
+def _kernel(form: ShuOsherForm) -> Callable:
+    """Compile the whole step loop of ``form`` into one function.
+
+    The coefficients are read from ``form`` in the function's prologue, not
+    written into its source.  It appends each step state to ``history`` and
+    returns ``(k, stage_min)``: ``k`` is None when the loop ran out (or the
+    stop floor ended it), else the index of the step that overflowed or
+    turned non-finite, and ``stage_min`` then covers the steps before it.
+    The cache keeps one kernel per distinct form value integrated.
+    """
+    m = form.m
+    # nonzero alpha terms of each row in ascending j; skipping exact zeros
+    # keeps the one-stage form bitwise x + tau*rhs(t, x)
+    terms = [[j for j in range(i) if form.alpha[i][j] != 0.0] for i in range(m + 1)]
+    read = {j for row in terms for j in row}  # stages whose Euler sub-step is used
+    # pi is evaluated once per bitwise-distinct abscissa, at the first stage
+    # that needs it; later stages at the same time reuse that value
+    first: dict[bytes, int] = {}
+    pi_of = {k: first.setdefault(struct.pack("<d", form.c_stage[k]), k) for k in sorted(read)}
+    head = [
+        "h = tau / form.r",
+        "mu, sigma, gamma, delta = p.mu, p.sigma, p.gamma, p.delta",
+        "mu_sigma, mu_gamma, mu_delta = mu + sigma, mu + gamma, mu + delta",
+        "f, pi, append = f.fn, pi.fn, history.append",
+    ]
+    head += [f"ct{k} = form.c_stage[{k}] * tau" for k in first.values()]
+    step = ["t = t0 + k * tau", "low = stage_min"]
+    for k in range(m):
+        xs, xe, xi, xr = (f"{c}{k}" if k else c for c in "seir")
+        if k in read:
+            step.append(f"inc = f({xi}) * {xs}")
+            if pi_of[k] == k:
+                step.append(f"pi{k} = pi(t + ct{k})")
+            step += [
+                f"fs{k} = {xs} + h * (pi{pi_of[k]} - mu * {xs} - inc)",
+                f"fe{k} = {xe} + h * (inc - mu_sigma * {xe})",
+                f"fi{k} = {xi} + h * (sigma * {xe} - mu_gamma * {xi} + delta * {xr})",
+                f"fr{k} = {xr} + h * (gamma * {xi} - mu_delta * {xr})",
+            ]
+        # stage i: v_i*x (or 0.0) first, then the alpha terms in ascending j.
+        # The last stage is the new step state; each of its components reads
+        # only its own old value, so it is written over s, e, i, r.
+        i = k + 1
+        has_v = form.v[i] != 0.0
+        if has_v:
+            head.append(f"v{i} = form.v[{i}]")
+        head += [f"a{i}_{j} = form.alpha[{i}][{j}]" for j in terms[i]]
+        names = [c if i == m else f"{c}{i}" for c in "seir"]
+        for c, name in zip("seir", names):
+            sum_ = [f"v{i} * {c}" if has_v else "0.0"] + [f"a{i}_{j} * f{c}{j}" for j in terms[i]]
+            step.append(f"{name} = {' + '.join(sum_)}")
+        # low = min(low, min(stage)), spelled out with min()'s NaN and tie rules
+        step.append(f"stage_low = {names[0]}")
+        step += [f"if {x} < stage_low: stage_low = {x}" for x in names[1:]]
+        step.append("if stage_low < low: low = stage_low")
+    step += [
+        "stage_min = low",
+        "if not (isfinite(s) and isfinite(e) and isfinite(i) and isfinite(r)):",
+        "    return k, stage_min",
+        "append((s, e, i, r))",
+        "if stop_below is not None and not min(s, e, i, r) >= stop_below:",
+        "    break",
+    ]
+    # divergent runs can push exp()-based catalog functions past the double
+    # range before the state itself turns non-finite: that is an overflow too
+    source = "\n".join(
+        ["def kernel(s, e, i, r, t0, tau, n_steps, p, f, pi, stop_below, history, stage_min):"]
+        + [f"    {line}" for line in head]
+        + ["    try:", "        for k in range(n_steps):"]
+        + [f"            {line}" for line in step]
+        + ["    except OverflowError:", "        return k, stage_min", "    return None, stage_min"]
+    )
+    namespace = {"form": form, "isfinite": math.isfinite}
+    exec(compile(source, f"<{form.key or 'shu-osher'} step kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def trajectory_to_csv(traj: Trajectory, out: IO[str]) -> None:

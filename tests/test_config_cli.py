@@ -237,6 +237,30 @@ def test_cli_bounds_table_ends_with_tol_below_float_spacing(tmp_path):
     assert "choiceC  ssprk22" in done.stdout
 
 
+def test_cli_bounds_table_names_the_row_without_a_failing_step(tmp_path, capsys):
+    # from the zero state choiceB/euler fails only in a window of step sizes
+    # (tau = 60 fails, 100 passes) that the bracket doubling jumps past
+    text = (
+        DEFAULT_CONFIG_TEXT.replace("s0=0.2", "s0=0").replace("e0=0.6", "e0=0")
+        .replace("i0=0.2", "i0=0").replace("tf=1000.0", "tf=100.0")
+        .replace("recruitments=choiceA,choiceB,choiceC", "recruitments=choiceB,choiceC")
+        .replace("methods=euler,ssprk22,ssprk33,ssprk104", "methods=euler,ssprk22")
+    )
+    path = tmp_path / "exp.cfg"
+    path.write_text(text)
+    code = main(["--config", str(path), "--out", str(tmp_path), "bounds-table"])
+    assert code == 2
+    err = capsys.readouterr().err
+    match = re.fullmatch(
+        r"error: row choiceB/euler: could not find a failing upper bracket "
+        r"\(largest step probed (\S+)\)\n",
+        err,
+    )
+    assert match, err
+    assert float(match.group(1)) > 1e18
+    assert not (tmp_path / "bounds_table.csv").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["bounds-table"], ["simulate", "--method", "euler", "--tau", "1"],
 ])

@@ -5,23 +5,38 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ssp_seir.model import (
+    RECRUITMENT_KEYS,
     ModelParams,
     ProblemSetup,
+    RateFunction,
     State,
     constant_recruitment,
     counterexample_cosine_recruitment,
+    incidence_from_key,
     linear_incidence,
     media_incidence,
     recruitment_from_key,
     rhs,
 )
-from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, builtin_method
-from ssp_seir.stepping import IntegrationOverflowError, integrate, trajectory_to_csv
+from ssp_seir.shu_osher import (
+    BUILTIN_METHOD_KEYS,
+    ShuOsherForm,
+    builtin_method,
+    builtin_tableau,
+    shu_osher_from_butcher,
+)
+from ssp_seir.stepping import (
+    IntegrationOverflowError,
+    _kernel,
+    integrate,
+    trajectory_to_csv,
+)
 
 ZERO_PI = constant_recruitment(0.0)
 FREE = ModelParams(0.0, 0.0, 0.0, 0.0)
@@ -200,3 +215,175 @@ def test_csv_round_trip():
         t, s, e, i, r, n = (float(v) for v in line.split(","))
         assert (t, s, e, i, r) == (x.t, x.s, x.e, x.i, x.r)
         assert n == x.total
+
+
+# ---------------------------------------------------------------------------
+# the generated step kernel against a plain stage-by-stage oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle(x0, tau, n_steps, form, p, f, pi, stop_below=None):
+    """Shu-Osher stepping written out stage by stage from the model equations.
+
+    Returns ``(rows, stage_min, overflow_step)`` with rows ``(t, s, e, i, r)``;
+    ``overflow_step`` is None unless a step overflowed or turned non-finite.
+    """
+
+    def derivative(t, x):
+        s, e, i, r = x
+        inc = f.fn(i) * s
+        pi_t = pi.fn(t)
+        return (
+            pi_t - p.mu * s - inc,
+            inc - (p.mu + p.sigma) * e,
+            p.sigma * e - (p.mu + p.gamma) * i + p.delta * r,
+            p.gamma * i - (p.mu + p.delta) * r,
+        )
+
+    m, h = form.m, tau / form.r
+    x = (x0.s, x0.e, x0.i, x0.r)
+    rows, low = [(x0.t, *x)], min(x)
+    if stop_below is not None and not low >= stop_below:
+        n_steps = 0
+    for k in range(n_steps):
+        t = x0.t + k * tau
+        stage, euler, step_low = x, [], low
+        try:
+            for q in range(m):
+                if any(form.alpha[later][q] != 0.0 for later in range(q + 1, m + 1)):
+                    d = derivative(t + form.c_stage[q] * tau, stage)
+                    euler.append([u + h * du for u, du in zip(stage, d)])
+                else:
+                    euler.append(None)
+                v = form.v[q + 1]
+                acc = [v * u for u in x] if v != 0.0 else [0.0] * 4
+                for j in range(q + 1):
+                    a = form.alpha[q + 1][j]
+                    if a != 0.0:
+                        acc = [u + a * w for u, w in zip(acc, euler[j])]
+                stage = tuple(acc)
+                step_low = min(step_low, min(stage))
+        except OverflowError:
+            return rows, low, k
+        low, x = step_low, stage
+        if not all(math.isfinite(u) for u in x):
+            return rows, low, k
+        rows.append((x0.t + (k + 1) * tau, *x))
+        if stop_below is not None and not min(x) >= stop_below:
+            break
+    return rows, low, None
+
+
+def _sparse_form():
+    # key None; stage 2's Euler sub-step is read by no row, so it must not be
+    # evaluated; stages 1 and 3 share the abscissa 0.5
+    return ShuOsherForm(
+        alpha=(
+            (0.0, 0.0, 0.0, 0.0),
+            (0.5, 0.0, 0.0, 0.0),
+            (0.25, 0.0, 0.0, 0.0),
+            (0.25, 0.0, 0.5, 0.0),
+        ),
+        v=(1.0, 0.5, 0.75, 0.25),
+        r=2.0,
+        c_stage=(0.5, 0.25, 0.5),
+    )
+
+
+def _oracle_forms():
+    forms = [builtin_method(key) for key in BUILTIN_METHOD_KEYS]
+    # nonzero v and a dense alpha
+    forms.append(shu_osher_from_butcher(builtin_tableau("ssprk33"), 0.5))
+    forms.append(_sparse_form())
+    return forms
+
+
+def _seeded_run(rng, forms):
+    p = ModelParams(*(rng.uniform(0.0, 1.0) for _ in range(4)))
+    f = incidence_from_key(
+        rng.choice(["linear", "holling", "media"]),
+        c1=rng.uniform(0.1, 3.0), c2=rng.uniform(0.0, 2.0),
+        k=rng.choice([1.0, 1.5, 2.0, 3.0]),
+        nu=rng.uniform(0.0, 2.0), eta=rng.uniform(0.0, 1.0),
+    )
+    pi = recruitment_from_key(rng.choice(RECRUITMENT_KEYS), kappa=rng.uniform(0.0, 1.0))
+    x0 = State(*(rng.uniform(0.0, 2.0) for _ in range(4)), t=rng.choice([0.0, -0.0, 1.5]))
+    tau = rng.choice([rng.uniform(0.0, 1.0), rng.uniform(0.0, 30.0), 10.0 ** rng.uniform(0.0, 4.0)])
+    stop_below = rng.choice([None, -1e-12, 0.0])
+    return x0, tau, rng.randint(0, 120), rng.choice(forms), p, f, pi, stop_below
+
+
+def test_integrate_matches_stagewise_oracle():
+    rng = random.Random(8)
+    forms = _oracle_forms()
+    seen = {"overflow": 0, "stopped": 0, "full": 0}
+    for _ in range(400):
+        x0, tau, n, form, p, f, pi, stop_below = _seeded_run(rng, forms)
+        rows, stage_min, overflow_step = _oracle(x0, tau, n, form, p, f, pi, stop_below)
+        expected = np.array(rows).tobytes()
+        try:
+            traj = integrate(x0, tau, n, form, p, f, pi, stop_below=stop_below)
+        except IntegrationOverflowError as exc:
+            assert exc.step_index == overflow_step
+            traj = exc.partial
+            seen["overflow"] += 1
+        else:
+            assert overflow_step is None
+            seen["full" if len(traj) == n + 1 else "stopped"] += 1
+        assert traj.data.tobytes() == expected
+        assert repr(traj.stage_min) == repr(stage_min)
+        assert traj.method == (form.key or f"shu-osher-{form.m}")
+    assert min(seen.values()) >= 40, seen
+
+
+@pytest.mark.parametrize("form, calls", [
+    (builtin_method("euler"), 1), (builtin_method("ssprk22"), 2),
+    (builtin_method("ssprk33"), 3), (builtin_method("ssprk104"), 7), (_sparse_form(), 1),
+], ids=["euler", "ssprk22", "ssprk33", "ssprk104", "sparse"])
+def test_recruitment_evaluated_once_per_distinct_abscissa(form, calls):
+    # ssprk104's ten abscissae repeat 1/3, 1/2 and 2/3 exactly
+    choice_a = recruitment_from_key("choiceA")
+    times = []
+
+    def counted(t):
+        times.append(t)
+        return choice_a.fn(t)
+
+    pi = RateFunction("counted", counted, sup=choice_a.sup)
+    args = (State(0.2, 0.6, 0.2, 0.0), 0.7, 25, form,
+            ModelParams(0.05, 0.25, 0.1867, 0.011), media_incidence(0.0115, 0.001))
+    traj = integrate(*args, pi)
+    assert len(times) == 25 * calls
+    assert len(set(times[:calls])) == calls
+    assert traj.data.tobytes() == integrate(*args, choice_a).data.tobytes()
+
+
+def test_equal_forms_share_one_kernel():
+    a, b = builtin_method("ssprk33"), builtin_method("ssprk33")
+    assert a == b and a is not b
+    assert _kernel(a) is _kernel(b)
+    fresh = shu_osher_from_butcher(builtin_tableau("ssprk22"), 0.75)
+    size = _kernel.cache_info().currsize
+    shu_osher_from_butcher(builtin_tableau("ssprk22"), 0.75)  # no compile yet
+    assert _kernel.cache_info().currsize == size
+    x0 = State(0.2, 0.6, 0.2, 0.0)
+    args = (0.5, 3, fresh, FREE, linear_incidence(), ZERO_PI)
+    integrate(x0, *args)
+    assert _kernel.cache_info().currsize == size + 1
+    integrate(x0, 0.5, 3, shu_osher_from_butcher(builtin_tableau("ssprk22"), 0.75),
+              FREE, linear_incidence(), ZERO_PI)
+    assert _kernel.cache_info().currsize == size + 1
+
+
+def test_unkeyed_form_names_its_trajectory_and_keeps_edge_cases():
+    form = _sparse_form()
+    x0 = State(1.0, -0.5, 0.0, 0.0, t=-0.0)
+    args = (form, FREE, linear_incidence(), ZERO_PI)
+    traj = integrate(x0, 0.5, 4, *args)
+    assert traj.method == "shu-osher-3" and len(traj) == 5
+    empty = integrate(x0, 0.5, 0, *args)
+    assert empty.data.tobytes() == np.array([[-0.0, 1.0, -0.5, 0.0, 0.0]]).tobytes()
+    assert empty.stage_min == -0.5
+    stopped = integrate(x0, 0.5, 4, *args, stop_below=0.0)
+    assert stopped.data.tobytes() == empty.data.tobytes()
+    assert stopped.stage_min == -0.5
