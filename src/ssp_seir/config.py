@@ -94,7 +94,7 @@ class ExperimentConfig:
         )
 
     def recruitment_fn(self, key: str) -> RateFunction:
-        return recruitment_from_key(key, kappa=self.kappa, p=self.kappa)
+        return recruitment_from_key(key, kappa=self.kappa)
 
     def initial_state(self) -> State:
         return State(self.s0, self.e0, self.i0, self.r0, t=0.0)

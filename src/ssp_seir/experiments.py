@@ -313,7 +313,7 @@ def _sweep_catalog(rng: random.Random) -> tuple[RateFunction, RateFunction]:
         [linear_incidence(), holling_incidence(1.0, 1.0, 2.0), media_incidence(0.0115, 0.001)]
     )
     pi_key = rng.choice(["choiceA", "choiceB", "choiceC", "const", "cex-cos"])
-    return incidence, recruitment_from_key(pi_key, kappa=0.05, p=0.05)
+    return incidence, recruitment_from_key(pi_key, kappa=0.05)
 
 
 _SWEEP_STEPS = 100

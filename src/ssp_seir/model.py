@@ -351,9 +351,10 @@ RECRUITMENT_KEYS = ("choiceA", "choiceB", "choiceC", "const", "cex-cos")
 
 
 def recruitment_from_key(
-    key: str, *, kappa: float = 0.05, p: float = 0.05
+    key: str, *, kappa: float = 0.05
 ) -> RateFunction:
-    """Catalog lookup by string key for CLI/config use."""
+    """Catalog lookup by string key for CLI/config use; ``kappa`` is the
+    recruitment level of every keyed entry but ``cex-cos``."""
     if key == "choiceA":
         return choice_a_recruitment(kappa)
     if key == "choiceB":
@@ -361,7 +362,7 @@ def recruitment_from_key(
     if key == "choiceC":
         return choice_c_recruitment(kappa)
     if key == "const":
-        return constant_recruitment(p)
+        return constant_recruitment(kappa)
     if key == "cex-cos":
         return counterexample_cosine_recruitment()
     raise KeyError(f"unknown recruitment key {key!r}; known: {RECRUITMENT_KEYS}")

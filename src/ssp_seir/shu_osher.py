@@ -5,16 +5,20 @@ Only explicit methods are handled.  For an explicit tableau the matrix
 
     alpha = r*K*(I + r*K)^(-1),    v = 1 - row sums of alpha
 
-always exist and are computed by forward substitution.  A representation is
-feasible at ``r`` when every alpha and v entry is non-negative (within a
-small floating-point tolerance); the SSP coefficient is the largest feasible
+always exist and are computed by forward substitution.  Tableau entries are
+stored as exact rationals and the substitution runs in ``fractions.Fraction``
+arithmetic, so a representation is feasible at ``r`` exactly when every alpha
+and v entry is non-negative, with no tolerance; each coefficient is rounded
+to float once, after that test.  The SSP coefficient is the largest feasible
 ``r``, located here by bisection.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from fractions import Fraction
 
 __all__ = [
     "ButcherTableau",
@@ -28,10 +32,7 @@ __all__ = [
     "builtin_method",
     "butcher_amplification",
     "shu_osher_amplification",
-    "format_form",
 ]
-
-FEASIBILITY_TOL = 1e-12
 
 
 class InfeasibleFormError(ValueError):
@@ -48,14 +49,21 @@ class InfeasibleFormError(ValueError):
 
 @dataclass(frozen=True)
 class ButcherTableau:
-    """Explicit Runge-Kutta coefficients (A strictly lower triangular)."""
+    """Explicit Runge-Kutta coefficients (A strictly lower triangular).
 
-    a: tuple[tuple[float, ...], ...]
-    b: tuple[float, ...]
+    Entries are stored as exact ``Fraction`` values, converted without
+    rounding from whatever numbers are given (float, int or Fraction).
+    """
+
+    a: tuple[tuple[Fraction, ...], ...]
+    b: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        a = tuple(tuple(float(x) for x in row) for row in self.a)
-        b = tuple(float(x) for x in self.b)
+        try:
+            a = tuple(tuple(Fraction(x) for x in row) for row in self.a)
+            b = tuple(Fraction(x) for x in self.b)
+        except (OverflowError, ValueError) as exc:  # Fraction(inf), Fraction(nan)
+            raise ValueError(f"tableau entries must be finite numbers: {exc}") from exc
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         m = len(b)
@@ -63,12 +71,12 @@ class ButcherTableau:
             raise ValueError(f"stage matrix must be {m}x{m}")
         for i, row in enumerate(a):
             for j in range(i, m):
-                if row[j] != 0.0:
+                if row[j] != 0:
                     raise ValueError(
                         f"tableau is not explicit: a[{i}][{j}]={row[j]} nonzero"
                     )
-        if abs(sum(b) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {sum(b)}")
+        if abs(sum(b) - 1) > 1e-12:
+            raise ValueError(f"weights must sum to 1, got {float(sum(b))}")
 
     @property
     def m(self) -> int:
@@ -76,8 +84,8 @@ class ButcherTableau:
 
     @property
     def c(self) -> tuple[float, ...]:
-        """Abscissae, the row sums of the stage matrix."""
-        return tuple(math.fsum(row) for row in self.a)
+        """Abscissae, the exact row sums of the stage matrix rounded once."""
+        return tuple(float(sum(row)) for row in self.a)
 
 
 @dataclass(frozen=True)
@@ -121,51 +129,49 @@ class ShuOsherForm:
         return len(self.v) - 1
 
 
-def k_matrix(t: ButcherTableau) -> list[list[float]]:
-    """The (m+1) x (m+1) block matrix [[A, 0], [b^T, 0]]."""
+def k_matrix(t: ButcherTableau) -> list[list[Fraction]]:
+    """The exact (m+1) x (m+1) block matrix [[A, 0], [b^T, 0]]."""
     m = t.m
-    rows = [list(t.a[i]) + [0.0] for i in range(m)]
-    rows.append(list(t.b) + [0.0])
+    rows = [list(t.a[i]) + [Fraction(0)] for i in range(m)]
+    rows.append(list(t.b) + [Fraction(0)])
     return rows
 
 
 def _alpha_v(
-    t: ButcherTableau, r: float
-) -> tuple[list[list[float]], list[float]]:
+    t: ButcherTableau, r: Fraction
+) -> tuple[list[list[Fraction]], list[Fraction]]:
     # alpha = r*K*(I + r*K)^(-1) solved row by row from alpha = r*K - r*alpha*K;
     # K is strictly lower triangular, so sweeping j downwards is a forward
     # substitution that never divides.
     kmat = k_matrix(t)
     n = t.m + 1
-    alpha = [[0.0] * n for _ in range(n)]
+    alpha = [[Fraction(0)] * n for _ in range(n)]
     for i in range(1, n):
         for j in range(i - 1, -1, -1):
             acc = kmat[i][j]
             for k in range(j + 1, i):
                 acc -= alpha[i][k] * kmat[k][j]
             alpha[i][j] = r * acc
-    v = [1.0 - math.fsum(alpha[i][:i]) for i in range(n)]
+    v = [1 - sum(alpha[i][:i]) for i in range(n)]
     return alpha, v
 
 
-def shu_osher_from_butcher(
-    t: ButcherTableau, r: float, tol: float = FEASIBILITY_TOL
-) -> ShuOsherForm:
+def shu_osher_from_butcher(t: ButcherTableau, r: float) -> ShuOsherForm:
     """Canonical Shu-Osher form of ``t`` at parameter ``r``.
 
-    Raises :class:`InfeasibleFormError` when any coefficient drops below
-    ``-tol``; coefficient magnitudes are O(1), so the default tolerance only
-    absorbs floating-point noise from the substitution.
+    The coefficients are computed exactly at ``Fraction(r)``; raises
+    :class:`InfeasibleFormError` when any of them is negative.  The form
+    holds each coefficient rounded to the nearest float.
     """
-    if not r > 0.0:
-        raise ValueError(f"r must be positive, got {r}")
-    alpha, v = _alpha_v(t, r)
+    if not (r > 0.0 and math.isfinite(r)):
+        raise ValueError(f"r must be positive and finite, got {r}")
+    alpha, v = _alpha_v(t, Fraction(r))
     lowest = min(min(v), min(x for row in alpha for x in row))
-    if lowest < -tol:
-        raise InfeasibleFormError(r, lowest)
+    if lowest < 0:
+        raise InfeasibleFormError(r, float(lowest))
     return ShuOsherForm(
-        alpha=tuple(tuple(row) for row in alpha),
-        v=tuple(v),
+        alpha=tuple(tuple(float(x) for x in row) for row in alpha),
+        v=tuple(float(x) for x in v),
         r=r,
         c_stage=t.c,
     )
@@ -182,16 +188,17 @@ def _feasible(t: ButcherTableau, r: float) -> bool:
 def ssp_coefficient(t: ButcherTableau, tol: float = 1e-6) -> float:
     """SSP coefficient of ``t``: the largest feasible r, found by bisection.
 
-    The bracket [0, r_hi] grows geometrically until infeasible; the feasible
+    The bracket [lo, r_hi] grows geometrically until infeasible; the feasible
     set is assumed to be an interval, which holds for the methods used here
-    and is spot-checked by the callers' tests.  Returns 0 when no positive r
-    is feasible.
+    and is spot-checked by the callers' tests.  Returns the lower end of the
+    final bracket, the largest r proved feasible, so the result always has a
+    non-negative form.  Returns 0 when no positive r is feasible.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    lo = 0.0
+    lo = min(tol, 1e-8)
     hi = 1.0
-    if not _feasible(t, min(tol, 1e-8)):
+    if not _feasible(t, lo):
         return 0.0
     expansions = 0
     while _feasible(t, hi):
@@ -206,7 +213,7 @@ def ssp_coefficient(t: ButcherTableau, tol: float = 1e-6) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -226,53 +233,46 @@ def _ssprk104_tableau() -> ButcherTableau:
     # 1/6, later rows restart from a 1/15-weighted combination of the first
     # five, uniform weights 1/10
     m = 10
-    a = [[0.0] * m for _ in range(m)]
+    a = [[0] * m for _ in range(m)]
     for i in range(1, 5):
         for j in range(i):
-            a[i][j] = 1.0 / 6.0
+            a[i][j] = Fraction(1, 6)
     for i in range(5, 10):
         for j in range(5):
-            a[i][j] = 1.0 / 15.0
+            a[i][j] = Fraction(1, 15)
         for j in range(5, i):
-            a[i][j] = 1.0 / 6.0
-    b = [1.0 / 10.0] * m
+            a[i][j] = Fraction(1, 6)
+    b = [Fraction(1, 10)] * m
     return ButcherTableau(tuple(tuple(row) for row in a), tuple(b))
 
 
 def builtin_tableau(name: str) -> ButcherTableau:
     """Butcher tableau of a builtin method."""
     if name == "euler":
-        return ButcherTableau(((0.0,),), (1.0,))
+        return ButcherTableau(((0,),), (1,))
     if name == "ssprk22":
-        return ButcherTableau(((0.0, 0.0), (1.0, 0.0)), (0.5, 0.5))
+        return ButcherTableau(((0, 0), (1, 0)), (Fraction(1, 2), Fraction(1, 2)))
     if name == "ssprk33":
+        quarter = Fraction(1, 4)
         return ButcherTableau(
-            ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.25, 0.25, 0.0)),
-            (1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0),
+            ((0, 0, 0), (1, 0, 0), (quarter, quarter, 0)),
+            (Fraction(1, 6), Fraction(1, 6), Fraction(2, 3)),
         )
     if name == "ssprk104":
         return _ssprk104_tableau()
     raise KeyError(f"unknown method {name!r}; known: {BUILTIN_METHOD_KEYS}")
 
 
+@functools.cache
 def builtin_method(name: str) -> ShuOsherForm:
-    """Optimal Shu-Osher form (r = C) of a builtin method."""
-    tableau = builtin_tableau(name)
-    c_opt = _BUILTIN_SSP_C[name]
-    form = shu_osher_from_butcher(tableau, c_opt, tol=1e-9)
-    # at r = C some coefficients are exactly zero in exact arithmetic; clamp
-    # the rounding noise so downstream non-negativity arguments hold verbatim
-    alpha = [
-        [x if x > 1e-9 or x == 0.0 else 0.0 for x in row] for row in form.alpha
-    ]
-    v = [1.0 - math.fsum(alpha[i][:i]) for i in range(len(alpha))]
-    v = [x if abs(x) > 1e-9 or x == 0.0 else 0.0 for x in v]
-    return replace(
-        form,
-        alpha=tuple(tuple(row) for row in alpha),
-        v=tuple(v),
-        ssp_c=c_opt,
-        key=name,
+    """Optimal Shu-Osher form (r = C) of a builtin method.
+
+    Built once per name and process; forms are frozen, so every caller can
+    share the one instance.
+    """
+    form = shu_osher_from_butcher(builtin_tableau(name), _BUILTIN_SSP_C[name])
+    return ShuOsherForm(
+        form.alpha, form.v, form.r, form.c_stage, ssp_c=form.r, key=name
     )
 
 
@@ -301,15 +301,3 @@ def shu_osher_amplification(form: ShuOsherForm, z: float) -> float:
         )
     return stages[-1]
 
-
-def format_form(form: ShuOsherForm) -> str:
-    """Plain-text coefficient table for inspection."""
-    lines = [
-        f"method: {form.key or '?'}  stages: {form.m}  r: {form.r:g}"
-        + (f"  C: {form.ssp_c:g}" if form.ssp_c is not None else "")
-    ]
-    lines.append("stage |    v | alpha row")
-    for i in range(form.m + 1):
-        row = "  ".join(f"{x: .6f}" for x in form.alpha[i][:i]) or "-"
-        lines.append(f"{i + 1:5d} | {form.v[i]:.4f} | {row}")
-    return "\n".join(lines)

@@ -242,7 +242,7 @@ def test_guarantees_hold_exactly_at_the_bound():
         )
         incidence = _random_incidence(rng)
         kappa = rng.uniform(0.0, 1.0)
-        pi = recruitment_from_key(rng.choice(RECRUITMENT_KEYS), kappa=kappa, p=kappa)
+        pi = recruitment_from_key(rng.choice(RECRUITMENT_KEYS), kappa=kappa)
         x0 = State(*(rng.uniform(0.0, 2.0) for _ in range(4)))
         setup = ProblemSetup(params, incidence, pi, x0)
         for method in methods:

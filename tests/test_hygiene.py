@@ -1,6 +1,8 @@
-"""Every name a module imports is used in it (no linter is installed)."""
+"""Every name a module imports is used in it, and every name it exports
+is defined (no linter is installed)."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -31,3 +33,11 @@ def _unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "name", ["ssp_seir"] + [f"ssp_seir.{path.stem}" for path in MODULES]
+)
+def test_every_export_resolves(name):
+    module = importlib.import_module(name)
+    assert [export for export in module.__all__ if not hasattr(module, export)] == []

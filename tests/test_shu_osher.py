@@ -3,6 +3,7 @@ cross-validation fixture."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,6 @@ from ssp_seir.shu_osher import (
     builtin_method,
     builtin_tableau,
     butcher_amplification,
-    format_form,
     k_matrix,
     shu_osher_amplification,
     shu_osher_from_butcher,
@@ -32,6 +32,9 @@ def test_tableau_validation():
         ButcherTableau(((0.0, 0.0), (1.0, 0.0)), (0.5, 0.4))
     with pytest.raises(ValueError, match="2x2"):
         ButcherTableau(((0.0,),), (0.5, 0.5))
+    for x in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            ButcherTableau(((0.0, 0.0), (x, 0.0)), (0.5, 0.5))
 
 
 def test_tableau_abscissae():
@@ -48,7 +51,7 @@ def test_k_matrix_blocks():
     ]
     km = k_matrix(builtin_tableau("ssprk33"))
     assert km[2] == [0.25, 0.25, 0.0, 0.0]
-    assert km[3] == [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0, 0.0]
+    assert km[3] == [Fraction(1, 6), Fraction(1, 6), Fraction(2, 3), 0]
 
 
 def test_canonical_form_euler():
@@ -68,14 +71,24 @@ def test_canonical_form_ssprk22_classical():
 def test_canonical_form_infeasible_beyond_c():
     with pytest.raises(InfeasibleFormError):
         shu_osher_from_butcher(builtin_tableau("ssprk22"), r=3.0)
-    with pytest.raises(ValueError):
-        shu_osher_from_butcher(builtin_tableau("ssprk22"), r=0.0)
+    for r in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            shu_osher_from_butcher(builtin_tableau("ssprk22"), r=r)
+
+
+@pytest.mark.parametrize("key", ["ssprk33", "ssprk104"])
+def test_next_float_above_c_is_infeasible(key):
+    # the exact sign test admits no rounding slack above the SSP coefficient
+    with pytest.raises(InfeasibleFormError):
+        shu_osher_from_butcher(builtin_tableau(key), math.nextafter(KNOWN_C[key], math.inf))
 
 
 @pytest.mark.parametrize("key", BUILTIN_METHOD_KEYS)
 def test_ssp_coefficients_by_bisection(key):
-    c = ssp_coefficient(builtin_tableau(key), tol=1e-6)
+    t = builtin_tableau(key)
+    c = ssp_coefficient(t, tol=1e-6)
     assert c == pytest.approx(KNOWN_C[key], abs=1e-4)
+    shu_osher_from_butcher(t, c)  # the result itself must be feasible
 
 
 @pytest.mark.parametrize("key", BUILTIN_METHOD_KEYS)
@@ -90,15 +103,24 @@ def test_feasibility_brackets_the_coefficient(key):
 @pytest.mark.parametrize("key", BUILTIN_METHOD_KEYS)
 def test_builtin_form_consistency(key):
     form = builtin_method(key)
+    assert builtin_method(key) is form
     assert form.key == key
     assert form.ssp_c == KNOWN_C[key]
     assert form.r == form.ssp_c
     assert form.v[0] == 1.0
     for i in range(form.m + 1):
-        assert form.v[i] >= -1e-12
+        assert form.v[i] >= 0.0
         assert abs(form.v[i] + math.fsum(form.alpha[i][:i]) - 1.0) <= 1e-12
         for x in form.alpha[i]:
-            assert x >= -1e-12
+            assert x >= 0.0
+
+
+def test_builtin_forms_are_rounded_exact_rationals():
+    assert builtin_method("ssprk33").v[3] == float(Fraction(1, 3))
+    ssprk104 = builtin_method("ssprk104")
+    assert ssprk104.v[10] == float(Fraction(1, 25))
+    assert ssprk104.alpha[10][9] == float(Fraction(3, 5))
+    assert ssprk104.c_stage[8] == float(Fraction(5, 6))
 
 
 @pytest.mark.parametrize("key", BUILTIN_METHOD_KEYS)
@@ -125,12 +147,6 @@ def test_round_trip_holds_at_suboptimal_r(r, z):
 def test_unknown_method_key():
     with pytest.raises(KeyError):
         builtin_tableau("rk4-classic")
-
-
-def test_format_form_mentions_key_and_stages():
-    text = format_form(builtin_method("ssprk22"))
-    assert "ssprk22" in text
-    assert "stages: 2" in text
 
 
 def low_storage_ssprk104(z: float) -> float:
