@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .model import ProblemSetup
 from .shu_osher import ShuOsherForm
 from .stepping import IntegrationOverflowError, Trajectory, integrate
@@ -62,12 +60,29 @@ class Verdict:
         return f"{name}: FAIL ({where}, value {self.witness_value!r})"
 
 
+def _nan_free(values) -> bool:
+    """No value is NaN, tested at C speed: a NaN makes the sum NaN.
+
+    A sum of +inf and -inf is NaN too; that only sends the caller on to its
+    exact row scan.
+    """
+    total = sum(values)
+    return total == total
+
+
 def check_nonnegativity(traj: Trajectory, include_stages: bool = False) -> Verdict:
     """Pass iff every step state (and, if flagged, every stage) is >= -1e-12."""
-    bad = np.flatnonzero(~(traj.data[:, 1:] >= NEGATIVITY_THRESHOLD))
-    if bad.size:
-        k, c = divmod(int(bad[0]), 4)
-        return Verdict(False, k, _COMPARTMENTS[c], float(traj.data[k, c + 1]))
+    columns = traj.compartments
+    # min() skips a NaN that is not first, hence the NaN test
+    if not all(
+        _nan_free(column) and min(column, default=0.0) >= NEGATIVITY_THRESHOLD
+        for column in columns
+    ):
+        # the first failing value in row-major order
+        for k, row in enumerate(zip(*columns)):
+            for c, x in enumerate(row):
+                if not x >= NEGATIVITY_THRESHOLD:
+                    return Verdict(False, k, _COMPARTMENTS[c], x)
     if include_stages and not traj.stage_min >= NEGATIVITY_THRESHOLD:
         return Verdict(False, None, "stage", traj.stage_min)
     return Verdict(True)
@@ -76,10 +91,11 @@ def check_nonnegativity(traj: Trajectory, include_stages: bool = False) -> Verdi
 def check_population_bound(traj: Trajectory, cap: float) -> Verdict:
     """Pass iff N_k <= cap * (1 + 1e-10) at every step."""
     n = traj.populations
-    bad = np.flatnonzero(~(n <= cap * (1.0 + 1e-10)))
-    if bad.size:
-        k = int(bad[0])
-        return Verdict(False, k, "N", float(n[k]))
+    high = cap * (1.0 + 1e-10)
+    if not (_nan_free(n) and max(n, default=0.0) <= high):
+        for k, x in enumerate(n):
+            if not x <= high:
+                return Verdict(False, k, "N", x)
     return Verdict(True)
 
 
@@ -95,7 +111,8 @@ def check_limit(
     if window > n:
         raise ValueError(f"window {window} longer than trajectory {n}")
     target = p_target / mu
-    return float(np.max(np.abs(traj.populations[n - window :] - target)))
+    gaps = [abs(x - target) for x in traj.populations[n - window :]]
+    return math.nan if any(g != g for g in gaps) else max(gaps)
 
 
 def detect_oscillation(traj: Trajectory, period: int) -> tuple[float, ...]:
@@ -126,7 +143,9 @@ def _positivity_ok(setup: ProblemSetup, method: ShuOsherForm, tau: float, t_f: f
         )
     except IntegrationOverflowError:
         return False
-    return check_nonnegativity(traj).passed
+    # the floor ends the run at its first failing state, so every row before
+    # the last passed and the last row holds the verdict
+    return all(x >= NEGATIVITY_THRESHOLD for x in traj.row(-1)[1:])
 
 
 def find_empirical_bound(

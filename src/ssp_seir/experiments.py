@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import sub
 from typing import IO, Optional, Sequence
-
-import numpy as np
 
 from .checks import (
     check_nonnegativity,
@@ -192,7 +192,9 @@ def convergence_study(
     :func:`~ssp_seir.reference.grid_run` so the _CONVERGENCE_OUTPUTS evenly
     spaced output times lie on each step grid; the order is the
     least-squares slope of log2(error) against log2(tau) over the
-    _CONVERGENCE_FIT_POINTS smallest steps.
+    _CONVERGENCE_FIT_POINTS smallest steps.  Raises ValueError when one of
+    their errors is zero or not finite, or when they are all one size (a
+    horizon too short to split): neither has a slope to fit.
     """
     setup = config.setup(recruitment_key)
     spacing = config.tf / _CONVERGENCE_OUTPUTS
@@ -207,14 +209,40 @@ def convergence_study(
         for k in range(1, _CONVERGENCE_HALVINGS + 1):
             run = grid_run(setup, method, tau_t * 2.0**-k, config.tf, output_times)
             taus.append(run.tau)
-            errors.append(float(np.max(np.abs(run.data[:, 1:] - reference.data[:, 1:]))))
-        log_tau = np.log2(taus[-_CONVERGENCE_FIT_POINTS:])
-        log_err = np.log2(errors[-_CONVERGENCE_FIT_POINTS:])
-        slope = float(np.polyfit(log_tau, log_err, 1)[0])
+            errors.append(max(
+                max(map(abs, map(sub, a, b)))
+                for a, b in zip(run.compartments, reference.compartments)
+            ))
+        fit_taus = taus[-_CONVERGENCE_FIT_POINTS:]
+        fit_errors = errors[-_CONVERGENCE_FIT_POINTS:]
+        for tau, err in zip(fit_taus, fit_errors):
+            if not (math.isfinite(err) and err > 0.0):
+                raise ValueError(
+                    f"convergence of {method_key}: error {err!r} at tau={tau!r} "
+                    "has no logarithm to fit"
+                )
+        if len(set(fit_taus)) < 2:
+            raise ValueError(
+                f"convergence of {method_key}: every fitted step is tau={fit_taus[0]!r}"
+            )
+        slope = _fit_slope(
+            [math.log2(tau) for tau in fit_taus], [math.log2(err) for err in fit_errors]
+        )
         results.append(
             ConvergenceResult(method_key, tuple(taus), tuple(errors), slope)
         )
     return results
+
+
+def _fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of ``ys`` against ``xs`` (two distinct ``xs`` at
+    least), computed exactly in rationals and rounded once to the nearest
+    double."""
+    x = [Fraction(v) for v in xs]
+    x_bar = sum(x) / len(x)
+    return float(
+        sum((a - x_bar) * Fraction(b) for a, b in zip(x, ys)) / sum((a - x_bar) ** 2 for a in x)
+    )
 
 
 def write_convergence_csv(
@@ -281,7 +309,7 @@ def counterexample_report() -> CounterexampleReport:
     even_limit, odd_limit = detect_oscillation(traj, period=2)
     gaps = [
         abs(n - pi.fn(t) / params.mu)
-        for t, n in zip(traj.times[-_CEX_TAIL:].tolist(), traj.populations[-_CEX_TAIL:].tolist())
+        for t, n in zip(traj.times[-_CEX_TAIL:], traj.populations[-_CEX_TAIL:])
     ]
     return CounterexampleReport(
         even_limit=even_limit,

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 __all__ = [
     "ModelParams",
     "State",
@@ -209,6 +207,15 @@ def media_exp_incidence(nu: float, eta: float) -> RateFunction:
     return RateFunction("media-exp", fn, sup=lambda hi: nu)
 
 
+def _grid(hi: float, n: int) -> list[float]:
+    """``n`` evenly spaced points from 0.0 to ``hi``, both ends exact: the
+    values of ``numpy.linspace(0.0, hi, n)``."""
+    if n < 2:
+        return [0.0] * n
+    step = hi / (n - 1)
+    return [k * step for k in range(n - 1)] + [hi]
+
+
 def custom_incidence(
     fn: Callable[[float], float],
     alpha: float,
@@ -222,8 +229,8 @@ def custom_incidence(
         raise ValueError("alpha must be non-negative")
     if abs(fn(0.0)) > 1e-12:
         raise ValueError(f"custom incidence must satisfy f(0)=0, got f(0)={fn(0.0)!r}")
-    for x in np.linspace(0.0, hi, n_check):
-        y = fn(float(x))
+    for x in _grid(hi, n_check):
+        y = fn(x)
         if y < -1e-12:
             raise ValueError(f"custom incidence negative at x={x}: f(x)={y}")
         if y > alpha * x + 1e-12:
@@ -338,8 +345,8 @@ def custom_recruitment(
     bound = _require_finite("bound", bound)
     if bound < 0.0:
         raise ValueError("bound must be non-negative")
-    for t in np.linspace(0.0, horizon, n_check):
-        y = fn(float(t))
+    for t in _grid(horizon, n_check):
+        y = fn(t)
         if y < -1e-12 or y > bound + 1e-12:
             raise ValueError(
                 f"custom recruitment leaves [0, {bound}] at t={t}: pi(t)={y}"

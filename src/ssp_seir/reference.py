@@ -16,6 +16,7 @@ Two oracles:
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Callable, Sequence
 
 from .model import ProblemSetup, RateFunction
@@ -152,13 +153,13 @@ def grid_run(
         setup.x0, tau, n_steps, method,
         setup.params, setup.incidence, setup.recruitment,
     )
-    rows = []
+    data = array("d")
     for t in output_times:
         k = round(t / tau)
-        if k > n_steps or abs(k * tau - t) > 1e-9 * (1.0 + t):
+        if not 0 <= k <= n_steps or abs(k * tau - t) > 1e-9 * (1.0 + t):
             raise ValueError(f"output time {t} not on the step grid")
-        rows.append(k)
-    return Trajectory(full.data[rows], tau, full.method, full.stage_min)
+        data += full.row(k)
+    return Trajectory(data, tau, full.method, full.stage_min)
 
 
 def reference_trajectory(

@@ -24,10 +24,10 @@ from __future__ import annotations
 import functools
 import math
 import struct
+from array import array
 from dataclasses import dataclass
+from operator import add
 from typing import IO, Callable
-
-import numpy as np
 
 from .model import ModelParams, RateFunction, State
 from .shu_osher import ShuOsherForm
@@ -53,43 +53,47 @@ class IntegrationOverflowError(RuntimeError):
 class Trajectory:
     """Time-stamped step states with the stepping metadata.
 
-    ``data`` is one float64 array of shape ``(n+1, 5)`` whose columns are
-    ``t, S, E, I, R``.  :attr:`states` builds :class:`State` objects from it
-    on every read; the checks work on the array.  ``stage_min`` is the
-    smallest compartment value seen over all internal stages of all steps
-    (step states included), a diagnostic for stage-level positivity checks.
+    ``data`` is one flat float64 ``array('d')`` of ``n+1`` rows of five
+    values ``t, S, E, I, R``, row after row.  :meth:`row` and
+    :attr:`compartments` read it without repeating that layout; the checks
+    work on the columns, and :attr:`states` builds :class:`State` objects on
+    every read.  ``stage_min`` is the smallest compartment value seen over
+    all internal stages of all steps (step states included), a diagnostic
+    for stage-level positivity checks.
     """
 
-    data: np.ndarray
+    data: array
     tau: float
     method: str
     stage_min: float
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.data[:, 0]
+    def row(self, k: int) -> array:
+        """Row ``k`` (negative counts from the end): ``t, S, E, I, R``."""
+        k = range(len(self))[k]
+        return self.data[5 * k : 5 * k + 5]
 
     @property
-    def populations(self) -> np.ndarray:
-        """N = ((S + E) + I) + R per row, bitwise :attr:`State.total`."""
+    def compartments(self) -> tuple[array, array, array, array]:
+        """The S, E, I and R columns."""
         d = self.data
-        return d[:, 1] + d[:, 2] + d[:, 3] + d[:, 4]
+        return d[1::5], d[2::5], d[3::5], d[4::5]
+
+    @property
+    def times(self) -> list[float]:
+        return self.data[0::5].tolist()
+
+    @property
+    def populations(self) -> list[float]:
+        """N = ((S + E) + I) + R per row, bitwise :attr:`State.total`."""
+        s, e, i, r = self.compartments
+        return list(map(add, map(add, map(add, s, e), i), r))
 
     @property
     def states(self) -> list[State]:
-        return [State(s, e, i, r, t) for t, s, e, i, r in self.data.tolist()]
+        return list(map(State, *self.compartments, self.data[0::5]))
 
     def __len__(self) -> int:
-        return len(self.data)
-
-
-def _trajectory(t0: float, history: list, tau: float, key: str, stage_min: float) -> Trajectory:
-    """Step values ``(s, e, i, r)`` stacked under the times ``t0 + k*tau``."""
-    data = np.empty((len(history), 5))
-    data[:, 0] = t0 + np.arange(len(history)) * tau
-    data[0, 0] = t0  # t0 + 0.0 would turn -0.0 into 0.0
-    data[:, 1:] = history
-    return Trajectory(data, tau, key, stage_min)
+        return len(self.data) // 5
 
 
 def integrate(
@@ -123,15 +127,18 @@ def integrate(
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
     if stop_below is not None and math.isnan(stop_below):
         raise ValueError("stop floor must not be NaN")
-    history = [(x0.s, x0.e, x0.i, x0.r)]
+    history = [x0.t, x0.s, x0.e, x0.i, x0.r]
     stage_min = min(x0.s, x0.e, x0.i, x0.r)
-    if stop_below is not None and not stage_min >= stop_below:
+    # each compartment on its own: min() skips a NaN that is not first
+    if stop_below is not None and not all(x >= stop_below for x in history[1:]):
         n_steps = 0  # stage_min is still the initial state's minimum
     failed_at, stage_min = _kernel(method)(
         x0.s, x0.e, x0.i, x0.r, x0.t, tau, n_steps,
         p, f, pi, stop_below, history, stage_min,
     )
-    traj = _trajectory(x0.t, history, tau, method.key or f"shu-osher-{method.m}", stage_min)
+    # struct converts the floats to doubles in about half the time array("d", list) takes
+    data = array("d", struct.pack(f"{len(history)}d", *history))
+    traj = Trajectory(data, tau, method.key or f"shu-osher-{method.m}", stage_min)
     if failed_at is not None:
         raise IntegrationOverflowError(failed_at, traj)
     return traj
@@ -142,11 +149,13 @@ def _kernel(form: ShuOsherForm) -> Callable:
     """Compile the whole step loop of ``form`` into one function.
 
     The coefficients are read from ``form`` in the function's prologue, not
-    written into its source.  It appends each step state to ``history`` and
-    returns ``(k, stage_min)``: ``k`` is None when the loop ran out (or the
-    stop floor ended it), else the index of the step that overflowed or
-    turned non-finite, and ``stage_min`` then covers the steps before it.
-    The cache keeps one kernel per distinct form value integrated.
+    written into its source.  It extends the flat list ``history`` by the
+    row ``t, s, e, i, r`` of each step state, its time ``t0 + k*tau``
+    computed afresh (no accumulation drift), and returns ``(k, stage_min)``:
+    ``k`` is None when the loop ran out (or the stop floor ended it), else
+    the index of the step that overflowed or turned non-finite, and
+    ``stage_min`` then covers the steps before it.  The cache keeps one
+    kernel per distinct form value integrated.
     """
     m = form.m
     # nonzero alpha terms of each row in ascending j; skipping exact zeros
@@ -161,10 +170,14 @@ def _kernel(form: ShuOsherForm) -> Callable:
         "h = tau / form.r",
         "mu, sigma, gamma, delta = p.mu, p.sigma, p.gamma, p.delta",
         "mu_sigma, mu_gamma, mu_delta = mu + sigma, mu + gamma, mu + delta",
-        "f, pi, append = f.fn, pi.fn, history.append",
+        "f, pi, extend = f.fn, pi.fn, history.extend",
     ]
     head += [f"ct{k} = form.c_stage[{k}] * tau" for k in first.values()]
-    step = ["t = t0 + k * tau", "low = stage_min"]
+    # t is the start time t0 + k*tau of step k.  Computed at the end of step
+    # k-1, it also stamps that step's row; step 0 starts at t0 + 0*tau like
+    # the others (t0 = -0.0 becomes 0.0 there, while row 0 keeps x0.t)
+    head.append("t = t0 + 0 * tau")
+    step = ["low = stage_min"]
     for k in range(m):
         xs, xe, xi, xr = (f"{c}{k}" if k else c for c in "seir")
         if k in read:
@@ -197,7 +210,8 @@ def _kernel(form: ShuOsherForm) -> Callable:
         "stage_min = low",
         "if not (isfinite(s) and isfinite(e) and isfinite(i) and isfinite(r)):",
         "    return k, stage_min",
-        "append((s, e, i, r))",
+        "t = t0 + (k + 1) * tau",
+        "extend((t, s, e, i, r))",
         "if stop_below is not None and not min(s, e, i, r) >= stop_below:",
         "    break",
     ]
@@ -218,5 +232,5 @@ def _kernel(form: ShuOsherForm) -> Callable:
 def trajectory_to_csv(traj: Trajectory, out: IO[str]) -> None:
     """Write ``t,S,E,I,R,N`` rows at full double precision (round-trippable)."""
     out.write("t,S,E,I,R,N\n")
-    for t, s, e, i, r in traj.data.tolist():
+    for t, s, e, i, r in zip(traj.times, *traj.compartments):
         out.write(f"{t!r},{s!r},{e!r},{i!r},{r!r},{s + e + i + r!r}\n")

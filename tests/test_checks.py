@@ -2,8 +2,9 @@
 
 import math
 import random
+from array import array
+from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,7 +122,7 @@ _CELL = st.one_of(
     cap=st.floats(0.5, 8.0),
 )
 def test_array_checks_match_per_state_scan(rows, cap):
-    data = np.array([[0.5 * k, *row] for k, row in enumerate(rows)])
+    data = array("d", [v for k, row in enumerate(rows) for v in (0.5 * k, *row)])
     traj = Trajectory(data, 0.5, "euler", math.nan)
     states = traj.states
     negative = next(
@@ -317,19 +318,19 @@ def test_stopped_probe_is_a_prefix_of_the_full_run(method_key, f_key):
             n_steps = math.ceil(t_f / tau)
             full, full_overflow = _run_to_end(setup, method, tau, n_steps)
             verdict = check_nonnegativity(full)
-            row_min = full.data[:, 1:].min(axis=1)
+            row_min = [min(full.row(k)[1:]) for k in range(len(full))]
             # the package floor, and floors tied exactly with a row minimum
             # (the global one included), where >= and > part ways
-            floors = [NEGATIVITY_THRESHOLD, float(row_min.min())]
-            floors += [float(row_min[rng.randrange(len(full))]) for _ in range(2)]
+            floors = [NEGATIVITY_THRESHOLD, min(row_min)]
+            floors += [row_min[rng.randrange(len(full))] for _ in range(2)]
             lengths = []
             for floor in floors:
                 stopped, overflow = _run_to_end(setup, method, tau, n_steps, stop_below=floor)
                 n = len(stopped)
                 lengths.append(n)
-                assert stopped.data.tobytes() == full.data[:n].tobytes()
-                below = np.flatnonzero(~(row_min >= floor))
-                if below.size:
+                assert stopped.data.tobytes() == full.data[: 5 * n].tobytes()
+                below = [k for k, low in enumerate(row_min) if not low >= floor]
+                if below:
                     assert overflow is None
                     assert n == below[0] + 1
                 else:
@@ -340,6 +341,37 @@ def test_stopped_probe_is_a_prefix_of_the_full_run(method_key, f_key):
             assert _positivity_ok(setup, method, tau, t_f) == (
                 verdict.passed and full_overflow is None
             )
+
+
+_START = st.one_of(
+    st.floats(0.0, 2.0),
+    st.sampled_from([-1e-12, -2e-12, -0.5, -0.0, math.nan]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x0=st.tuples(_START, _START, _START, _START),
+    method_key=st.sampled_from(BUILTIN_METHOD_KEYS),
+    f_key=st.sampled_from(INCIDENCE_KEYS),
+    factor=st.floats(0.2, 4.0),
+    t_f=st.sampled_from([0.0, 30.0, 200.0]),
+)
+def test_probe_verdict_matches_the_full_run_check(x0, method_key, f_key, factor, t_f):
+    # the probe reads its verdict off its last row; the full run is checked
+    # row by row.  Start states may be negative or NaN, and large steps
+    # overflow.
+    method = builtin_method(method_key)
+    setup = ProblemSetup(
+        EXPERIMENT_PARAMS, incidence_from_key(f_key, nu=0.0115, eta=0.001),
+        recruitment_from_key("choiceA"), State(*x0),
+    )
+    tau = factor * bound_report(
+        replace(setup, x0=State(1.0, 0.0, 0.0, 0.0)), method, 200.0
+    ).tau_method
+    full, overflow = _run_to_end(setup, method, tau, math.ceil(t_f / tau))
+    expected = check_nonnegativity(full).passed and overflow is None
+    assert _positivity_ok(setup, method, tau, t_f) == expected
 
 
 def test_empirical_bound_validates_inputs():

@@ -1,0 +1,79 @@
+"""The convergence study's slope fit and the inputs it refuses."""
+
+import math
+import re
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ssp_seir.cli import main
+from ssp_seir.config import DEFAULT_CONFIG_TEXT, parse_config
+from ssp_seir.experiments import _fit_slope, convergence_study
+
+
+def _normal_equations_slope(xs, ys):
+    """The least-squares slope as an exact rational, from the raw sums."""
+    x = [Fraction(v) for v in xs]
+    y = [Fraction(v) for v in ys]
+    n, sx, sy = len(x), sum(x), sum(y)
+    return (n * sum(a * b for a, b in zip(x, y)) - sx * sy) / (n * sum(a * a for a in x) - sx * sx)
+
+
+_VALUE = st.floats(-60.0, 60.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(_VALUE, _VALUE), min_size=2, max_size=8))
+def test_slope_is_the_exactly_rounded_rational_fit(points):
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    assume(len(set(xs)) >= 2)
+    exact = _normal_equations_slope(xs, ys)
+    got = _fit_slope(xs, ys)
+    assert got == float(exact)
+    # no double lies closer to the exact slope
+    error = abs(Fraction(got) - exact)
+    for neighbour in (math.nextafter(got, math.inf), math.nextafter(got, -math.inf)):
+        assert error <= abs(Fraction(neighbour) - exact)
+
+
+@settings(max_examples=100, deadline=None)
+@given(xs=st.lists(st.integers(-400, 400).map(lambda k: k / 8), min_size=2, max_size=8))
+def test_slope_of_points_on_a_line_is_exact(xs):
+    assume(len(set(xs)) >= 2)
+    assert _fit_slope(xs, [2.0 * x + 3.0 for x in xs]) == 2.0
+
+
+def _unpopulated_config():
+    """No people and no recruitment: every run is exactly the zero reference."""
+    text = (
+        DEFAULT_CONFIG_TEXT.replace("kappa=0.05", "kappa=0").replace("s0=0.2", "s0=0")
+        .replace("e0=0.6", "e0=0").replace("i0=0.2", "i0=0")
+    )
+    return text, replace(parse_config(text), tf=10.0)
+
+
+def test_convergence_refuses_a_zero_error():
+    with pytest.raises(ValueError, match=r"convergence of euler: error 0\.0 at tau=\S+ "):
+        convergence_study(_unpopulated_config()[1])
+
+
+def test_convergence_refuses_fitted_steps_of_one_size():
+    # output spacing 0.01 is below every halved bound: each step is 0.01
+    config = replace(parse_config(DEFAULT_CONFIG_TEXT), tf=0.5)
+    with pytest.raises(ValueError, match=r"convergence of euler: every fitted step is tau=0\.01$"):
+        convergence_study(config)
+
+
+def test_cli_convergence_exits_2_on_a_zero_error(tmp_path, capsys):
+    path = tmp_path / "empty.cfg"
+    path.write_text(_unpopulated_config()[0])
+    code = main(["--config", str(path), "--out", str(tmp_path), "convergence", "--tf", "10"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: convergence of euler: error 0\.0 at tau=\S+ has no logarithm to fit\n", err
+    ), err
+    assert not (tmp_path / "convergence_slopes.csv").exists()

@@ -1,8 +1,12 @@
-"""Every name a module imports is used in it, and every name it exports
-is defined (no linter is installed)."""
+"""Every name a module imports is used in it, every name it exports is
+defined (no linter is installed), and the package runs on the standard
+library alone."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,67 @@ def test_every_import_is_used(path):
 def test_every_export_resolves(name):
     module = importlib.import_module(name)
     assert [export for export in module.__all__ if not hasattr(module, export)] == []
+
+
+def _imported_modules(source: str) -> list[str]:
+    """Top-level module names of the absolute imports (relative ones are the
+    package's own)."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(ssp_seir.__file__).parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_imports_only_the_standard_library(path):
+    foreign = [
+        name for name in _imported_modules(path.read_text())
+        if name != "ssp_seir" and name not in sys.stdlib_module_names
+    ]
+    assert foreign == []
+
+
+# every subcommand, run in one child process in which ``import numpy`` fails
+_WITHOUT_NUMPY = """\
+import sys
+sys.modules["numpy"] = None
+from ssp_seir.cli import main
+config, out = sys.argv[1:]
+for argv in (
+    ["default-config"],
+    ["--config", config, "bounds-table"],
+    ["simulate", "--method", "ssprk33", "--tau", "0.5", "--tf", "20", "--stages", "--strict"],
+    ["convergence", "--tf", "10"],
+    ["counterexample"],
+    ["check", "--configs", "2"],
+):
+    code = main(["--out", out, *argv])
+    if code != 0:
+        sys.exit(f"{argv[-1]} exited {code}")
+assert sys.modules["numpy"] is None
+"""
+
+
+def test_every_command_runs_without_numpy(tmp_path):
+    from ssp_seir.config import DEFAULT_CONFIG_TEXT
+
+    config = tmp_path / "short.cfg"
+    config.write_text(
+        DEFAULT_CONFIG_TEXT.replace("tf=1000.0", "tf=50.0").replace("bisect_tol=1e-4", "bisect_tol=1e-2")
+    )
+    src = str(Path(ssp_seir.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(config), str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    for name in ("bounds_table.csv", "trajectory.csv", "convergence_slopes.csv",
+                 "counterexample.csv"):
+        assert (tmp_path / name).stat().st_size > 0

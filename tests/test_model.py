@@ -30,6 +30,7 @@ from ssp_seir.model import (
     recruitment_sup,
     rhs,
     sup_incidence,
+    _grid,
 )
 
 PARAMS = ModelParams(0.05, 0.25, 0.1867, 0.011)
@@ -164,6 +165,14 @@ def test_incidence_from_key():
     assert incidence_from_key("media-exp").alpha is None
     with pytest.raises(KeyError):
         incidence_from_key("nope")
+
+
+@pytest.mark.parametrize("hi", [1e3, 10.0, 0.1, 3.0, 0.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 10_001])
+def test_validation_grid_is_numpy_linspace(hi, n):
+    grid = _grid(hi, n)
+    assert np.array(grid, dtype=float).tobytes() == np.linspace(0.0, hi, n).tobytes()
+    assert all(type(x) is float for x in grid)
 
 
 def test_custom_incidence_validates():

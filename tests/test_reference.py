@@ -122,6 +122,9 @@ def test_reference_rejects_incommensurate_outputs():
         reference_trajectory(_experiment_setup(), 10.0, [2.0, 3.0])
     with pytest.raises(ValueError):
         reference_trajectory(_experiment_setup(), -1.0, [1.0])
+    # on the grid's line but before its start: there is no such row
+    with pytest.raises(ValueError, match="output time -2.0 not on the step grid"):
+        reference_trajectory(_experiment_setup(), 10.0, [-2.0, 2.0, 10.0])
 
 
 def test_reference_as_trajectory_schema():

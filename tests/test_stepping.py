@@ -125,7 +125,7 @@ def test_integrate_zero_steps():
     traj = integrate(x0, 0.5, 0, builtin_method("euler"), FREE, linear_incidence(), ZERO_PI)
     assert len(traj) == 1
     assert traj.states[0] == x0
-    assert traj.data.tolist() == [[2.0, 1.0, 0.0, 0.0, 0.0]]
+    assert traj.data.tolist() == [2.0, 1.0, 0.0, 0.0, 0.0]
 
 
 def test_stop_floor_rejects_nan():
@@ -142,7 +142,15 @@ def test_stop_floor_ends_at_a_failing_initial_state():
     assert len(integrate(*args)) == 5
     assert len(integrate(*args, stop_below=-0.5)) == 5
     stopped = integrate(*args, stop_below=0.0)
-    assert stopped.data.tolist() == [[0.0, 1.0, -0.5, 0.0, 0.0]]
+    assert stopped.data.tolist() == [0.0, 1.0, -0.5, 0.0, 0.0]
+    # a NaN compartment fails the floor wherever it sits
+    for k in range(4):
+        x = [1.0, 0.5, 0.25, 0.0]
+        x[k] = math.nan
+        nan_args = (State(*x), *args[1:])
+        with pytest.raises(IntegrationOverflowError):
+            integrate(*nan_args)
+        assert len(integrate(*nan_args, stop_below=-1e-12)) == 1
 
 
 def test_integrate_times_have_no_drift():
@@ -152,6 +160,25 @@ def test_integrate_times_have_no_drift():
     )
     for k, x in enumerate(traj.states):
         assert x.t == k * 0.1  # exact product, not accumulated sum
+
+
+def test_trajectory_views_agree_with_its_states():
+    traj = integrate(
+        State(0.2, 0.6, 0.2, 0.0, t=1.5), 0.7, 30, builtin_method("ssprk33"),
+        ModelParams(0.05, 0.25, 0.1867, 0.011), media_incidence(0.0115, 0.001),
+        recruitment_from_key("choiceA"),
+    )
+    states = traj.states
+    assert len(states) == len(traj) == 31
+    assert [x.t for x in states] == traj.times
+    assert [tuple(c) for c in traj.compartments] == list(zip(*(x.as_tuple() for x in states)))
+    assert [repr(x.total) for x in states] == [repr(n) for n in traj.populations]
+    for k in (0, 7, 30, -1, -31):
+        x = states[k]
+        assert traj.row(k).tolist() == [x.t, *x.as_tuple()]
+    for k in (31, -32):
+        with pytest.raises(IndexError):
+            traj.row(k)
 
 
 def test_integrate_is_deterministic():
