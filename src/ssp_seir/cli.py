@@ -14,6 +14,7 @@ All outputs are deterministic: the same config yields byte-identical files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -163,6 +164,19 @@ def _cmd_check(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (e.g. `| head -1`): send the rest to
+        # devnull so that the flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "default-config":

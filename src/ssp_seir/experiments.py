@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from operator import sub
 from typing import IO, Optional, Sequence
@@ -237,12 +238,15 @@ def convergence_study(
 def _fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Least-squares slope of ``ys`` against ``xs`` (two distinct ``xs`` at
     least), computed exactly in rationals and rounded once to the nearest
-    double."""
+    double.  A slope that rounds past the largest double is refused."""
     x = [Fraction(v) for v in xs]
     x_bar = sum(x) / len(x)
-    return float(
-        sum((a - x_bar) * Fraction(b) for a, b in zip(x, ys)) / sum((a - x_bar) ** 2 for a in x)
-    )
+    slope = sum((a - x_bar) * Fraction(b) for a, b in zip(x, ys)) / sum((a - x_bar) ** 2 for a in x)
+    try:
+        return float(slope)
+    except OverflowError:
+        magnitude = Decimal(slope.numerator) / Decimal(slope.denominator)
+        raise ValueError(f"fitted slope {magnitude:.6e} is beyond the largest double") from None
 
 
 def write_convergence_csv(

@@ -14,6 +14,7 @@ rate bounded by a constant K >= 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -22,6 +23,7 @@ __all__ = [
     "ModelParams",
     "State",
     "RateFunction",
+    "FORMULA_NAMESPACE",
     "ProblemSetup",
     "INCIDENCE_KEYS",
     "RECRUITMENT_KEYS",
@@ -101,28 +103,73 @@ class State:
         return (self.s, self.e, self.i, self.r)
 
 
+# The names a formula may read besides ``x`` and its parameters; the step
+# kernel runs in a namespace holding the same names.
+FORMULA_NAMESPACE = {
+    "exp": math.exp, "sin": math.sin, "cos": math.cos, "atan": math.atan,
+    "abs": abs, "pi": math.pi,
+}
+
+
 @dataclass(frozen=True, eq=False)
 class RateFunction:
     """A catalog entry: a force of infection ``x -> f(x)`` or a recruitment
-    rate ``t -> pi(t)``.
+    rate ``t -> pi(t)``, given as a formula or as a callable.
+
+    ``formula`` is a Python expression for ``fn`` over the argument ``x``,
+    the names in ``params`` and those of :data:`FORMULA_NAMESPACE`; the step
+    kernel pastes it in place of a call.  A catalog entry's ``fn`` is
+    compiled from its formula, a closure over its float parameters.  An
+    entry built from a bare callable keeps the default formula ``fn(x)``,
+    whose ``fn`` is the callable itself.
 
     ``sup(hi)`` is a closed-form upper bound of ``fn`` over [0, hi]; every
     entry must state one.  ``alpha`` is an incidence's linear-bound constant
     of |f(x)| <= alpha*|x|; it is None for every recruitment and for
     incidences kept only for comparison, which are outside the certified
-    guarantees.  Instances compare and hash by identity, since the
-    parameters live in ``fn``.  ``fn`` must be pure: the steppers evaluate a
-    recruitment once per distinct stage time within a step and reuse the
-    value.
+    guarantees.  Instances compare and hash by identity.  ``fn`` must be
+    pure: the steppers evaluate a recruitment once per distinct stage time
+    within a step and reuse the value.
     """
 
     key: str
     fn: Callable[[float], float]
     sup: Callable[[float], float]
     alpha: Optional[float] = None
+    formula: str = "fn(x)"
+    params: tuple[tuple[str, float], ...] = ()
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
+
+    @property
+    def bindings(self) -> dict[str, object]:
+        """The value of each name ``formula`` may read besides ``x`` and
+        :data:`FORMULA_NAMESPACE`: the parameters, and ``fn``."""
+        return dict(self.params, fn=self.fn)
+
+
+@functools.cache
+def _formula_factory(formula: str, names: tuple[str, ...]) -> Callable:
+    """``make(*values)``, returning ``fn(x) = formula`` as a closure over the
+    parameters ``names``.  Compiled on the first entry of each formula."""
+    lines = [f"def make({', '.join(names)}):", "    def fn(x):", f"        return {formula}"]
+    source = "\n".join(lines + ["    return fn"])
+    namespace = dict(FORMULA_NAMESPACE)
+    exec(compile(source, f"<formula {formula}>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _entry(
+    key: str,
+    formula: str,
+    sup: Callable[[float], float],
+    params: dict[str, float],
+    alpha: Optional[float] = None,
+) -> RateFunction:
+    """A catalog entry whose ``fn`` is compiled from ``formula``."""
+    fn = _formula_factory(formula, tuple(params))(*params.values())
+    return RateFunction(key, fn, sup, alpha, formula, tuple(params.items()))
 
 
 @dataclass(frozen=True)
@@ -142,7 +189,7 @@ class ProblemSetup:
 
 def linear_incidence() -> RateFunction:
     """f(x) = x."""
-    return RateFunction("linear", lambda x: x, alpha=1.0, sup=lambda hi: hi)
+    return _entry("linear", "x", lambda hi: hi, {}, alpha=1.0)
 
 
 def holling_incidence(c1: float, c2: float, k: float) -> RateFunction:
@@ -157,17 +204,18 @@ def holling_incidence(c1: float, c2: float, k: float) -> RateFunction:
     if c1 < 0.0 or c2 < 0.0 or k < 0.0:
         raise ValueError("Holling parameters must be non-negative")
 
-    def fn(x: float) -> float:
-        return c1 * x / (1.0 + c2 * abs(x) ** k)
-
     # f increases up to x* = (c2*(k-1))**(-1/k) and decreases afterwards;
     # for c2 = 0 or k <= 1 it increases throughout
     x_star = (c2 * (k - 1.0)) ** (-1.0 / k) if c2 > 0.0 and k > 1.0 else math.inf
 
     def sup(hi: float) -> float:
-        return _round_out(fn(min(hi, x_star)))
+        return _round_out(entry.fn(min(hi, x_star)))
 
-    return RateFunction("holling", fn, alpha=c1, sup=sup)
+    entry = _entry(
+        "holling", "c1 * x / (1.0 + c2 * abs(x) ** k)", sup,
+        {"c1": c1, "c2": c2, "k": k}, alpha=c1,
+    )
+    return entry
 
 
 def media_incidence(nu: float, eta: float) -> RateFunction:
@@ -177,15 +225,13 @@ def media_incidence(nu: float, eta: float) -> RateFunction:
     if nu < 0.0 or eta < 0.0:
         raise ValueError("media parameters must be non-negative")
 
-    def fn(x: float) -> float:
-        return nu * math.exp(-eta * x) * x
-
     def sup(hi: float) -> float:
         # f increases up to x = 1/eta and decreases afterwards
         xm = hi if (eta == 0.0 or hi <= 1.0 / eta) else 1.0 / eta
-        return _round_out(fn(xm))
+        return _round_out(entry.fn(xm))
 
-    return RateFunction("media", fn, alpha=nu, sup=sup)
+    entry = _entry("media", "nu * exp(-eta * x) * x", sup, {"nu": nu, "eta": eta}, alpha=nu)
+    return entry
 
 
 def media_exp_incidence(nu: float, eta: float) -> RateFunction:
@@ -201,10 +247,7 @@ def media_exp_incidence(nu: float, eta: float) -> RateFunction:
     if nu < 0.0 or eta < 0.0:
         raise ValueError("media parameters must be non-negative")
 
-    def fn(x: float) -> float:
-        return nu * math.exp(-eta * x)
-
-    return RateFunction("media-exp", fn, sup=lambda hi: nu)
+    return _entry("media-exp", "nu * exp(-eta * x)", lambda hi: nu, {"nu": nu, "eta": eta})
 
 
 def _grid(hi: float, n: int) -> list[float]:
@@ -287,31 +330,28 @@ def choice_a_recruitment(kappa: float) -> RateFunction:
     bounded by kappa * _CHOICE_A_MAX on every horizon."""
     kappa = _require_kappa(kappa)
 
-    def fn(t: float) -> float:
-        sinc = 1.0 if t == 0.0 else math.sin(t) / t
-        return kappa * (2.0 / math.pi * math.atan(t) + sinc)
-
-    return RateFunction("choiceA", fn, sup=lambda horizon: kappa * _CHOICE_A_MAX)
+    return _entry(
+        "choiceA", "kappa * (2.0 / pi * atan(x) + (1.0 if x == 0.0 else sin(x) / x))",
+        lambda horizon: kappa * _CHOICE_A_MAX, {"kappa": kappa},
+    )
 
 
 def choice_b_recruitment(kappa: float) -> RateFunction:
     """pi(t) = kappa * (1/pi * arctan(t) + 1/2); sup is the limit kappa."""
     kappa = _require_kappa(kappa)
 
-    def fn(t: float) -> float:
-        return kappa * (math.atan(t) / math.pi + 0.5)
-
-    return RateFunction("choiceB", fn, sup=lambda horizon: kappa)
+    return _entry(
+        "choiceB", "kappa * (atan(x) / pi + 0.5)", lambda horizon: kappa, {"kappa": kappa}
+    )
 
 
 def choice_c_recruitment(kappa: float) -> RateFunction:
     """pi(t) = kappa * (-t*exp(-t) + 1); bounded by kappa, attained at t=0."""
     kappa = _require_kappa(kappa)
 
-    def fn(t: float) -> float:
-        return kappa * (-t * math.exp(-t) + 1.0)
-
-    return RateFunction("choiceC", fn, sup=lambda horizon: kappa)
+    return _entry(
+        "choiceC", "kappa * (-x * exp(-x) + 1.0)", lambda horizon: kappa, {"kappa": kappa}
+    )
 
 
 def constant_recruitment(p: float) -> RateFunction:
@@ -319,16 +359,12 @@ def constant_recruitment(p: float) -> RateFunction:
     p = _require_finite("p", p)
     if p < 0.0:
         raise ValueError("constant recruitment must be non-negative")
-    return RateFunction("const", lambda t: p, sup=lambda horizon: p)
+    return _entry("const", "p", lambda horizon: p, {"p": p})
 
 
 def counterexample_cosine_recruitment() -> RateFunction:
     """pi(t) = -cos(2*pi*t) + 1, the oscillating counterexample with K = 2."""
-
-    def fn(t: float) -> float:
-        return -math.cos(2.0 * math.pi * t) + 1.0
-
-    return RateFunction("cex-cos", fn, sup=lambda horizon: 2.0)
+    return _entry("cex-cos", "-cos(2.0 * pi * x) + 1.0", lambda horizon: 2.0, {})
 
 
 def custom_recruitment(
@@ -395,7 +431,8 @@ def rhs(
     for name, value in (("t", t), ("s", x.s), ("e", x.e), ("i", x.i), ("r", x.r)):
         if not math.isfinite(value):
             raise ValueError(f"non-finite input {name}={value!r}")
-    # stepping's generated kernel inlines these expressions in this order
+    # stepping's generated kernel computes these expressions in this order,
+    # each formula pasted in place of its call
     s, e, i, r = x.s, x.e, x.i, x.r
     inc = f.fn(i) * s
     pi_t = pi.fn(t)

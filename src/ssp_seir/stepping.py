@@ -2,11 +2,14 @@
 
 Every method, explicit Euler included (the one-stage form), runs through
 :func:`integrate`, and the only step loop is a kernel generated from the
-Shu-Osher form: the source of one function holding the whole loop, with the
-stages unrolled and the model right-hand side inlined, compiled on the first
-:func:`integrate` call for a form and cached by the form's value (equal forms
-share one kernel).  The coefficients are bound from the form, not written
-into the source.
+Shu-Osher form and the two rate formulas: the source of one function holding
+the whole loop, with the stages unrolled, the model right-hand side inlined
+and each formula pasted in place of a call to its rate function (a callable
+entry's formula is the call ``fn(x)``).  A kernel is compiled on the first
+:func:`integrate` call for a form and pair of formulas and cached by their
+values, so equal forms and entries differing only in their parameters share
+one.  The coefficients and parameters are bound in the kernel's prologue,
+not written into its source.
 
 Stage recruitment is evaluated at the Butcher abscissa times carried by the
 form (t_n + c_j * tau); this preserves classical order for time-dependent
@@ -21,6 +24,7 @@ clamped: observing them is the whole point of the property checks.
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import struct
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import IO, Callable
 
-from .model import ModelParams, RateFunction, State
+from .model import FORMULA_NAMESPACE, ModelParams, RateFunction, State
 from .shu_osher import ShuOsherForm
 
 __all__ = [
@@ -132,9 +136,9 @@ def integrate(
     # each compartment on its own: min() skips a NaN that is not first
     if stop_below is not None and not all(x >= stop_below for x in history[1:]):
         n_steps = 0  # stage_min is still the initial state's minimum
-    failed_at, stage_min = _kernel(method)(
+    failed_at, stage_min = _kernel(method, f.formula, pi.formula)(
         x0.s, x0.e, x0.i, x0.r, x0.t, tau, n_steps,
-        p, f, pi, stop_below, history, stage_min,
+        p, f.bindings, pi.bindings, stop_below, history, stage_min,
     )
     # struct converts the floats to doubles in about half the time array("d", list) takes
     data = array("d", struct.pack(f"{len(history)}d", *history))
@@ -144,18 +148,38 @@ def integrate(
     return traj
 
 
-@functools.cache
-def _kernel(form: ShuOsherForm) -> Callable:
-    """Compile the whole step loop of ``form`` into one function.
+def _parameters(formula: str) -> list[str]:
+    """The names ``formula`` reads besides ``x`` and the formula namespace."""
+    tree = ast.parse(formula, mode="eval")
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(names - FORMULA_NAMESPACE.keys() - {"x"})
 
-    The coefficients are read from ``form`` in the function's prologue, not
-    written into its source.  It extends the flat list ``history`` by the
+
+@functools.cache
+def _paste(formula: str, x: str, prefix: str) -> str:
+    """``formula`` reading its argument from the local ``x`` and each
+    parameter ``name`` from the local ``prefix + name``."""
+    tree = ast.parse(formula, mode="eval")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id not in FORMULA_NAMESPACE:
+            node.id = x if node.id == "x" else prefix + node.id
+    return ast.unparse(tree)
+
+
+@functools.cache
+def _kernel(form: ShuOsherForm, incidence: str, recruitment: str) -> Callable:
+    """Compile the whole step loop of ``form`` into one function, with the
+    formulas ``incidence`` and ``recruitment`` pasted in place of calls.
+
+    The coefficients are read from ``form`` in the function's prologue, and
+    each formula parameter from the entry's bindings, not written into its
+    source.  It extends the flat list ``history`` by the
     row ``t, s, e, i, r`` of each step state, its time ``t0 + k*tau``
     computed afresh (no accumulation drift), and returns ``(k, stage_min)``:
     ``k`` is None when the loop ran out (or the stop floor ended it), else
     the index of the step that overflowed or turned non-finite, and
     ``stage_min`` then covers the steps before it.  The cache keeps one
-    kernel per distinct form value integrated.
+    kernel per distinct form value and pair of formulas integrated.
     """
     m = form.m
     # nonzero alpha terms of each row in ascending j; skipping exact zeros
@@ -170,8 +194,10 @@ def _kernel(form: ShuOsherForm) -> Callable:
         "h = tau / form.r",
         "mu, sigma, gamma, delta = p.mu, p.sigma, p.gamma, p.delta",
         "mu_sigma, mu_gamma, mu_delta = mu + sigma, mu + gamma, mu + delta",
-        "f, pi, extend = f.fn, pi.fn, history.extend",
+        "extend = history.extend",
     ]
+    head += [f"f_{name} = incidence[{name!r}]" for name in _parameters(incidence)]
+    head += [f"pi_{name} = recruitment[{name!r}]" for name in _parameters(recruitment)]
     head += [f"ct{k} = form.c_stage[{k}] * tau" for k in first.values()]
     # t is the start time t0 + k*tau of step k.  Computed at the end of step
     # k-1, it also stamps that step's row; step 0 starts at t0 + 0*tau like
@@ -181,9 +207,10 @@ def _kernel(form: ShuOsherForm) -> Callable:
     for k in range(m):
         xs, xe, xi, xr = (f"{c}{k}" if k else c for c in "seir")
         if k in read:
-            step.append(f"inc = f({xi}) * {xs}")
+            # parentheses group as the call did: they leave the tree as it was
+            step.append(f"inc = ({_paste(incidence, xi, 'f_')}) * {xs}")
             if pi_of[k] == k:
-                step.append(f"pi{k} = pi(t + ct{k})")
+                step += [f"t_pi = t + ct{k}", f"pi{k} = {_paste(recruitment, 't_pi', 'pi_')}"]
             step += [
                 f"fs{k} = {xs} + h * (pi{pi_of[k]} - mu * {xs} - inc)",
                 f"fe{k} = {xe} + h * (inc - mu_sigma * {xe})",
@@ -208,23 +235,25 @@ def _kernel(form: ShuOsherForm) -> Callable:
         step.append("if stage_low < low: low = stage_low")
     step += [
         "stage_min = low",
-        "if not (isfinite(s) and isfinite(e) and isfinite(i) and isfinite(r)):",
+        # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
+        "if (s - s) + (e - e) + (i - i) + (r - r) != 0.0:",
         "    return k, stage_min",
         "t = t0 + (k + 1) * tau",
         "extend((t, s, e, i, r))",
         "if stop_below is not None and not min(s, e, i, r) >= stop_below:",
         "    break",
     ]
-    # divergent runs can push exp()-based catalog functions past the double
-    # range before the state itself turns non-finite: that is an overflow too
+    # divergent runs can push exp()-based formulas past the double range
+    # before the state itself turns non-finite: that is an overflow too
     source = "\n".join(
-        ["def kernel(s, e, i, r, t0, tau, n_steps, p, f, pi, stop_below, history, stage_min):"]
+        ["def kernel(s, e, i, r, t0, tau, n_steps, p, incidence, recruitment,"
+         " stop_below, history, stage_min):"]
         + [f"    {line}" for line in head]
         + ["    try:", "        for k in range(n_steps):"]
         + [f"            {line}" for line in step]
         + ["    except OverflowError:", "        return k, stage_min", "    return None, stage_min"]
     )
-    namespace = {"form": form, "isfinite": math.isfinite}
+    namespace = {"form": form, **FORMULA_NAMESPACE}
     exec(compile(source, f"<{form.key or 'shu-osher'} step kernel>", "exec"), namespace)
     return namespace["kernel"]
 

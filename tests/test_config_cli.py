@@ -208,19 +208,40 @@ def test_config_rejects_bad_bisect_tol(tol):
         parse_config(text)
 
 
-def _cli(tmp_path, config_text, *args):
+def _cli(tmp_path, config_text, *args, stdout=subprocess.PIPE, unbuffered=None):
     """Run ``python -m ssp_seir.cli`` in a child process, so a hang fails the
-    test at the timeout instead of stalling the suite."""
+    test at the timeout instead of stalling the suite.  ``unbuffered`` sets
+    or clears PYTHONUNBUFFERED; None inherits it."""
     path = tmp_path / "exp.cfg"
     path.write_text(config_text)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, "-m", "ssp_seir.cli", "--config", str(path),
          "--out", str(tmp_path), *args],
-        capture_output=True, text=True, timeout=60, env=env,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60, env=env,
     )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_cli_exits_quietly_when_stdout_is_closed(tmp_path, unbuffered):
+    # the reader is gone before the child writes (like `| head -1` exiting
+    # early), so its first write or flush to stdout fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _cli(tmp_path, DEFAULT_CONFIG_TEXT, "convergence", "--tf", "10",
+                    stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr, done.stderr
+    assert (done.returncode, done.stderr) == (1, "")
+    assert (tmp_path / "convergence_slopes.csv").stat().st_size > 0
 
 
 def test_cli_bounds_table_ends_with_tol_below_float_spacing(tmp_path):

@@ -6,7 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ssp_seir.cli import main
@@ -23,20 +23,31 @@ def _normal_equations_slope(xs, ys):
 
 
 _VALUE = st.floats(-60.0, 60.0)
+# the smallest magnitude that rounds past the largest double: the tie with
+# 2**1024 rounds to it, since the largest double's last bit is odd
+_PAST_LARGEST_DOUBLE = Fraction(2**1024 - 2**970)
 
 
 @settings(max_examples=300, deadline=None)
 @given(points=st.lists(st.tuples(_VALUE, _VALUE), min_size=2, max_size=8))
+@example(points=[(0.0, 0.0), (5e-324, 1.0)])
+@example(points=[(0.0, 0.0), (5e-324, 2.0**-50 - 2.0**-103)])  # exactly the largest double
 def test_slope_is_the_exactly_rounded_rational_fit(points):
     xs, ys = [p[0] for p in points], [p[1] for p in points]
     assume(len(set(xs)) >= 2)
     exact = _normal_equations_slope(xs, ys)
+    if abs(exact) >= _PAST_LARGEST_DOUBLE:
+        refusal = r"^fitted slope -?\d\.\d{6}e\+\d+ is beyond the largest double$"
+        with pytest.raises(ValueError, match=refusal):
+            _fit_slope(xs, ys)
+        return
     got = _fit_slope(xs, ys)
     assert got == float(exact)
     # no double lies closer to the exact slope
     error = abs(Fraction(got) - exact)
     for neighbour in (math.nextafter(got, math.inf), math.nextafter(got, -math.inf)):
-        assert error <= abs(Fraction(neighbour) - exact)
+        if math.isfinite(neighbour):
+            assert error <= abs(Fraction(neighbour) - exact)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,6 @@
 """Every name a module imports is used in it, every name it exports is
-defined (no linter is installed), and the package runs on the standard
-library alone."""
+defined (no linter is installed), every catalog formula reads only names it
+is given, and the package runs on the standard library alone."""
 
 import ast
 import importlib
@@ -12,6 +12,13 @@ from pathlib import Path
 import pytest
 
 import ssp_seir
+from ssp_seir.model import (
+    FORMULA_NAMESPACE,
+    INCIDENCE_KEYS,
+    RECRUITMENT_KEYS,
+    incidence_from_key,
+    recruitment_from_key,
+)
 
 MODULES = sorted(
     path
@@ -45,6 +52,20 @@ def test_every_import_is_used(path):
 def test_every_export_resolves(name):
     module = importlib.import_module(name)
     assert [export for export in module.__all__ if not hasattr(module, export)] == []
+
+
+CATALOG = [incidence_from_key(key) for key in INCIDENCE_KEYS]
+CATALOG += [recruitment_from_key(key) for key in RECRUITMENT_KEYS]
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda entry: entry.key)
+def test_every_catalog_formula_reads_only_its_argument_and_parameters(entry):
+    # a stray name would surface only as a NameError at the first step of a run
+    assert set(FORMULA_NAMESPACE) == {"exp", "sin", "cos", "atan", "abs", "pi"}
+    tree = ast.parse(entry.formula, mode="eval")
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    params = {name for name, _ in entry.params}
+    assert names - FORMULA_NAMESPACE.keys() - {"x"} == params
 
 
 def _imported_modules(source: str) -> list[str]:

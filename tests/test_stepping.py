@@ -1,6 +1,7 @@
 """Shu-Osher stepping, Euler as its one-stage form: reduction, conservation,
 determinism."""
 
+import collections
 import io
 import math
 import random
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ssp_seir.model import (
+    INCIDENCE_KEYS,
     RECRUITMENT_KEYS,
     ModelParams,
     ProblemSetup,
@@ -18,6 +20,8 @@ from ssp_seir.model import (
     State,
     constant_recruitment,
     counterexample_cosine_recruitment,
+    custom_incidence,
+    custom_recruitment,
     incidence_from_key,
     linear_incidence,
     media_incidence,
@@ -325,15 +329,33 @@ def _oracle_forms():
     return forms
 
 
+# user functions, validated once: their constructors scan a 10,001-point grid
+_CUSTOM_INCIDENCE = custom_incidence(lambda x: 0.8 * x * math.exp(-x), alpha=0.8)
+_CUSTOM_RECRUITMENT = custom_recruitment(lambda t: 0.5 - 0.5 * math.cos(t), bound=1.0)
+
+
+def _seeded_entry(rng, key, keys, from_key, custom, **params):
+    """The catalog entry ``key``, the custom entry, or (key "callable") a
+    drawn catalog entry's ``fn`` wrapped as a bare callable."""
+    if key == "custom":
+        return custom
+    entry = from_key(rng.choice(keys) if key == "callable" else key, **params)
+    return RateFunction("callable", entry.fn, sup=entry.sup) if key == "callable" else entry
+
+
 def _seeded_run(rng, forms):
     p = ModelParams(*(rng.uniform(0.0, 1.0) for _ in range(4)))
-    f = incidence_from_key(
-        rng.choice(["linear", "holling", "media"]),
+    f = _seeded_entry(
+        rng, rng.choice(INCIDENCE_KEYS + ("custom", "callable")), INCIDENCE_KEYS,
+        incidence_from_key, _CUSTOM_INCIDENCE,
         c1=rng.uniform(0.1, 3.0), c2=rng.uniform(0.0, 2.0),
-        k=rng.choice([1.0, 1.5, 2.0, 3.0]),
+        k=rng.choice([1.0, 1.5, 1.5, 1.5, 2.0, 3.0]),
         nu=rng.uniform(0.0, 2.0), eta=rng.uniform(0.0, 1.0),
     )
-    pi = recruitment_from_key(rng.choice(RECRUITMENT_KEYS), kappa=rng.uniform(0.0, 1.0))
+    pi = _seeded_entry(
+        rng, rng.choice(RECRUITMENT_KEYS + ("custom", "callable")), RECRUITMENT_KEYS,
+        recruitment_from_key, _CUSTOM_RECRUITMENT, kappa=rng.uniform(0.0, 1.0),
+    )
     x0 = State(*(rng.uniform(0.0, 2.0) for _ in range(4)), t=rng.choice([0.0, -0.0, 1.5]))
     tau = rng.choice([rng.uniform(0.0, 1.0), rng.uniform(0.0, 30.0), 10.0 ** rng.uniform(0.0, 4.0)])
     stop_below = rng.choice([None, -1e-12, 0.0])
@@ -344,16 +366,24 @@ def test_integrate_matches_stagewise_oracle():
     rng = random.Random(8)
     forms = _oracle_forms()
     seen = {"overflow": 0, "stopped": 0, "full": 0}
-    for _ in range(400):
+    # runs (and overflowing runs) per incidence and per recruitment entry
+    runs = collections.Counter()
+    overflows = collections.Counter()
+    for _ in range(1200):
         x0, tau, n, form, p, f, pi, stop_below = _seeded_run(rng, forms)
         rows, stage_min, overflow_step = _oracle(x0, tau, n, form, p, f, pi, stop_below)
         expected = np.array(rows).tobytes()
+        keys = [f"f={f.key}", f"pi={pi.key}"]
+        if f.key == "holling" and dict(f.params)["k"] == 1.5 and min(row[3] for row in rows) < 0.0:
+            keys.append("holling k=1.5, I<0")
+        runs.update(keys)
         try:
             traj = integrate(x0, tau, n, form, p, f, pi, stop_below=stop_below)
         except IntegrationOverflowError as exc:
             assert exc.step_index == overflow_step
             traj = exc.partial
             seen["overflow"] += 1
+            overflows.update(keys)
         else:
             assert overflow_step is None
             seen["full" if len(traj) == n + 1 else "stopped"] += 1
@@ -361,6 +391,11 @@ def test_integrate_matches_stagewise_oracle():
         assert repr(traj.stage_min) == repr(stage_min)
         assert traj.method == (form.key or f"shu-osher-{form.m}")
     assert min(seen.values()) >= 40, seen
+    entries = [f"f={key}" for key in INCIDENCE_KEYS + ("custom", "callable")]
+    entries += [f"pi={key}" for key in RECRUITMENT_KEYS + ("custom", "callable")]
+    entries.append("holling k=1.5, I<0")
+    assert min(runs[key] for key in entries) >= 20, runs
+    assert min(overflows[key] for key in entries) >= 1, overflows
 
 
 @pytest.mark.parametrize("form, calls", [
@@ -389,7 +424,7 @@ def test_equal_forms_share_one_kernel():
     tableau = builtin_tableau("ssprk33")
     a, b = shu_osher_from_butcher(tableau, 1.0), shu_osher_from_butcher(tableau, 1.0)
     assert a == b and a is not b
-    assert _kernel(a) is _kernel(b)
+    assert _kernel(a, "x", "p") is _kernel(b, "x", "p")
     fresh = shu_osher_from_butcher(builtin_tableau("ssprk22"), 0.75)
     size = _kernel.cache_info().currsize
     shu_osher_from_butcher(builtin_tableau("ssprk22"), 0.75)  # no compile yet
@@ -401,6 +436,21 @@ def test_equal_forms_share_one_kernel():
     integrate(x0, 0.5, 3, shu_osher_from_butcher(builtin_tableau("ssprk22"), 0.75),
               FREE, linear_incidence(), ZERO_PI)
     assert _kernel.cache_info().currsize == size + 1
+
+
+def test_entries_differing_in_parameters_share_one_kernel():
+    form = shu_osher_from_butcher(builtin_tableau("ssprk33"), 0.5)
+    x0 = State(0.2, 0.6, 0.2, 0.0)
+    p, pi = ModelParams(0.05, 0.25, 0.1867, 0.011), recruitment_from_key("choiceA")
+    published = integrate(x0, 0.7, 20, form, p, media_incidence(0.0115, 0.001), pi)
+    info = _kernel.cache_info()
+    other = media_incidence(0.5, 0.001)
+    traj = integrate(x0, 0.7, 20, form, p, other, pi)
+    assert (_kernel.cache_info().misses, _kernel.cache_info().hits) == (info.misses, info.hits + 1)
+    # the shared kernel reads the parameters of the entry it is given
+    assert traj.data.tobytes() != published.data.tobytes()
+    called = RateFunction("callable", other.fn, sup=other.sup)
+    assert traj.data.tobytes() == integrate(x0, 0.7, 20, form, p, called, pi).data.tobytes()
 
 
 def test_unkeyed_form_names_its_trajectory_and_keeps_edge_cases():
