@@ -6,7 +6,7 @@ empirical threshold search checks step states only, matching what the
 step-size experiments observe; :func:`check_nonnegativity` can also check the
 internal stages.  Each probe of the search stops at its first step state
 below the threshold, where its verdict is settled, instead of integrating on
-to the horizon.
+to the horizon, and keeps only its first and last rows.
 """
 
 from __future__ import annotations
@@ -108,6 +108,8 @@ def check_limit(
     n = len(traj)
     if window is None:
         window = max(1, n // 10)
+    if window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     if window > n:
         raise ValueError(f"window {window} longer than trajectory {n}")
     target = p_target / mu
@@ -139,12 +141,13 @@ def _positivity_ok(setup: ProblemSetup, method: ShuOsherForm, tau: float, t_f: f
         traj = integrate(
             setup.x0, tau, n_steps, method,
             setup.params, setup.incidence, setup.recruitment,
-            stop_below=NEGATIVITY_THRESHOLD,
+            stop_below=NEGATIVITY_THRESHOLD, every=max(n_steps, 1),
         )
     except IntegrationOverflowError:
         return False
-    # the floor ends the run at its first failing state, so every row before
-    # the last passed and the last row holds the verdict
+    # the floor ends the run at its first failing state, so every step state
+    # before the end passed and the end row, the only one kept after row 0,
+    # holds the verdict
     return all(x >= NEGATIVITY_THRESHOLD for x in traj.row(-1)[1:])
 
 
@@ -163,6 +166,8 @@ def find_empirical_bound(
     midpoint of the final bracket.  The run count ceil(t_f/tau) covers the
     horizon with a constant step throughout.
     """
+    if not (math.isfinite(t_f) and t_f > 0.0):
+        raise ValueError(f"t_f must be finite and positive, got {t_f!r}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     lo, hi = bracket

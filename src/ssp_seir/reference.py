@@ -140,8 +140,10 @@ def grid_run(
     """Run ``method`` to ``t_f`` and keep the rows at ``output_times``.
 
     The step is ``tau_nominal`` shrunk minimally so every output time lands
-    exactly on the step grid (no interpolation).  The result holds the run's
-    rows at the output times, in their order, with that step as ``tau``.
+    exactly on the step grid (no interpolation), so the output times fall on
+    every ``per_base``-th step and the run keeps only those rows.  The result
+    holds the run's rows at the output times, in their order, with that step
+    as ``tau``.
     """
     base = _output_base(output_times)
     per_base = max(1, math.ceil(base / tau_nominal - 1e-12))
@@ -149,17 +151,17 @@ def grid_run(
     n_steps = round(t_f / tau)
     if n_steps * tau < t_f - 1e-9 * t_f:
         n_steps = math.ceil(t_f / tau)
-    full = integrate(
+    kept = integrate(
         setup.x0, tau, n_steps, method,
-        setup.params, setup.incidence, setup.recruitment,
+        setup.params, setup.incidence, setup.recruitment, every=per_base,
     )
     data = array("d")
     for t in output_times:
         k = round(t / tau)
-        if not 0 <= k <= n_steps or abs(k * tau - t) > 1e-9 * (1.0 + t):
+        if not 0 <= k <= n_steps or abs(k * tau - t) > 1e-9 * (1.0 + t) or k % per_base:
             raise ValueError(f"output time {t} not on the step grid")
-        data += full.row(k)
-    return Trajectory(data, tau, full.method, full.stage_min)
+        data += kept.row(k // per_base)
+    return Trajectory(data, tau, kept.method, kept.stage_min)
 
 
 def reference_trajectory(

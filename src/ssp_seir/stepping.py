@@ -9,7 +9,9 @@ entry's formula is the call ``fn(x)``).  A kernel is compiled on the first
 :func:`integrate` call for a form and pair of formulas and cached by their
 values, so equal forms and entries differing only in their parameters share
 one.  The coefficients and parameters are bound in the kernel's prologue,
-not written into its source.
+not written into its source.  The kernel does only the work its caller
+reads: it keeps the rows of a stride ``every`` and the run's end row, so a
+threshold probe keeps just its end row and a grid run its output rows.
 
 Stage recruitment is evaluated at the Butcher abscissa times carried by the
 form (t_n + c_j * tau); this preserves classical order for time-dependent
@@ -26,8 +28,11 @@ from __future__ import annotations
 
 import ast
 import functools
+import itertools
+import linecache
 import math
 import struct
+import sys
 from array import array
 from dataclasses import dataclass
 from operator import add
@@ -57,8 +62,9 @@ class IntegrationOverflowError(RuntimeError):
 class Trajectory:
     """Time-stamped step states with the stepping metadata.
 
-    ``data`` is one flat float64 ``array('d')`` of ``n+1`` rows of five
-    values ``t, S, E, I, R``, row after row.  :meth:`row` and
+    ``data`` is one flat float64 ``array('d')`` of rows of five values
+    ``t, S, E, I, R``, row after row: every step state of the run, or those
+    its ``every`` stride kept (:func:`integrate`).  :meth:`row` and
     :attr:`compartments` read it without repeating that layout; the checks
     work on the columns, and :attr:`states` builds :class:`State` objects on
     every read.  ``stage_min`` is the smallest compartment value seen over
@@ -110,6 +116,7 @@ def integrate(
     pi: RateFunction,
     *,
     stop_below: float | None = None,
+    every: int = 1,
 ) -> Trajectory:
     """Repeated Shu-Osher stepping with effective sub-step tau/r; the
     one-stage form is forward Euler, bit for bit.  Deterministic given
@@ -123,7 +130,19 @@ def integrate(
     initial state included) with a compartment not ``>= stop_below``: the
     trajectory is truncated there, so that state is its last row, and a run
     cut short has fewer than ``n_steps + 1`` rows.  Every row up to it is the
-    same as in the full run; ``stage_min`` covers the steps that ran.
+    same as in the full run.
+
+    The trajectory keeps row 0, the state of every ``every``-th step and the
+    state the run ended on (step ``n_steps`` or the step the floor stopped
+    at), each bit for bit as in the full run; ``every=1`` keeps every step.
+    An overflow's partial trajectory keeps the rows of that stride before
+    the failing step.  The steps taken, ``stage_min`` and the failing step
+    do not depend on ``every``.
+
+    ``stage_min`` covers the stages of every step that ran.  On an overflow
+    it also covers the failing step's stages when that step ended on a
+    non-finite state, and not when a formula raised ``OverflowError``
+    partway through it.
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"step size must be finite and non-negative, got {tau}")
@@ -131,14 +150,17 @@ def integrate(
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
     if stop_below is not None and math.isnan(stop_below):
         raise ValueError("stop floor must not be NaN")
+    if not (isinstance(every, int) and every >= 1):
+        raise ValueError(f"every must be a positive integer, got {every!r}")
     history = [x0.t, x0.s, x0.e, x0.i, x0.r]
     stage_min = min(x0.s, x0.e, x0.i, x0.r)
     # each compartment on its own: min() skips a NaN that is not first
     if stop_below is not None and not all(x >= stop_below for x in history[1:]):
         n_steps = 0  # stage_min is still the initial state's minimum
+    floor = -math.inf if stop_below is None else stop_below
     failed_at, stage_min = _kernel(method, f.formula, pi.formula)(
         x0.s, x0.e, x0.i, x0.r, x0.t, tau, n_steps,
-        p, f.bindings, pi.bindings, stop_below, history, stage_min,
+        p, f.bindings, pi.bindings, floor, every, history, stage_min,
     )
     # struct converts the floats to doubles in about half the time array("d", list) takes
     data = array("d", struct.pack(f"{len(history)}d", *history))
@@ -155,15 +177,60 @@ def _parameters(formula: str) -> list[str]:
     return sorted(names - FORMULA_NAMESPACE.keys() - {"x"})
 
 
+def _invariant(node: ast.expr, variables: tuple[str, ...]) -> bool:
+    """``node`` reads none of ``variables``, calls nothing and cannot raise:
+    float parameters and constants under unary ``-``/``+``, ``+``, ``-``,
+    ``*`` and division by a nonzero constant."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    if isinstance(node, ast.Name):
+        return node.id not in variables and not callable(FORMULA_NAMESPACE.get(node.id))
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, (ast.UAdd, ast.USub)) and _invariant(node.operand, variables)
+    if not isinstance(node, ast.BinOp) or not _invariant(node.left, variables):
+        return False
+    if isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
+        return _invariant(node.right, variables)
+    # a division raises only by zero, so its divisor must be known now: a
+    # float constant or one of the namespace (pi)
+    right = node.right
+    if isinstance(right, ast.Constant):
+        divisor = right.value
+    else:
+        divisor = FORMULA_NAMESPACE.get(getattr(right, "id", None))
+    return isinstance(node.op, ast.Div) and isinstance(divisor, float) and divisor != 0.0
+
+
 @functools.cache
-def _paste(formula: str, x: str, prefix: str) -> str:
-    """``formula`` reading its argument from the local ``x`` and each
-    parameter ``name`` from the local ``prefix + name``."""
+def _paste(formula: str, x: str, prefix: str) -> tuple[str, tuple[str, ...]]:
+    """``(expression, prologue)``: ``formula`` reading its argument from the
+    local ``x`` and each parameter ``name`` from the local ``prefix + name``,
+    with each loop-invariant operation (:func:`_invariant`) read from a local
+    ``prefix + n`` that a ``prologue`` line computes once."""
     tree = ast.parse(formula, mode="eval")
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and node.id not in FORMULA_NAMESPACE:
             node.id = x if node.id == "x" else prefix + node.id
-    return ast.unparse(tree)
+    prologue: list[str] = []
+
+    class Hoist(ast.NodeTransformer):
+        def visit(self, node: ast.AST) -> ast.AST:
+            if isinstance(node, (ast.UnaryOp, ast.BinOp)) and _invariant(node, (x, prefix + "fn")):
+                name = f"{prefix}{len(prologue)}"
+                prologue.append(f"{name} = {ast.unparse(node)}")
+                return ast.Name(name, ast.Load())
+            return self.generic_visit(node)
+
+    return ast.unparse(Hoist().visit(tree)), tuple(prologue)
+
+
+def _times(coefficient: float, name: str, x: str) -> str:
+    """``name * x``, or ``x`` for a coefficient of exactly 1.0: bitwise the
+    same product."""
+    return x if coefficient == 1.0 else f"{name} * {x}"
+
+
+_serial = itertools.count()  # numbers the kernels' file names
 
 
 @functools.cache
@@ -173,13 +240,21 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str) -> Callable:
 
     The coefficients are read from ``form`` in the function's prologue, and
     each formula parameter from the entry's bindings, not written into its
-    source.  It extends the flat list ``history`` by the
-    row ``t, s, e, i, r`` of each step state, its time ``t0 + k*tau``
-    computed afresh (no accumulation drift), and returns ``(k, stage_min)``:
-    ``k`` is None when the loop ran out (or the stop floor ended it), else
-    the index of the step that overflowed or turned non-finite, and
-    ``stage_min`` then covers the steps before it.  The cache keeps one
-    kernel per distinct form value and pair of formulas integrated.
+    source; a coefficient of exactly 1.0 is left out of its product, which
+    is bitwise the same.  The parts of a formula that cannot change within
+    a run (:func:`_paste`) are computed in the prologue too.
+
+    It extends the flat list ``history`` by the row ``t, s, e, i, r`` of
+    every ``every``-th step state and of the state the run ended on, its
+    time ``t0 + k*tau`` computed afresh (no accumulation drift), and returns
+    ``(k, stage_min)``.  ``k`` is None when the loop ran out or the floor
+    ended it at a step state with a compartment below ``floor``, else the
+    index of the step that failed.  ``stage_min`` covers the stages of the
+    steps before a failing one; when the failing step ended on a non-finite
+    state it covers that step's stages too, while an ``OverflowError``
+    raised within a step leaves them out.  The cache keeps one kernel per
+    distinct form value and pair of formulas integrated; its source is
+    registered with :mod:`linecache`, so tracebacks show its lines.
     """
     m = form.m
     # nonzero alpha terms of each row in ascending j; skipping exact zeros
@@ -195,66 +270,86 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str) -> Callable:
         "mu, sigma, gamma, delta = p.mu, p.sigma, p.gamma, p.delta",
         "mu_sigma, mu_gamma, mu_delta = mu + sigma, mu + gamma, mu + delta",
         "extend = history.extend",
+        "keep = every - 1",  # the next step whose state is kept
     ]
     head += [f"f_{name} = incidence[{name!r}]" for name in _parameters(incidence)]
     head += [f"pi_{name} = recruitment[{name!r}]" for name in _parameters(recruitment)]
+    head += _paste(incidence, "x", "f_")[1] + _paste(recruitment, "x", "pi_")[1]
     head += [f"ct{k} = form.c_stage[{k}] * tau" for k in first.values()]
     # t is the start time t0 + k*tau of step k.  Computed at the end of step
     # k-1, it also stamps that step's row; step 0 starts at t0 + 0*tau like
     # the others (t0 = -0.0 becomes 0.0 there, while row 0 keeps x0.t)
     head.append("t = t0 + 0 * tau")
-    step = ["low = stage_min"]
+    step = ["before = stage_min"]  # the minimum over the steps before this one
     for k in range(m):
         xs, xe, xi, xr = (f"{c}{k}" if k else c for c in "seir")
         if k in read:
             # parentheses group as the call did: they leave the tree as it was
-            step.append(f"inc = ({_paste(incidence, xi, 'f_')}) * {xs}")
+            step.append(f"inc = ({_paste(incidence, xi, 'f_')[0]}) * {xs}")
             if pi_of[k] == k:
-                step += [f"t_pi = t + ct{k}", f"pi{k} = {_paste(recruitment, 't_pi', 'pi_')}"]
+                step += [
+                    f"t_pi = t + ct{k}",
+                    f"pi{k} = {_paste(recruitment, 't_pi', 'pi_')[0]}",
+                ]
             step += [
                 f"fs{k} = {xs} + h * (pi{pi_of[k]} - mu * {xs} - inc)",
                 f"fe{k} = {xe} + h * (inc - mu_sigma * {xe})",
                 f"fi{k} = {xi} + h * (sigma * {xe} - mu_gamma * {xi} + delta * {xr})",
                 f"fr{k} = {xr} + h * (gamma * {xi} - mu_delta * {xr})",
             ]
-        # stage i: v_i*x (or 0.0) first, then the alpha terms in ascending j.
-        # The last stage is the new step state; each of its components reads
-        # only its own old value, so it is written over s, e, i, r.
+        # stage i: v_i*x (or 0.0, which also turns a -0.0 term into 0.0)
+        # first, then the alpha terms in ascending j.  The last stage is the
+        # new step state; each of its components reads only its own old
+        # value, so it is written over s, e, i, r.
         i = k + 1
-        has_v = form.v[i] != 0.0
-        if has_v:
+        if form.v[i] not in (0.0, 1.0):
             head.append(f"v{i} = form.v[{i}]")
-        head += [f"a{i}_{j} = form.alpha[{i}][{j}]" for j in terms[i]]
+        head += [f"a{i}_{j} = form.alpha[{i}][{j}]" for j in terms[i] if form.alpha[i][j] != 1.0]
         names = [c if i == m else f"{c}{i}" for c in "seir"]
         for c, name in zip("seir", names):
-            sum_ = [f"v{i} * {c}" if has_v else "0.0"] + [f"a{i}_{j} * f{c}{j}" for j in terms[i]]
+            sum_ = ["0.0" if form.v[i] == 0.0 else _times(form.v[i], f"v{i}", c)]
+            sum_ += [_times(form.alpha[i][j], f"a{i}_{j}", f"f{c}{j}") for j in terms[i]]
             step.append(f"{name} = {' + '.join(sum_)}")
-        # low = min(low, min(stage)), spelled out with min()'s NaN and tie rules
+        # stage_min = min(stage_min, min(stage)), spelled out with min()'s
+        # NaN and tie rules
         step.append(f"stage_low = {names[0]}")
         step += [f"if {x} < stage_low: stage_low = {x}" for x in names[1:]]
-        step.append("if stage_low < low: low = stage_low")
+        step.append("if stage_low < stage_min: stage_min = stage_low")
     step += [
-        "stage_min = low",
         # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
         "if (s - s) + (e - e) + (i - i) + (r - r) != 0.0:",
         "    return k, stage_min",
         "t = t0 + (k + 1) * tau",
-        "extend((t, s, e, i, r))",
-        "if stop_below is not None and not min(s, e, i, r) >= stop_below:",
-        "    break",
+        # the state is finite here, so stage_low is its smallest compartment
+        # and < is the negation of >=
+        "if stage_low < floor:",
+        "    extend((t, s, e, i, r))",
+        "    return None, stage_min",
+        "if k == keep:",
+        "    extend((t, s, e, i, r))",
+        "    keep += every",
     ]
     # divergent runs can push exp()-based formulas past the double range
     # before the state itself turns non-finite: that is an overflow too
     source = "\n".join(
         ["def kernel(s, e, i, r, t0, tau, n_steps, p, incidence, recruitment,"
-         " stop_below, history, stage_min):"]
+         " floor, every, history, stage_min):"]
         + [f"    {line}" for line in head]
         + ["    try:", "        for k in range(n_steps):"]
         + [f"            {line}" for line in step]
-        + ["    except OverflowError:", "        return k, stage_min", "    return None, stage_min"]
+        + ["    except OverflowError:", "        return k, before"]
+        # the end state, unless the stride kept it
+        + ["    if n_steps % every:", "        extend((t, s, e, i, r))"]
+        + ["    return None, stage_min", ""]
     )
+    filename = f"<{form.key or 'shu-osher'} step kernel {next(_serial)}>"
+    # mtime None: linecache.checkcache keeps the entry, having no file to
+    # check.  Most lines recur in every kernel of a form: interned, each is
+    # stored once.
+    lines = list(map(sys.intern, source.splitlines(True)))
+    linecache.cache[filename] = (len(source), None, lines, filename)
     namespace = {"form": form, **FORMULA_NAMESPACE}
-    exec(compile(source, f"<{form.key or 'shu-osher'} step kernel>", "exec"), namespace)
+    exec(compile(source, filename, "exec"), namespace)
     return namespace["kernel"]
 
 

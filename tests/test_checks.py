@@ -163,6 +163,13 @@ def test_check_limit_constant_recruitment_fixed_point():
         check_limit(traj, p, 0.0)
 
 
+@pytest.mark.parametrize("window", [0, -3])
+def test_check_limit_rejects_an_empty_window(window):
+    traj = _oscillating_trajectory(20)
+    with pytest.raises(ValueError, match=f"window must be at least 1, got {window}"):
+        check_limit(traj, 1.0, 1.0, window)
+
+
 def test_check_limit_experiment_choices():
     # recruitment tends to kappa = mu, so N approaches 1
     for pi_key in ("choiceA", "choiceB", "choiceC"):
@@ -380,6 +387,17 @@ def test_empirical_bound_validates_inputs():
         find_empirical_bound(setup, builtin_method("euler"), 10.0, (2.0, 1.0))
     with pytest.raises(ValueError):
         find_empirical_bound(setup, builtin_method("euler"), 10.0, (1.0, 2.0), tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "t_f", [math.inf, math.nan, 0.0, -1.0], ids=["inf", "nan", "zero", "negative"]
+)
+def test_empirical_bound_rejects_a_horizon_that_is_not_finite_and_positive(t_f):
+    # before: OverflowError or a conversion error from ceil(t_f/tau), a
+    # 60-fold bracket doubling for 0.0, and a message about n_steps for -1
+    setup = _experiment_setup("choiceA")
+    with pytest.raises(ValueError, match=f"t_f must be finite and positive, got {t_f!r}"):
+        find_empirical_bound(setup, builtin_method("euler"), t_f, (1.0, 2.0))
 
 
 def test_verdict_text_pass():

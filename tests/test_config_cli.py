@@ -336,3 +336,18 @@ def test_cli_simulate_rejects_negative_media_exp_rate(tmp_path, capsys):
     assert code == 2
     assert "error: media parameters must be non-negative" in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command, kernels", [
+    (["bounds-table"], 12), (["convergence", "--tf", "100"], 4),
+], ids=["bounds-table", "convergence"])
+def test_cli_compiles_one_kernel_per_method_and_formula_pair(tmp_path, capsys, command, kernels):
+    # the row stride is an argument of the kernel, not part of its cache key:
+    # 4 methods x 3 recruitments, and 4 methods with the reference run
+    # sharing ssprk104's kernel
+    from ssp_seir.stepping import _kernel
+
+    _kernel.cache_clear()
+    assert main(["--out", str(tmp_path)] + command) == 0
+    info = _kernel.cache_info()
+    assert (info.misses, info.currsize) == (kernels, kernels)

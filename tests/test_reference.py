@@ -17,9 +17,11 @@ from ssp_seir.reference import (
     QuadratureError,
     adaptive_simpson,
     exact_population,
+    grid_run,
     reference_trajectory,
 )
-from ssp_seir.stepping import Trajectory
+from ssp_seir.shu_osher import builtin_method
+from ssp_seir.stepping import Trajectory, integrate
 
 EXPERIMENT_PARAMS = ModelParams(0.05, 0.25, 0.1867, 0.011)
 
@@ -132,3 +134,17 @@ def test_reference_as_trajectory_schema():
     assert isinstance(ref, Trajectory)
     assert [x.t for x in ref.states] == list(ref.times)
     assert ref.method == "ssprk104"
+
+
+@pytest.mark.parametrize("key", ["euler", "ssprk33"])
+def test_grid_run_keeps_the_full_runs_output_rows(key):
+    # 0.3 becomes 2/7: 7 steps per output spacing, and the horizon 7.5 is
+    # not an output time, so the run also keeps an end row it does not read
+    setup, method = _experiment_setup("choiceA"), builtin_method(key)
+    outputs = [6.0, 0.0, 2.0, 4.0]
+    run = grid_run(setup, method, 0.3, 7.5, outputs)
+    assert run.tau == 2.0 / 7
+    full = integrate(setup.x0, run.tau, 27, method, setup.params,
+                     setup.incidence, setup.recruitment)
+    assert run.data.tobytes() == b"".join(full.row(round(t / run.tau)).tobytes() for t in outputs)
+    assert repr(run.stage_min) == repr(full.stage_min) and run.method == key

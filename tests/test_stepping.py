@@ -5,6 +5,7 @@ import collections
 import io
 import math
 import random
+import traceback
 
 import numpy as np
 import pytest
@@ -396,6 +397,81 @@ def test_integrate_matches_stagewise_oracle():
     entries.append("holling k=1.5, I<0")
     assert min(runs[key] for key in entries) >= 20, runs
     assert min(overflows[key] for key in entries) >= 1, overflows
+
+
+def _run_to_end(args, stop_below, every):
+    """``(rows, stage_min, overflow step or None, method)`` of a run."""
+    try:
+        traj, overflow_step = integrate(*args, stop_below=stop_below, every=every), None
+    except IntegrationOverflowError as exc:
+        traj, overflow_step = exc.partial, exc.step_index
+    rows = [traj.row(k).tobytes() for k in range(len(traj))]
+    return rows, repr(traj.stage_min), overflow_step, traj.method
+
+
+def test_row_stride_keeps_the_full_runs_rows():
+    rng = random.Random(12)
+    forms = _oracle_forms()
+    seen = collections.Counter()
+    for _ in range(600):
+        x0, tau, n, form, p, f, pi, stop_below = _seeded_run(rng, forms)
+        args = (x0, tau, n, form, p, f, pi)
+        rows, stage_min, overflow_step, method = _run_to_end(args, stop_below, 1)
+        end = len(rows) - 1  # the step the run ended on, or the last before an overflow
+        for every in {1, 2, rng.randint(1, 12), max(n, 1), n + rng.randint(1, 5)}:
+            kept = range(0, end + 1, every)
+            if overflow_step is None and end % every:
+                kept = [*kept, end]
+            assert _run_to_end(args, stop_below, every) == (
+                [rows[k] for k in kept], stage_min, overflow_step, method
+            )
+        seen["overflow" if overflow_step is not None else "stopped" if end < n else "full"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+@pytest.mark.parametrize("every", [0, -1, 1.0, 2.5, None])
+def test_row_stride_must_be_a_positive_integer(every):
+    with pytest.raises(ValueError, match="every must be a positive integer"):
+        integrate(State(1.0, 0.0, 0.0, 0.0), 0.5, 4, builtin_method("euler"),
+                  FREE, linear_incidence(), ZERO_PI, every=every)
+
+
+def test_stage_min_of_an_overflowing_run():
+    # a step that ends on a non-finite state counts its stages: linear
+    # incidence, choiceC and Euler at tau = 50 from the published table state
+    with pytest.raises(IntegrationOverflowError) as exc_info:
+        integrate(
+            State(0.7, 0.1, 0.2, 0.0), 50.0, 100, builtin_method("euler"),
+            ModelParams(0.05, 0.25, 0.1867, 0.011), linear_incidence(),
+            recruitment_from_key("choiceC"),
+        )
+    partial = exc_info.value.partial
+    assert exc_info.value.step_index == 10 and len(partial) == 11
+    assert min(min(column) for column in partial.compartments) == pytest.approx(-2.8034418e244)
+    assert partial.stage_min == -math.inf
+    # an OverflowError within a step leaves that step's stages out: ssprk22's
+    # first stage (an Euler step) takes I to -999, and exp(999) in the media
+    # incidence of its second stage overflows
+    args = (State(0.5, 0.0, 1.0, 0.0), 1000.0)
+    rest = (ModelParams(0.0, 0.0, 1.0, 0.0), media_incidence(0.5, 1.0), ZERO_PI)
+    first_stage = integrate(*args, 1, builtin_method("euler"), *rest).row(1)
+    assert first_stage[3] == -999.0
+    with pytest.raises(IntegrationOverflowError) as exc_info:
+        integrate(*args, 5, builtin_method("ssprk22"), *rest)
+    assert exc_info.value.step_index == 0 and len(exc_info.value.partial) == 1
+    assert exc_info.value.partial.stage_min == 0.0
+
+
+def test_kernel_tracebacks_show_its_source():
+    def failing(x):
+        raise ZeroDivisionError("failing entry")
+
+    with pytest.raises(ZeroDivisionError) as exc_info:
+        integrate(State(1.0, 1.0, 1.0, 1.0), 0.5, 3, builtin_method("ssprk33"),
+                  ModelParams(0.1, 0.1, 0.1, 0.1), RateFunction("failing", failing, sup=abs),
+                  ZERO_PI)
+    text = "".join(traceback.format_exception(exc_info.value))
+    assert "step kernel" in text and "inc = (f_fn(i)) * s" in text
 
 
 @pytest.mark.parametrize("form, calls", [
