@@ -21,7 +21,7 @@ from .model import (
     recruitment_from_key,
 )
 
-__all__ = ["ConfigError", "ExperimentConfig", "DEFAULT_CONFIG_TEXT", "parse_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "DEFAULT_CONFIG_TEXT", "parse_config", "load_config"]
 
 
 class ConfigError(ValueError):

@@ -25,14 +25,14 @@ from .checks import (
 )
 from .config import ExperimentConfig
 from .model import (
+    RECRUITMENT_KEYS,
     ModelParams,
     ProblemSetup,
     RateFunction,
     State,
     counterexample_cosine_recruitment,
-    holling_incidence,
+    incidence_from_key,
     linear_incidence,
-    media_incidence,
     recruitment_from_key,
 )
 from .reference import grid_run, reference_trajectory
@@ -341,11 +341,9 @@ class SweepReport:
 
 
 def _sweep_catalog(rng: random.Random) -> tuple[RateFunction, RateFunction]:
-    incidence = rng.choice(
-        [linear_incidence(), holling_incidence(1.0, 1.0, 2.0), media_incidence(0.0115, 0.001)]
-    )
-    pi_key = rng.choice(["choiceA", "choiceB", "choiceC", "const", "cex-cos"])
-    return incidence, recruitment_from_key(pi_key, kappa=0.05)
+    # media-exp is left out: its f(0) != 0, so the guarantees do not cover it
+    incidence = incidence_from_key(rng.choice(("linear", "holling", "media")))
+    return incidence, recruitment_from_key(rng.choice(RECRUITMENT_KEYS))
 
 
 _SWEEP_STEPS = 100
@@ -354,12 +352,15 @@ _SWEEP_STEPS = 100
 def property_sweep(n_configs: int = 200, seed: int = 20240501) -> SweepReport:
     """Randomized check of the positivity and population-cap guarantees.
 
-    Draws random rates in [0,1], random non-negative initial data, catalog
-    incidence/recruitment pairs and a step size below the method bound; every
-    run of _SWEEP_STEPS steps with each method of BUILTIN_METHOD_KEYS must
-    keep all compartments non-negative and the total population below
-    N0 + K/mu.
+    Draws random rates in [0,1] (``mu`` in [1e-6, 1]), random non-negative
+    initial data, catalog incidence/recruitment pairs with their default
+    parameters and a step size below the method bound; every run of
+    _SWEEP_STEPS steps with each method of BUILTIN_METHOD_KEYS must keep all
+    compartments non-negative and the total population below N0 + K/mu.
+    ``n_configs`` must be at least 1.
     """
+    if n_configs < 1:
+        raise ValueError(f"n_configs must be at least 1, got {n_configs}")
     rng = random.Random(seed)
     methods = [builtin_method(key) for key in BUILTIN_METHOD_KEYS]
     failures: list[str] = []
@@ -377,12 +378,9 @@ def property_sweep(n_configs: int = 200, seed: int = 20240501) -> SweepReport:
         setup = ProblemSetup(params, incidence, pi, x0)
         fraction = rng.uniform(1e-3, 1.0)
         for method in methods:
-            # grow the bound horizon until it covers the run it implies
-            horizon = 1000.0
-            report = bound_report(setup, method, horizon)
-            while _SWEEP_STEPS * report.tau_method > horizon:
-                horizon = 2.0 * _SWEEP_STEPS * report.tau_method
-                report = bound_report(setup, method, horizon)
+            # with mu > 0 neither the recruitment sups nor the cap read the
+            # horizon, so one value serves every run length
+            report = bound_report(setup, method, 1000.0)
             tau = fraction * report.tau_method
             label = (
                 f"config {idx} ({incidence.key}/{pi.key}), method {method.key}, "

@@ -259,20 +259,22 @@ def _grid(hi: float, n: int) -> list[float]:
     return [k * step for k in range(n - 1)] + [hi]
 
 
-def custom_incidence(
-    fn: Callable[[float], float],
-    alpha: float,
-    hi: float = 1e3,
-    n_check: int = 10_001,
-) -> RateFunction:
-    """Wrap a user function after validating f(0)=0, f>=0 and f <= alpha*x on a
-    grid; its sup over [0, hi] is the declared linear bound alpha*hi."""
+# a custom entry is validated on _CHECK_POINTS evenly spaced points of
+# [0, _CHECK_SPAN] (its argument x, or the time t)
+_CHECK_SPAN = 1e3
+_CHECK_POINTS = 10_001
+
+
+def custom_incidence(fn: Callable[[float], float], alpha: float) -> RateFunction:
+    """Wrap a user function after validating f(0)=0, f>=0 and f <= alpha*x on
+    the check grid; its sup over [0, hi] is the declared linear bound
+    alpha*hi."""
     alpha = _require_finite("alpha", alpha)
     if alpha < 0.0:
         raise ValueError("alpha must be non-negative")
     if abs(fn(0.0)) > 1e-12:
         raise ValueError(f"custom incidence must satisfy f(0)=0, got f(0)={fn(0.0)!r}")
-    for x in _grid(hi, n_check):
+    for x in _grid(_CHECK_SPAN, _CHECK_POINTS):
         y = fn(x)
         if y < -1e-12:
             raise ValueError(f"custom incidence negative at x={x}: f(x)={y}")
@@ -367,13 +369,9 @@ def counterexample_cosine_recruitment() -> RateFunction:
     return _entry("cex-cos", "-cos(2.0 * pi * x) + 1.0", lambda horizon: 2.0, {})
 
 
-def custom_recruitment(
-    fn: Callable[[float], float],
-    bound: float,
-    horizon: float = 1e3,
-    n_check: int = 10_001,
-) -> RateFunction:
-    """Wrap a user recruitment after validating 0 <= pi(t) <= bound on a grid.
+def custom_recruitment(fn: Callable[[float], float], bound: float) -> RateFunction:
+    """Wrap a user recruitment after validating 0 <= pi(t) <= bound on the
+    check grid.
 
     ``fn`` must be pure (no state, no side effects): a step evaluates it once
     per distinct stage time, so stages at equal times share one value.
@@ -381,7 +379,7 @@ def custom_recruitment(
     bound = _require_finite("bound", bound)
     if bound < 0.0:
         raise ValueError("bound must be non-negative")
-    for t in _grid(horizon, n_check):
+    for t in _grid(_CHECK_SPAN, _CHECK_POINTS):
         y = fn(t)
         if y < -1e-12 or y > bound + 1e-12:
             raise ValueError(

@@ -144,6 +144,14 @@ def test_cli_check_small_sweep(capsys):
     assert "all guarantees held" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("configs", ["0", "-5"])
+def test_cli_check_rejects_fewer_than_one_config(capsys, configs):
+    assert main(["check", "--configs", configs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"n_configs must be at least 1, got {configs}" in captured.err
+
+
 def test_cli_unknown_method_is_reported(tmp_path, capsys):
     code = main([
         "--out", str(tmp_path), "simulate", "--method", "rk99", "--tau", "1.0",

@@ -1,6 +1,7 @@
 """Every name a module imports is used in it, every name it exports is
-defined (no linter is installed), every catalog formula reads only names it
-is given, and the package runs on the standard library alone."""
+defined (no linter is installed), importing the package loads none of its
+modules, every catalog formula reads only names it is given, and the package
+runs on the standard library alone."""
 
 import ast
 import importlib
@@ -20,11 +21,7 @@ from ssp_seir.model import (
     recruitment_from_key,
 )
 
-MODULES = sorted(
-    path
-    for path in Path(ssp_seir.__file__).parent.glob("*.py")
-    if path.name != "__init__.py"
-)
+MODULES = sorted(Path(ssp_seir.__file__).parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -47,11 +44,29 @@ def test_every_import_is_used(path):
 
 
 @pytest.mark.parametrize(
-    "name", ["ssp_seir"] + [f"ssp_seir.{path.stem}" for path in MODULES]
+    "name", [f"ssp_seir.{path.stem}" for path in MODULES if path.name != "__init__.py"]
 )
 def test_every_export_resolves(name):
     module = importlib.import_module(name)
     assert [export for export in module.__all__ if not hasattr(module, export)] == []
+
+
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this checkout."""
+    src = str(Path(ssp_seir.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    # a caller pays only for the modules it names
+    code = "import sys, ssp_seir; print(sorted(m for m in sys.modules if m.startswith('ssp_seir.')))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=_child_env(),
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"
 
 
 CATALOG = [incidence_from_key(key) for key in INCIDENCE_KEYS]
@@ -80,9 +95,7 @@ def _imported_modules(source: str) -> list[str]:
     return names
 
 
-@pytest.mark.parametrize(
-    "path", sorted(Path(ssp_seir.__file__).parent.glob("*.py")), ids=lambda path: path.name
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_imports_only_the_standard_library(path):
     foreign = [
         name for name in _imported_modules(path.read_text())
@@ -119,12 +132,9 @@ def test_every_command_runs_without_numpy(tmp_path):
     config.write_text(
         DEFAULT_CONFIG_TEXT.replace("tf=1000.0", "tf=50.0").replace("bisect_tol=1e-4", "bisect_tol=1e-2")
     )
-    src = str(Path(ssp_seir.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", _WITHOUT_NUMPY, str(config), str(tmp_path)],
-        capture_output=True, text=True, timeout=120, env=env,
+        capture_output=True, text=True, timeout=120, env=_child_env(),
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
     for name in ("bounds_table.csv", "trajectory.csv", "convergence_slopes.csv",

@@ -181,7 +181,7 @@ def test_custom_incidence_validates():
     with pytest.raises(ValueError, match="f\\(0\\)=0"):
         custom_incidence(lambda x: x + 1.0, alpha=2.0)
     with pytest.raises(ValueError, match="linear bound"):
-        custom_incidence(lambda x: x * x, alpha=1.0, hi=10.0)
+        custom_incidence(lambda x: x * x, alpha=1.0)
 
 
 # ---------------------------------------------------------------------------
