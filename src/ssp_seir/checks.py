@@ -12,8 +12,7 @@ to the horizon, and keeps only its first and last rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import ProblemSetup
 from .shu_osher import ShuOsherForm
@@ -39,9 +38,8 @@ class InsufficientDataError(ValueError):
     """The trajectory is too short for the requested estimate."""
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Pass/fail with a witness (step index, compartment, value) on failure."""
+class Verdict(NamedTuple):
+    """Pass/fail with a witness (step index, None for a stage; compartment; value) on failure."""
 
     passed: bool
     witness_index: Optional[int] = None
@@ -54,10 +52,10 @@ class Verdict:
     def as_text(self, name: str) -> str:
         if self.passed:
             return f"{name}: PASS"
-        where = f"step {self.witness_index}"
+        where = "" if self.witness_index is None else f"step {self.witness_index}, "
         if self.witness_compartment is not None:
-            where += f", {self.witness_compartment}"
-        return f"{name}: FAIL ({where}, value {self.witness_value!r})"
+            where += f"{self.witness_compartment}, "
+        return f"{name}: FAIL ({where}value {self.witness_value!r})"
 
 
 def _nan_free(values) -> bool:

@@ -124,9 +124,7 @@ def _cmd_simulate(args, config) -> int:
 
 def _cmd_convergence(args, config) -> int:
     if args.tf is not None:
-        from dataclasses import replace
-
-        config = replace(config, tf=args.tf)
+        config = config._replace(tf=args.tf)
     results = convergence_study(config, recruitment_key=args.pi)
     args.out.mkdir(parents=True, exist_ok=True)
     errors_path = args.out / "convergence.csv"
@@ -199,7 +197,9 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         if args.command == "check":
             return _cmd_check(args)
     except (KeyError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     parser.error(f"unknown command {args.command!r}")
     return 2

@@ -9,8 +9,8 @@ the published experiment values, so the CLI runs with no arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import (
     ModelParams,
@@ -63,8 +63,7 @@ _STR_KEYS = ("incidence",)
 _ALL_KEYS = _FLOAT_KEYS + _LIST_KEYS + _STR_KEYS
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     mu: float
     sigma: float
     gamma: float

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from operator import sub
-from typing import IO, Optional, Sequence
+from typing import IO, NamedTuple, Optional, Sequence
 
 from .checks import (
     check_nonnegativity,
@@ -60,8 +59,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(NamedTuple):
     recruitment: str
     method: str
     tau_t: float
@@ -108,8 +106,7 @@ def write_bounds_table_csv(rows: Sequence[BoundsRow], out: IO[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     """Verdicts on one run; a run that overflowed is judged on its steps before
     the overflow, and ``overflow_step`` is the 0-based index of that step."""
 
@@ -170,8 +167,7 @@ def run_simulation(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvergenceResult:
+class ConvergenceResult(NamedTuple):
     method: str
     taus: tuple[float, ...]
     errors: tuple[float, ...]
@@ -269,8 +265,7 @@ def write_slopes_csv(results: Sequence[ConvergenceResult], out: IO[str]) -> None
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     even_limit: float
     odd_limit: float
     gap_tail_min: float
@@ -329,8 +324,7 @@ def counterexample_report() -> CounterexampleReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     n_configs: int
     n_runs: int
     failures: list[str]

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 __all__ = [
     "ModelParams",
@@ -62,25 +61,42 @@ def _round_out(value: float) -> float:
     return value * (1.0 + 2.0**-48)
 
 
-@dataclass(frozen=True)
+def _immutable(self, name: str, *value: object) -> None:
+    """``__setattr__`` and ``__delattr__`` of a type whose instances never change."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class ModelParams:
-    """Rate constants of the model, all non-negative and finite (1/time)."""
+    """Rate constants of the model, all non-negative and finite (1/time).
+    Immutable; equal rates compare and hash equal."""
 
-    mu: float
-    sigma: float
-    gamma: float
-    delta: float
+    __slots__ = ("mu", "sigma", "gamma", "delta")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
-        for name in ("mu", "sigma", "gamma", "delta"):
-            value = _require_finite(name, getattr(self, name))
+    def __init__(self, mu: float, sigma: float, gamma: float, delta: float) -> None:
+        for name, value in zip(self.__slots__, (mu, sigma, gamma, delta)):
+            value = _require_finite(name, value)
             if value < 0.0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
             object.__setattr__(self, name, value)
 
+    def _values(self) -> tuple[float, float, float, float]:
+        return (self.mu, self.sigma, self.gamma, self.delta)
 
-@dataclass(frozen=True)
-class State:
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:  # a copy or unpickled instance is validated anew
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        return "ModelParams(mu={!r}, sigma={!r}, gamma={!r}, delta={!r})".format(*self._values())
+
+
+class State(NamedTuple):
     """Compartment values (S, E, I, R) at time ``t``."""
 
     s: float
@@ -111,7 +127,6 @@ FORMULA_NAMESPACE = {
 }
 
 
-@dataclass(frozen=True, eq=False)
 class RateFunction:
     """A catalog entry: a force of infection ``x -> f(x)`` or a recruitment
     rate ``t -> pi(t)``, given as a formula or as a callable.
@@ -127,17 +142,24 @@ class RateFunction:
     entry must state one.  ``alpha`` is an incidence's linear-bound constant
     of |f(x)| <= alpha*|x|; it is None for every recruitment and for
     incidences kept only for comparison, which are outside the certified
-    guarantees.  Instances compare and hash by identity.  ``fn`` must be
-    pure: the steppers evaluate a recruitment once per distinct stage time
-    within a step and reuse the value.
+    guarantees.  Instances are immutable and compare and hash by identity.
+    ``fn`` must be pure: the steppers evaluate a recruitment once per
+    distinct stage time within a step and reuse the value.
     """
 
-    key: str
-    fn: Callable[[float], float]
-    sup: Callable[[float], float]
-    alpha: Optional[float] = None
-    formula: str = "fn(x)"
-    params: tuple[tuple[str, float], ...] = ()
+    __slots__ = ("key", "fn", "sup", "alpha", "formula", "params")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(
+        self, key: str, fn: Callable[[float], float], sup: Callable[[float], float],
+        alpha: Optional[float] = None, formula: str = "fn(x)",
+        params: tuple[tuple[str, float], ...] = (),
+    ) -> None:
+        for name, value in zip(self.__slots__, (key, fn, sup, alpha, formula, params)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self) -> tuple:  # a copy is a new entry, unequal to this one
+        return type(self), (self.key, self.fn, self.sup, self.alpha, self.formula, self.params)
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -172,8 +194,7 @@ def _entry(
     return RateFunction(key, fn, sup, alpha, formula, tuple(params.items()))
 
 
-@dataclass(frozen=True)
-class ProblemSetup:
+class ProblemSetup(NamedTuple):
     """A fully specified integration problem."""
 
     params: ModelParams

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .model import _immutable
 
 __all__ = [
     "ButcherTableau",
@@ -47,25 +48,23 @@ class InfeasibleFormError(ValueError):
         )
 
 
-@dataclass(frozen=True)
 class ButcherTableau:
     """Explicit Runge-Kutta coefficients (A strictly lower triangular).
 
     Entries are stored as exact ``Fraction`` values, converted without
     rounding from whatever numbers are given (float, int or Fraction).
+    Immutable; equal tableaus compare and hash equal.
     """
 
-    a: tuple[tuple[Fraction, ...], ...]
-    b: tuple[Fraction, ...]
+    __slots__ = ("a", "b")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
+    def __init__(self, a: tuple[tuple[Fraction, ...], ...], b: tuple[Fraction, ...]) -> None:
         try:
-            a = tuple(tuple(Fraction(x) for x in row) for row in self.a)
-            b = tuple(Fraction(x) for x in self.b)
+            a = tuple(tuple(Fraction(x) for x in row) for row in a)
+            b = tuple(Fraction(x) for x in b)
         except (OverflowError, ValueError) as exc:  # Fraction(inf), Fraction(nan)
             raise ValueError(f"tableau entries must be finite numbers: {exc}") from exc
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
         m = len(b)
         if len(a) != m or any(len(row) != m for row in a):
             raise ValueError(f"stage matrix must be {m}x{m}")
@@ -77,6 +76,17 @@ class ButcherTableau:
                     )
         if abs(sum(b) - 1) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {float(sum(b))}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __reduce__(self) -> tuple:  # a copy or unpickled instance is validated anew
+        return type(self), (self.a, self.b)
 
     @property
     def m(self) -> int:
@@ -88,7 +98,6 @@ class ButcherTableau:
         return tuple(float(sum(row)) for row in self.a)
 
 
-@dataclass(frozen=True)
 class ShuOsherForm:
     """Canonical Shu-Osher representation of an explicit RK method.
 
@@ -97,31 +106,54 @@ class ShuOsherForm:
     is done anywhere).  ``r`` is the representation parameter actually used
     for stepping (effective Euler sub-step tau/r) and ``ssp_c`` the SSP
     coefficient when known.  ``c_stage`` carries the Butcher abscissae for
-    stage-time evaluation of time-dependent terms.
+    stage-time evaluation of time-dependent terms.  Immutable, sequences
+    stored as tuples; equal forms compare and hash equal (the hash computed
+    once), so they share one step kernel.
     """
 
-    alpha: tuple[tuple[float, ...], ...]
-    v: tuple[float, ...]
-    r: float
-    c_stage: tuple[float, ...]
-    ssp_c: float | None = None
-    key: str | None = None
+    __slots__ = ("alpha", "v", "r", "c_stage", "ssp_c", "key", "_hash")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self) -> None:
-        n = len(self.v)
-        if len(self.alpha) != n or any(len(row) != n for row in self.alpha):
+    def __init__(
+        self, alpha: tuple[tuple[float, ...], ...], v: tuple[float, ...], r: float,
+        c_stage: tuple[float, ...], ssp_c: float | None = None, key: str | None = None,
+    ) -> None:
+        alpha, v, c_stage = tuple(map(tuple, alpha)), tuple(v), tuple(c_stage)
+        n = len(v)
+        if len(alpha) != n or any(len(row) != n for row in alpha):
             raise ValueError("alpha must be square over all m+1 stages")
-        if len(self.c_stage) != n - 1:
+        if len(c_stage) != n - 1:
             raise ValueError("c_stage must have one abscissa per Butcher stage")
-        if not self.r > 0.0:
-            raise ValueError(f"r must be positive, got {self.r}")
+        if not r > 0.0:
+            raise ValueError(f"r must be positive, got {r}")
         for i in range(n):
-            residual = self.v[i] + math.fsum(self.alpha[i][:i]) - 1.0
+            residual = v[i] + math.fsum(alpha[i][:i]) - 1.0
             if abs(residual) > 1e-9:
                 raise ValueError(f"consistency violated in stage {i + 1}: {residual}")
             for j in range(i, n):
-                if self.alpha[i][j] != 0.0:
+                if alpha[i][j] != 0.0:
                     raise ValueError("alpha must be strictly lower triangular")
+        values = (alpha, v, r, c_stage, ssp_c, key)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        # every integrate call hashes its form for the kernel cache
+        object.__setattr__(self, "_hash", hash(values))
+
+    def _values(self) -> tuple:
+        return (self.alpha, self.v, self.r, self.c_stage, self.ssp_c, self.key)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:  # a copy or unpickled instance is validated anew
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"ShuOsherForm({fields})"
 
     @property
     def m(self) -> int:

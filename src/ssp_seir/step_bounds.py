@@ -14,7 +14,7 @@ the identities they satisfy can be tested directly against the integrator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import ModelParams, ProblemSetup, recruitment_sup, sup_incidence
 from .shu_osher import ShuOsherForm
@@ -34,8 +34,7 @@ __all__ = [
 _TERM_NAMES = ("incidence", "sigma", "gamma", "delta")
 
 
-@dataclass(frozen=True)
-class EulerBound:
+class EulerBound(NamedTuple):
     """Euler positivity step bound with the term that attains the min."""
 
     dt_star: float
@@ -43,8 +42,7 @@ class EulerBound:
     unbounded: bool = False  # all four denominators were zero
 
 
-@dataclass(frozen=True)
-class PopulationCap:
+class PopulationCap(NamedTuple):
     """Discrete population bound N^k <= cap (mu > 0) or the linear envelope.
 
     For mu = 0 the cap is infinite and ``growth_rate`` is the K of the
@@ -58,8 +56,7 @@ class PopulationCap:
     mu: float
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Step-size bound summary for one method on one problem setup."""
 
     method: str

@@ -34,7 +34,6 @@ import math
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
 from operator import add
 from typing import IO, Callable
 
@@ -58,7 +57,6 @@ class IntegrationOverflowError(RuntimeError):
         super().__init__(f"non-finite state at step {step_index}")
 
 
-@dataclass(eq=False)
 class Trajectory:
     """Time-stamped step states with the stepping metadata.
 
@@ -69,13 +67,13 @@ class Trajectory:
     work on the columns, and :attr:`states` builds :class:`State` objects on
     every read.  ``stage_min`` is the smallest compartment value seen over
     all internal stages of all steps (step states included), a diagnostic
-    for stage-level positivity checks.
+    for stage-level positivity checks.  Instances compare by identity.
     """
 
-    data: array
-    tau: float
-    method: str
-    stage_min: float
+    __slots__ = ("data", "tau", "method", "stage_min")
+
+    def __init__(self, data: array, tau: float, method: str, stage_min: float) -> None:
+        self.data, self.tau, self.method, self.stage_min = data, tau, method, stage_min
 
     def row(self, k: int) -> array:
         """Row ``k`` (negative counts from the end): ``t, S, E, I, R``."""

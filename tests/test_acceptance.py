@@ -9,7 +9,6 @@ table of criterion 2 pins its own initial state, see THRESHOLD_STATE below.
 import math
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -103,7 +102,7 @@ def test_criterion_1_theoretical_bounds(config):
 
 
 def test_criterion_2_empirical_bounds(config):
-    table_config = replace(config, **THRESHOLD_STATE)
+    table_config = config._replace(**THRESHOLD_STATE)
     failures = []
     for pi_key in RECRUITMENT_CHOICES:
         setup = table_config.setup(pi_key)

@@ -3,7 +3,6 @@
 import math
 import random
 from array import array
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -374,7 +373,7 @@ def test_probe_verdict_matches_the_full_run_check(x0, method_key, f_key, factor,
         recruitment_from_key("choiceA"), State(*x0),
     )
     tau = factor * bound_report(
-        replace(setup, x0=State(1.0, 0.0, 0.0, 0.0)), method, 200.0
+        setup._replace(x0=State(1.0, 0.0, 0.0, 0.0)), method, 200.0
     ).tau_method
     full, overflow = _run_to_end(setup, method, tau, math.ceil(t_f / tau))
     expected = check_nonnegativity(full).passed and overflow is None
@@ -403,3 +402,17 @@ def test_empirical_bound_rejects_a_horizon_that_is_not_finite_and_positive(t_f):
 def test_verdict_text_pass():
     assert Verdict(True).as_text("x") == "x: PASS"
     assert bool(Verdict(True)) and not bool(Verdict(False))
+
+
+def test_verdict_text_names_the_step_only_when_there_is_one():
+    # ssprk104 at tau=25 keeps every step state non-negative while a stage
+    # goes negative; a stage failure has no step index to print
+    traj = _run(_experiment_setup("choiceA"), "ssprk104", 25.0, 300.0)
+    assert check_nonnegativity(traj).passed
+    verdict = check_nonnegativity(traj, include_stages=True)
+    assert (verdict.witness_index, verdict.witness_compartment) == (None, "stage")
+    assert verdict.as_text("non-negativity") == (
+        f"non-negativity: FAIL (stage, value {traj.stage_min!r})"
+    )
+    assert Verdict(False, 3, "I", -0.5).as_text("x") == "x: FAIL (step 3, I, value -0.5)"
+    assert Verdict(False, 3, None, -0.5).as_text("x") == "x: FAIL (step 3, value -0.5)"

@@ -160,6 +160,32 @@ def test_cli_unknown_method_is_reported(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--method", "foo"],
+     "unknown method 'foo'; known: ('euler', 'ssprk22', 'ssprk33', 'ssprk104')"),
+    (["--method", "euler", "--pi", "nope"],
+     "unknown recruitment key 'nope'; "
+     "known: ('choiceA', 'choiceB', 'choiceC', 'const', 'cex-cos')"),
+], ids=["method", "pi"])
+def test_cli_prints_an_unknown_key_message_without_quotes(tmp_path, capsys, argv, message):
+    code = main(["--out", str(tmp_path), "simulate", *argv, "--tau", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_cli_simulate_stage_failure_names_no_step(tmp_path, capsys):
+    code = main([
+        "--out", str(tmp_path), "simulate", "--stages", "--method", "ssprk104",
+        "--pi", "choiceA", "--tau", "25", "--tf", "300",
+    ])
+    assert code == 0
+    line = "non-negativity: FAIL (stage, value -0.14808371662833586)"
+    assert line in capsys.readouterr().out.splitlines()
+    assert (tmp_path / "verdict.txt").read_text().splitlines()[1] == line
+
+
 @pytest.mark.parametrize("tau", ["-1", "0", "nan", "inf"])
 def test_cli_simulate_rejects_bad_step(tmp_path, capsys, tau):
     code = main(["--out", str(tmp_path), "simulate", "--method", "euler", "--tau", tau])

@@ -2,7 +2,6 @@
 
 import math
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -63,7 +62,7 @@ def _unpopulated_config():
         DEFAULT_CONFIG_TEXT.replace("kappa=0.05", "kappa=0").replace("s0=0.2", "s0=0")
         .replace("e0=0.6", "e0=0").replace("i0=0.2", "i0=0")
     )
-    return text, replace(parse_config(text), tf=10.0)
+    return text, parse_config(text)._replace(tf=10.0)
 
 
 def test_convergence_refuses_a_zero_error():
@@ -73,7 +72,7 @@ def test_convergence_refuses_a_zero_error():
 
 def test_convergence_refuses_fitted_steps_of_one_size():
     # output spacing 0.01 is below every halved bound: each step is 0.01
-    config = replace(parse_config(DEFAULT_CONFIG_TEXT), tf=0.5)
+    config = parse_config(DEFAULT_CONFIG_TEXT)._replace(tf=0.5)
     with pytest.raises(ValueError, match=r"convergence of euler: every fitted step is tau=0\.01$"):
         convergence_study(config)
 

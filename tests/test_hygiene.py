@@ -1,6 +1,7 @@
 """Every name a module imports is used in it, every name it exports is
 defined (no linter is installed), importing the package loads none of its
-modules, every catalog formula reads only names it is given, and the package
+modules and importing the CLI loads neither ``dataclasses`` nor ``inspect``,
+every catalog formula reads only names it is given, and the package
 runs on the standard library alone."""
 
 import ast
@@ -62,6 +63,24 @@ def _child_env() -> dict:
 def test_importing_the_package_loads_none_of_its_modules():
     # a caller pays only for the modules it names
     code = "import sys, ssp_seir; print(sorted(m for m in sys.modules if m.startswith('ssp_seir.')))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=_child_env(),
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "modules", ["ssp_seir.cli", "ssp_seir.config, ssp_seir.shu_osher"],
+    ids=["cli", "benchmark-set-up"],
+)
+def test_importing_loads_neither_dataclasses_nor_inspect(modules):
+    # together they cost about 10 ms of every command's start-up
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        f"import {modules}\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=_child_env(),
     )
