@@ -293,13 +293,14 @@ def custom_incidence(fn: Callable[[float], float], alpha: float) -> RateFunction
     alpha = _require_finite("alpha", alpha)
     if alpha < 0.0:
         raise ValueError("alpha must be non-negative")
-    if abs(fn(0.0)) > 1e-12:
+    # each test is written so that a NaN fails it
+    if not abs(fn(0.0)) <= 1e-12:
         raise ValueError(f"custom incidence must satisfy f(0)=0, got f(0)={fn(0.0)!r}")
     for x in _grid(_CHECK_SPAN, _CHECK_POINTS):
         y = fn(x)
-        if y < -1e-12:
-            raise ValueError(f"custom incidence negative at x={x}: f(x)={y}")
-        if y > alpha * x + 1e-12:
+        if not y >= -1e-12:
+            raise ValueError(f"custom incidence negative or NaN at x={x}: f(x)={y}")
+        if not y <= alpha * x + 1e-12:
             raise ValueError(
                 f"custom incidence violates declared linear bound at x={x}: "
                 f"f(x)={y} > alpha*x={alpha * x}"
@@ -402,7 +403,7 @@ def custom_recruitment(fn: Callable[[float], float], bound: float) -> RateFuncti
         raise ValueError("bound must be non-negative")
     for t in _grid(_CHECK_SPAN, _CHECK_POINTS):
         y = fn(t)
-        if y < -1e-12 or y > bound + 1e-12:
+        if not -1e-12 <= y <= bound + 1e-12:  # a NaN fails it too
             raise ValueError(
                 f"custom recruitment leaves [0, {bound}] at t={t}: pi(t)={y}"
             )

@@ -124,11 +124,13 @@ class ShuOsherForm:
             raise ValueError("alpha must be square over all m+1 stages")
         if len(c_stage) != n - 1:
             raise ValueError("c_stage must have one abscissa per Butcher stage")
-        if not r > 0.0:
-            raise ValueError(f"r must be positive, got {r}")
+        if not (r > 0.0 and math.isfinite(r)):
+            raise ValueError(f"r must be positive and finite, got {r}")
+        if not all(map(math.isfinite, c_stage)):
+            raise ValueError(f"abscissae must be finite, got {c_stage}")
         for i in range(n):
             residual = v[i] + math.fsum(alpha[i][:i]) - 1.0
-            if abs(residual) > 1e-9:
+            if not abs(residual) <= 1e-9:  # a NaN coefficient fails it too
                 raise ValueError(f"consistency violated in stage {i + 1}: {residual}")
             for j in range(i, n):
                 if alpha[i][j] != 0.0:

@@ -98,8 +98,8 @@ def population_cap(n0: float, k_sup: float, mu: float) -> PopulationCap:
     n0 = float(n0)
     k_sup = float(k_sup)
     mu = float(mu)
-    if n0 < 0.0 or k_sup < 0.0 or mu < 0.0:
-        raise ValueError("n0, k_sup and mu must be non-negative")
+    if not all(0.0 <= x < math.inf for x in (n0, k_sup, mu)):  # False for NaN
+        raise ValueError("n0, k_sup and mu must be finite and non-negative")
     if k_sup == 0.0:
         return PopulationCap(n0, 0.0, n0, mu)
     if mu == 0.0:

@@ -9,9 +9,11 @@ entry's formula is the call ``fn(x)``).  A kernel is compiled on the first
 :func:`integrate` call for a form and pair of formulas and cached by their
 values, so equal forms and entries differing only in their parameters share
 one.  The coefficients and parameters are bound in the kernel's prologue,
-not written into its source.  The kernel does only the work its caller
-reads: it keeps the rows of a stride ``every`` and the run's end row, so a
-threshold probe keeps just its end row and a grid run its output rows.
+not written into its source, and the formulas' constant ``pi`` is a
+literal, folded by the compiler with the constants next to it.  The kernel
+does only the work its caller reads: it keeps the rows of a stride
+``every`` and the run's end row, so a threshold probe keeps just its end
+row and a grid run its output rows.
 
 Stage recruitment is evaluated at the Butcher abscissa times carried by the
 form (t_n + c_j * tau); this preserves classical order for time-dependent
@@ -168,58 +170,26 @@ def integrate(
     return traj
 
 
-def _parameters(formula: str) -> list[str]:
-    """The names ``formula`` reads besides ``x`` and the formula namespace."""
-    tree = ast.parse(formula, mode="eval")
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(names - FORMULA_NAMESPACE.keys() - {"x"})
-
-
-def _invariant(node: ast.expr, variables: tuple[str, ...]) -> bool:
-    """``node`` reads none of ``variables``, calls nothing and cannot raise:
-    float parameters and constants under unary ``-``/``+``, ``+``, ``-``,
-    ``*`` and division by a nonzero constant."""
-    if isinstance(node, ast.Constant):
-        return isinstance(node.value, float)
-    if isinstance(node, ast.Name):
-        return node.id not in variables and not callable(FORMULA_NAMESPACE.get(node.id))
-    if isinstance(node, ast.UnaryOp):
-        return isinstance(node.op, (ast.UAdd, ast.USub)) and _invariant(node.operand, variables)
-    if not isinstance(node, ast.BinOp) or not _invariant(node.left, variables):
-        return False
-    if isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
-        return _invariant(node.right, variables)
-    # a division raises only by zero, so its divisor must be known now: a
-    # float constant or one of the namespace (pi)
-    right = node.right
-    if isinstance(right, ast.Constant):
-        divisor = right.value
-    else:
-        divisor = FORMULA_NAMESPACE.get(getattr(right, "id", None))
-    return isinstance(node.op, ast.Div) and isinstance(divisor, float) and divisor != 0.0
-
-
 @functools.cache
 def _paste(formula: str, x: str, prefix: str) -> tuple[str, tuple[str, ...]]:
-    """``(expression, prologue)``: ``formula`` reading its argument from the
-    local ``x`` and each parameter ``name`` from the local ``prefix + name``,
-    with each loop-invariant operation (:func:`_invariant`) read from a local
-    ``prefix + n`` that a ``prologue`` line computes once."""
-    tree = ast.parse(formula, mode="eval")
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id not in FORMULA_NAMESPACE:
-            node.id = x if node.id == "x" else prefix + node.id
-    prologue: list[str] = []
+    """``(expression, parameters)``: ``formula`` reading its argument from the
+    local ``x``, each of its ``parameters`` from the local ``prefix + name``,
+    and each constant of :data:`FORMULA_NAMESPACE` (``pi``) as a literal, so
+    that the compiler folds ``2.0 / pi`` into one constant."""
+    parameters = set()
 
-    class Hoist(ast.NodeTransformer):
-        def visit(self, node: ast.AST) -> ast.AST:
-            if isinstance(node, (ast.UnaryOp, ast.BinOp)) and _invariant(node, (x, prefix + "fn")):
-                name = f"{prefix}{len(prologue)}"
-                prologue.append(f"{name} = {ast.unparse(node)}")
-                return ast.Name(name, ast.Load())
-            return self.generic_visit(node)
+    class Paste(ast.NodeTransformer):
+        def visit_Name(self, node: ast.Name) -> ast.expr:
+            if node.id == "x":
+                return ast.Name(x, ast.Load())
+            if node.id not in FORMULA_NAMESPACE:
+                parameters.add(node.id)
+                return ast.Name(prefix + node.id, ast.Load())
+            value = FORMULA_NAMESPACE[node.id]
+            return node if callable(value) else ast.Constant(value)
 
-    return ast.unparse(Hoist().visit(tree)), tuple(prologue)
+    expression = ast.unparse(Paste().visit(ast.parse(formula, mode="eval")))
+    return expression, tuple(sorted(parameters))
 
 
 def _times(coefficient: float, name: str, x: str) -> str:
@@ -239,8 +209,8 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str) -> Callable:
     The coefficients are read from ``form`` in the function's prologue, and
     each formula parameter from the entry's bindings, not written into its
     source; a coefficient of exactly 1.0 is left out of its product, which
-    is bitwise the same.  The parts of a formula that cannot change within
-    a run (:func:`_paste`) are computed in the prologue too.
+    is bitwise the same.  A formula's constants are written as literals
+    (:func:`_paste`), so the compiler folds ``2.0 / pi`` and ``2.0 * pi``.
 
     It extends the flat list ``history`` by the row ``t, s, e, i, r`` of
     every ``every``-th step state and of the state the run ended on, its
@@ -259,10 +229,11 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str) -> Callable:
     # keeps the one-stage form bitwise x + tau*rhs(t, x)
     terms = [[j for j in range(i) if form.alpha[i][j] != 0.0] for i in range(m + 1)]
     read = {j for row in terms for j in row}  # stages whose Euler sub-step is used
-    # pi is evaluated once per bitwise-distinct abscissa, at the first stage
-    # that needs it; later stages at the same time reuse that value
-    first: dict[bytes, int] = {}
-    pi_of = {k: first.setdefault(struct.pack("<d", form.c_stage[k]), k) for k in sorted(read)}
+    # pi is evaluated once per distinct abscissa, at the first stage that needs
+    # it; later stages at the same time reuse it.  0.0 and -0.0 are one key: t
+    # is never -0.0 (below), so t + 0.0*tau and t + -0.0*tau are the same bits
+    first: dict[float, int] = {}
+    pi_of = {k: first.setdefault(form.c_stage[k], k) for k in sorted(read)}
     head = [
         "h = tau / form.r",
         "mu, sigma, gamma, delta = p.mu, p.sigma, p.gamma, p.delta",
@@ -270,9 +241,8 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str) -> Callable:
         "extend = history.extend",
         "keep = every - 1",  # the next step whose state is kept
     ]
-    head += [f"f_{name} = incidence[{name!r}]" for name in _parameters(incidence)]
-    head += [f"pi_{name} = recruitment[{name!r}]" for name in _parameters(recruitment)]
-    head += _paste(incidence, "x", "f_")[1] + _paste(recruitment, "x", "pi_")[1]
+    head += [f"f_{n} = incidence[{n!r}]" for n in _paste(incidence, "i", "f_")[1]]
+    head += [f"pi_{n} = recruitment[{n!r}]" for n in _paste(recruitment, "t_pi", "pi_")[1]]
     head += [f"ct{k} = form.c_stage[{k}] * tau" for k in first.values()]
     # t is the start time t0 + k*tau of step k.  Computed at the end of step
     # k-1, it also stamps that step's row; step 0 starts at t0 + 0*tau like

@@ -99,6 +99,15 @@ def test_population_cap_rejects_negative_inputs():
         population_cap(-1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("position", range(3), ids=["n0", "k_sup", "mu"])
+def test_population_cap_rejects_non_finite_inputs(position, bad):
+    args = [1.0, 0.1, 0.05]
+    args[position] = bad
+    with pytest.raises(ValueError, match="must be finite and non-negative"):
+        population_cap(*args)
+
+
 # ---------------------------------------------------------------------------
 # stage-coefficient recurrences
 # ---------------------------------------------------------------------------

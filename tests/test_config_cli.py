@@ -1,5 +1,6 @@
 """Config parsing and the command-line entry points."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -385,3 +386,46 @@ def test_cli_compiles_one_kernel_per_method_and_formula_pair(tmp_path, capsys, c
     assert main(["--out", str(tmp_path)] + command) == 0
     info = _kernel.cache_info()
     assert (info.misses, info.currsize) == (kernels, kernels)
+
+
+# sha256 of trajectory.csv and verdict.txt from ``simulate --stages --pi const``
+# with linear incidence: each method one step size below its bound (0.4878,
+# and 2.927 for ssprk104) over the default horizon, and at tau=30 to t=600,
+# where every method overflows.  Only + - * / reach these bytes, so they
+# hold on any IEEE-754 platform.
+_GOLDEN = [
+    ("euler", "0.48", "30", "cf6fbfe6c9106389d71ba374dbde49751f3041ccf8b0c888f49d0fba324fc813",
+     "042302eafb4748fd826dd20e678d441ec4ac14fa953f9c7cafed464d563fd41c"),
+    ("ssprk22", "0.48", "30", "27c2bfc5ff036a816787c1addefc06bd3ed3c5d694b1edbc3da10af4b0352803",
+     "042302eafb4748fd826dd20e678d441ec4ac14fa953f9c7cafed464d563fd41c"),
+    ("ssprk33", "0.48", "30", "785f26b4d17fd6f2b822d611a05d8bd2ed0bc02263e8103717b60e48a250736f",
+     "042302eafb4748fd826dd20e678d441ec4ac14fa953f9c7cafed464d563fd41c"),
+    ("ssprk104", "2.9", "30", "73a49e935fd80346342e7673263c6cf09d4ae1c30f53060e5e6f9d7609ef80b3",
+     "dec60363938255b844cb3e6c63b95402f69b9e7e3960adf5ccd92d1044211e4f"),
+    ("euler", "30", "600", "3ebca83f1ad6e5c1d6113a10c4b752e01f5524cc4ea9984f747433206003c7e8",
+     "af13f909f841f3c607da6a0f15722a6bf5f6e4b7cdfa457c3edfea8ca1aae557"),
+    ("ssprk22", "30", "600", "7b58e6ccdcc918827adc5d00fd3aad09f34ba8ddcb100a22cdece3abbd45a610",
+     "4477c4546fdc44b3d9bd512b6565fdc6e524338c0db3cf20946a11d6f4601814"),
+    ("ssprk33", "30", "600", "15db8124ffca448b7f7b7d67479f6e055e619bdf2d3ff29d9e0cbcb5a79aa31e",
+     "a2beea0707341ae490b0df5b4fcd09a66387394dff5996380d50a71689e54400"),
+    ("ssprk104", "30", "600", "126339bcd8a9225fe10a9c201c2618c11c7ece3fd331faad521bcf70a4db4b82",
+     "a80956950ad053c73969cf7ec2f2f4d067c5b933a42e35ebdc941563dd69beba"),
+]
+
+
+@pytest.mark.parametrize(
+    "method, tau, tf, trajectory, verdict", _GOLDEN,
+    ids=[f"{row[0]}-tau{row[1]}" for row in _GOLDEN],
+)
+def test_cli_simulate_keeps_its_golden_bytes(tmp_path, method, tau, tf, trajectory, verdict):
+    path = tmp_path / "linear.cfg"
+    path.write_text(DEFAULT_CONFIG_TEXT.replace("incidence=media", "incidence=linear"))
+    assert main([
+        "--config", str(path), "--out", str(tmp_path), "simulate", "--stages",
+        "--pi", "const", "--method", method, "--tau", tau, "--tf", tf,
+    ]) == 0
+    digests = [
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("trajectory.csv", "verdict.txt")
+    ]
+    assert digests == [trajectory, verdict]

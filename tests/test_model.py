@@ -184,6 +184,19 @@ def test_custom_incidence_validates():
         custom_incidence(lambda x: x * x, alpha=1.0)
 
 
+def test_custom_entries_reject_nan():
+    # every comparison with a NaN is False, so each test must be one a NaN
+    # fails: NaN at 0, and NaN at the check grid's last point 1e3 alone
+    with pytest.raises(ValueError, match="f\\(0\\)=0"):
+        custom_incidence(lambda x: math.nan, alpha=1.0)
+    with pytest.raises(ValueError, match="negative or NaN at x=1000.0"):
+        custom_incidence(lambda x: math.nan if x == 1e3 else 0.5 * x, alpha=1.0)
+    with pytest.raises(ValueError, match="at t=0.0"):
+        custom_recruitment(lambda t: math.nan, bound=1.0)
+    with pytest.raises(ValueError, match="at t=1000.0"):
+        custom_recruitment(lambda t: math.nan if t == 1e3 else 0.5, bound=1.0)
+
+
 # ---------------------------------------------------------------------------
 # suprema
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from ssp_seir.shu_osher import (
     BUILTIN_METHOD_KEYS,
     ButcherTableau,
     InfeasibleFormError,
+    ShuOsherForm,
     builtin_method,
     builtin_tableau,
     butcher_amplification,
@@ -35,6 +36,23 @@ def test_tableau_validation():
     for x in (math.inf, math.nan):
         with pytest.raises(ValueError, match="must be finite"):
             ButcherTableau(((0.0, 0.0), (x, 0.0)), (0.5, 0.5))
+
+
+# the two-stage Euler form, with one entry replaced by a non-finite value
+_EULER = {"alpha": ((0.0, 0.0), (1.0, 0.0)), "v": (1.0, 0.0), "r": 1.0, "c_stage": (0.0,)}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("alpha", ((0.0, 0.0), (math.nan, 0.0)), "consistency violated"),
+    ("v", (1.0, math.nan), "consistency violated"),
+    ("r", math.inf, "r must be positive and finite"),
+    ("c_stage", (math.nan,), "abscissae must be finite"),
+    ("c_stage", (math.inf,), "abscissae must be finite"),
+], ids=["nan-alpha", "nan-v", "inf-r", "nan-abscissa", "inf-abscissa"])
+def test_shu_osher_form_rejects_non_finite_entries(field, value, message):
+    ShuOsherForm(**_EULER)  # must not raise
+    with pytest.raises(ValueError, match=message):
+        ShuOsherForm(**{**_EULER, field: value})
 
 
 def test_tableau_abscissae():

@@ -529,6 +529,20 @@ def test_entries_differing_in_parameters_share_one_kernel():
     assert traj.data.tobytes() == integrate(x0, 0.7, 20, form, p, called, pi).data.tobytes()
 
 
+def test_catalog_kernels_fold_pi_into_constants():
+    # pi is pasted as a literal: no kernel reads it as a global, and the
+    # compiler folds 2.0 / pi (choiceA) and 2.0 * pi (cex-cos) into constants
+    folded = {"choiceA": 2.0 / math.pi, "cex-cos": 2.0 * math.pi}
+    for f_key in INCIDENCE_KEYS:
+        for pi_key in RECRUITMENT_KEYS:
+            f, pi = incidence_from_key(f_key), recruitment_from_key(pi_key)
+            for key in BUILTIN_METHOD_KEYS:
+                code = _kernel(builtin_method(key), f.formula, pi.formula).__code__
+                assert "pi" not in code.co_names, (f_key, pi_key, key)
+                if pi_key in folded:
+                    assert folded[pi_key] in code.co_consts, (pi_key, key)
+
+
 def test_unkeyed_form_names_its_trajectory_and_keeps_edge_cases():
     form = _sparse_form()
     x0 = State(1.0, -0.5, 0.0, 0.0, t=-0.0)
