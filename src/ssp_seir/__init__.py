@@ -4,8 +4,10 @@ The package provides
 
 * the SEIR right-hand side with catalogs of incidence and recruitment
   functions (:mod:`ssp_seir.model`),
-* Butcher-tableau algebra, canonical Shu-Osher forms and SSP coefficients
-  (:mod:`ssp_seir.shu_osher`),
+* canonical Shu-Osher forms and the builtin methods' optimal forms as
+  rational literals (:mod:`ssp_seir.shu_osher`),
+* exact Butcher-tableau algebra and SSP coefficients, the builtin forms'
+  test oracle, which no command loads (:mod:`ssp_seir.butcher`),
 * SSP Runge-Kutta stepping, explicit Euler as its one-stage form
   (:mod:`ssp_seir.stepping`),
 * theoretical step-size and population bounds (:mod:`ssp_seir.step_bounds`),

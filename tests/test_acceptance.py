@@ -21,14 +21,13 @@ from ssp_seir.experiments import (
 )
 from ssp_seir.model import State, custom_incidence, choice_b_recruitment, ProblemSetup, ModelParams
 from ssp_seir.reference import exact_population, reference_trajectory
-from ssp_seir.shu_osher import (
-    BUILTIN_METHOD_KEYS,
-    builtin_method,
+from ssp_seir.butcher import (
     builtin_tableau,
     butcher_amplification,
     shu_osher_amplification,
     ssp_coefficient,
 )
+from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, builtin_method
 from ssp_seir.step_bounds import ab_coefficients, bound_report, gamma_coefficients
 from ssp_seir.stepping import integrate
 

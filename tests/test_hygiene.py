@@ -1,8 +1,9 @@
 """Every name a module imports is used in it, every name it exports is
 defined (no linter is installed), importing the package loads none of its
-modules and importing the CLI loads neither ``dataclasses`` nor ``inspect``,
-every catalog formula reads only names it is given, and the package
-runs on the standard library alone."""
+modules, importing the CLI loads neither ``dataclasses`` nor ``inspect``,
+the set-up and the stepping path load no ``fractions``, every source file
+parses as Python 3.10, every catalog formula reads only names it is given,
+and the package runs on the standard library alone."""
 
 import ast
 import importlib
@@ -70,22 +71,54 @@ def test_importing_the_package_loads_none_of_its_modules():
     assert done.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize(
-    "modules", ["ssp_seir.cli", "ssp_seir.config, ssp_seir.shu_osher"],
-    ids=["cli", "benchmark-set-up"],
-)
-def test_importing_loads_neither_dataclasses_nor_inspect(modules):
-    # together they cost about 10 ms of every command's start-up
+def _newly_loaded(code: str, names: set) -> list:
+    """Which of ``names`` a child interpreter loads while it runs ``code``."""
     code = (
         "import sys; before = set(sys.modules)\n"
-        f"import {modules}\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        f"{code}\n"
+        f"print(sorted(set({sorted(names)!r}) & (set(sys.modules) - before)))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=_child_env(),
     )
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.strip() == "[]"
+    return ast.literal_eval(done.stdout.strip())
+
+
+# the benchmark's whole set-up: the config loaded and the four forms built
+_SET_UP = """\
+from ssp_seir.config import load_config
+from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, builtin_method
+config = load_config(None)
+methods = [builtin_method(key) for key in BUILTIN_METHOD_KEYS]"""
+
+
+@pytest.mark.parametrize("code, names", [
+    ("import ssp_seir.cli", {"dataclasses", "inspect"}),
+    (_SET_UP, {"fractions", "decimal", "dataclasses", "inspect"}),
+], ids=["cli", "benchmark-set-up"])
+def test_importing_loads_neither_dataclasses_nor_inspect(code, names):
+    # together they cost about 10 ms of every command's start-up, and the
+    # exact rationals of ``fractions`` (with ``decimal``) about 3 ms of the
+    # set-up's
+    assert _newly_loaded(code, names) == []
+
+
+@pytest.mark.parametrize("module", ["stepping", "checks", "step_bounds", "reference"])
+def test_the_stepping_path_loads_no_exact_rationals(module):
+    # the builtin forms are float literals; only ``butcher`` (the exact
+    # oracle) and ``experiments`` (the exact slope fit) use ``fractions``
+    assert _newly_loaded(f"import ssp_seir.{module}", {"fractions", "decimal"}) == []
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # best effort for the CI's 3.10 leg, which no interpreter here can run:
+    # ``feature_version`` rejects newer syntax only, not newer library calls
+    root = Path(ssp_seir.__file__).resolve().parents[2]
+    paths = sorted((root / "src").rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 CATALOG = [incidence_from_key(key) for key in INCIDENCE_KEYS]

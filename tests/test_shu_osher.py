@@ -1,5 +1,6 @@
-"""Butcher algebra, canonical forms, SSP coefficients and the low-storage
-cross-validation fixture."""
+"""Butcher algebra, canonical forms, the literal builtin forms against their
+exact derivation, SSP coefficients and the low-storage cross-validation
+fixture."""
 
 import math
 import random
@@ -9,12 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ssp_seir.shu_osher import (
-    BUILTIN_METHOD_KEYS,
+from ssp_seir.butcher import (
     ButcherTableau,
     InfeasibleFormError,
-    ShuOsherForm,
-    builtin_method,
     builtin_tableau,
     butcher_amplification,
     k_matrix,
@@ -22,6 +20,7 @@ from ssp_seir.shu_osher import (
     shu_osher_from_butcher,
     ssp_coefficient,
 )
+from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, ShuOsherForm, builtin_method
 
 KNOWN_C = {"euler": 1.0, "ssprk22": 1.0, "ssprk33": 1.0, "ssprk104": 6.0}
 
@@ -53,6 +52,14 @@ def test_shu_osher_form_rejects_non_finite_entries(field, value, message):
     ShuOsherForm(**_EULER)  # must not raise
     with pytest.raises(ValueError, match=message):
         ShuOsherForm(**{**_EULER, field: value})
+
+
+@pytest.mark.parametrize("ssp_c", [math.nan, -1.0, math.inf, 0.0], ids=["nan", "negative", "inf", "zero"])
+def test_shu_osher_form_rejects_an_invalid_ssp_coefficient(ssp_c):
+    # tau_method = ssp_c * dt*, so each of these would read nan, < 0, inf or 0
+    ShuOsherForm(**_EULER, ssp_c=1.0)  # must not raise
+    with pytest.raises(ValueError, match="ssp_c must be positive and finite"):
+        ShuOsherForm(**_EULER, ssp_c=ssp_c)
 
 
 def test_tableau_abscissae():
@@ -142,6 +149,24 @@ def test_builtin_forms_are_rounded_exact_rationals():
 
 
 @pytest.mark.parametrize("key", BUILTIN_METHOD_KEYS)
+def test_literal_forms_are_the_exact_derivation_bit_for_bit(key):
+    # the builtin forms are written as rational literals; the exact algebra
+    # is their oracle, compared by float.hex so that -0.0 cannot pass for 0.0
+    form = builtin_method(key)
+    exact = shu_osher_from_butcher(builtin_tableau(key), KNOWN_C[key])
+
+    def bits(values):
+        return [x.hex() for x in values]
+
+    assert [bits(row) for row in form.alpha] == [bits(row) for row in exact.alpha]
+    assert bits(form.v) == bits(exact.v)
+    assert form.r.hex() == exact.r.hex()
+    assert bits(form.c_stage) == bits(exact.c_stage)
+    assert form.ssp_c == form.r == KNOWN_C[key]
+    assert form.key == key
+
+
+@pytest.mark.parametrize("key", BUILTIN_METHOD_KEYS)
 def test_linear_round_trip(key):
     tableau = builtin_tableau(key)
     form = builtin_method(key)
@@ -165,6 +190,13 @@ def test_round_trip_holds_at_suboptimal_r(r, z):
 def test_unknown_method_key():
     with pytest.raises(KeyError):
         builtin_tableau("rk4-classic")
+    # the literal table and the tableaus name the same keys in one message
+    for build in (builtin_method, builtin_tableau):
+        with pytest.raises(KeyError) as info:
+            build("foo")
+        assert info.value.args == (
+            "unknown method 'foo'; known: ('euler', 'ssprk22', 'ssprk33', 'ssprk104')",
+        )
 
 
 def low_storage_ssprk104(z: float) -> float:

@@ -29,13 +29,8 @@ from ssp_seir.model import (
     recruitment_from_key,
     rhs,
 )
-from ssp_seir.shu_osher import (
-    BUILTIN_METHOD_KEYS,
-    ShuOsherForm,
-    builtin_method,
-    builtin_tableau,
-    shu_osher_from_butcher,
-)
+from ssp_seir.butcher import builtin_tableau, shu_osher_from_butcher
+from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, ShuOsherForm, builtin_method
 from ssp_seir.stepping import (
     IntegrationOverflowError,
     _kernel,

@@ -9,13 +9,8 @@ import pytest
 
 from ssp_seir.config import DEFAULT_CONFIG_TEXT, parse_config
 from ssp_seir.model import ModelParams, State, linear_incidence, recruitment_from_key
-from ssp_seir.shu_osher import (
-    ButcherTableau,
-    ShuOsherForm,
-    builtin_method,
-    builtin_tableau,
-    shu_osher_from_butcher,
-)
+from ssp_seir.butcher import ButcherTableau, builtin_tableau, shu_osher_from_butcher
+from ssp_seir.shu_osher import ShuOsherForm, builtin_method
 from ssp_seir.stepping import _kernel, integrate
 
 RATES = ("mu", "sigma", "gamma", "delta")
