@@ -15,7 +15,6 @@ from typing import NamedTuple
 from .model import (
     ModelParams,
     ProblemSetup,
-    RateFunction,
     State,
     incidence_from_key,
     recruitment_from_key,
@@ -87,23 +86,14 @@ class ExperimentConfig(NamedTuple):
     def params(self) -> ModelParams:
         return ModelParams(self.mu, self.sigma, self.gamma, self.delta)
 
-    def incidence_fn(self) -> RateFunction:
-        return incidence_from_key(
-            self.incidence, nu=self.nu, eta=self.eta, c1=self.c1, c2=self.c2, k=self.k
-        )
-
-    def recruitment_fn(self, key: str) -> RateFunction:
-        return recruitment_from_key(key, kappa=self.kappa)
-
-    def initial_state(self) -> State:
-        return State(self.s0, self.e0, self.i0, self.r0, t=0.0)
-
     def setup(self, recruitment_key: str) -> ProblemSetup:
         return ProblemSetup(
             self.params(),
-            self.incidence_fn(),
-            self.recruitment_fn(recruitment_key),
-            self.initial_state(),
+            incidence_from_key(
+                self.incidence, nu=self.nu, eta=self.eta, c1=self.c1, c2=self.c2, k=self.k
+            ),
+            recruitment_from_key(recruitment_key, kappa=self.kappa),
+            State(self.s0, self.e0, self.i0, self.r0, t=0.0),
         )
 
 

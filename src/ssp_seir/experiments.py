@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from decimal import Decimal
-from fractions import Fraction
 from operator import sub
 from typing import IO, NamedTuple, Optional, Sequence
 
@@ -138,12 +136,22 @@ def run_simulation(
     t_f: float,
     include_stages: bool = False,
 ) -> SimulationResult:
-    """Integrate to the horizon and attach the positivity/bound verdicts."""
+    """Integrate ceil(t_f/tau) steps and judge them against the bound chain
+    taken over the time of the last step."""
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"step size must be finite and positive, got {tau}")
     if not (math.isfinite(t_f) and t_f >= 0.0):
         raise ValueError(f"final time must be finite and non-negative, got {t_f}")
     n_steps = math.ceil(t_f / tau)
+    cap = bound_report(setup, method, max(n_steps * tau, tau)).pop_cap
+    return _judge(setup, method, tau, n_steps, cap, include_stages)
+
+
+def _judge(
+    setup: ProblemSetup, method: ShuOsherForm, tau: float, n_steps: int, cap: float,
+    include_stages: bool,
+) -> SimulationResult:
+    """Integrate ``n_steps`` steps of ``tau``; judge positivity and the ``cap``."""
     overflow_step = None
     try:
         traj = integrate(
@@ -152,13 +160,9 @@ def run_simulation(
         )
     except IntegrationOverflowError as exc:
         traj, overflow_step = exc.partial, exc.step_index
-    report = bound_report(setup, method, max(t_f, tau, 1.0))
     return SimulationResult(
-        trajectory=traj,
-        nonnegativity=check_nonnegativity(traj, include_stages),
-        population=check_population_bound(traj, report.pop_cap),
-        cap=report.pop_cap,
-        overflow_step=overflow_step,
+        traj, check_nonnegativity(traj, include_stages), check_population_bound(traj, cap),
+        cap, overflow_step,
     )
 
 
@@ -235,6 +239,8 @@ def _fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Least-squares slope of ``ys`` against ``xs`` (two distinct ``xs`` at
     least), computed exactly in rationals and rounded once to the nearest
     double.  A slope that rounds past the largest double is refused."""
+    from decimal import Decimal  # imported here: no other command needs them
+    from fractions import Fraction
     x = [Fraction(v) for v in xs]
     x_bar = sum(x) / len(x)
     slope = sum((a - x_bar) * Fraction(b) for a, b in zip(x, ys)) / sum((a - x_bar) ** 2 for a in x)
@@ -350,8 +356,9 @@ def property_sweep(n_configs: int = 200, seed: int = 20240501) -> SweepReport:
     initial data, catalog incidence/recruitment pairs with their default
     parameters and a step size below the method bound; every run of
     _SWEEP_STEPS steps with each method of BUILTIN_METHOD_KEYS must keep all
-    compartments non-negative and the total population below N0 + K/mu.
-    ``n_configs`` must be at least 1.
+    compartments non-negative, at its step states and at every internal
+    stage, and the total population below N0 + K/mu.  Each run is judged as
+    :func:`run_simulation` judges one.  ``n_configs`` must be at least 1.
     """
     if n_configs < 1:
         raise ValueError(f"n_configs must be at least 1, got {n_configs}")
@@ -380,18 +387,13 @@ def property_sweep(n_configs: int = 200, seed: int = 20240501) -> SweepReport:
                 f"config {idx} ({incidence.key}/{pi.key}), method {method.key}, "
                 f"tau={tau!r}"
             )
-            try:
-                traj = integrate(
-                    x0, tau, _SWEEP_STEPS, method, params, incidence, pi
-                )
-            except IntegrationOverflowError as exc:
-                failures.append(f"{label}: overflow at step {exc.step_index}")
+            result = _judge(setup, method, tau, _SWEEP_STEPS, report.pop_cap, True)
+            if result.overflow_step is not None:
+                failures.append(f"{label}: overflow at step {result.overflow_step}")
                 continue
             n_runs += 1
-            verdict = check_nonnegativity(traj)
-            if not verdict.passed:
-                failures.append(f"{label}: {verdict.as_text('non-negativity')}")
-            pop = check_population_bound(traj, report.pop_cap)
-            if not pop.passed:
-                failures.append(f"{label}: {pop.as_text('population bound')}")
+            if not result.nonnegativity:
+                failures.append(f"{label}: {result.nonnegativity.as_text('non-negativity')}")
+            if not result.population:
+                failures.append(f"{label}: {result.population.as_text('population bound')}")
     return SweepReport(n_configs, n_runs, failures)

@@ -5,7 +5,8 @@ The Euler positivity bound is the a priori form
 
     dt* = min{ 1/(mu+B), 1/(mu+sigma), 1/(mu+gamma), 1/(mu+delta) }
 
-with B = sup f over [0, N0 + K/mu]; an SSP method with coefficient C admits
+with B = sup f over the population cap [0, N0 + K/mu] (for mu = 0, the
+linear envelope's [0, N0 + K*t_f]); an SSP method with coefficient C admits
 tau <= C * dt*.  The A_i/B_i recurrences and the gamma_ij expansion express
 how total population propagates through the stages and are exposed here so
 the identities they satisfy can be tested directly against the integrator.
@@ -21,10 +22,8 @@ from .shu_osher import ShuOsherForm
 
 __all__ = [
     "EulerBound",
-    "PopulationCap",
     "BoundReport",
     "euler_step_bound",
-    "rk_step_bound",
     "population_cap",
     "ab_coefficients",
     "gamma_coefficients",
@@ -35,25 +34,10 @@ _TERM_NAMES = ("incidence", "sigma", "gamma", "delta")
 
 
 class EulerBound(NamedTuple):
-    """Euler positivity step bound with the term that attains the min."""
+    """Euler positivity step bound and the term attaining the min ("none" if none)."""
 
     dt_star: float
     binding_term: str
-    unbounded: bool = False  # all four denominators were zero
-
-
-class PopulationCap(NamedTuple):
-    """Discrete population bound N^k <= cap (mu > 0) or the linear envelope.
-
-    For mu = 0 the cap is infinite and ``growth_rate`` is the K of the
-    envelope N^n <= N^0 + n * tau * K: each step adds (tau/C) times the
-    final gamma row's weighted recruitment, and that row sums to C.
-    """
-
-    cap: float
-    growth_rate: float
-    n0: float
-    mu: float
 
 
 class BoundReport(NamedTuple):
@@ -82,29 +66,22 @@ def euler_step_bound(p: ModelParams, b_sup: float) -> EulerBound:
     values = [1.0 / d if d > 0.0 else math.inf for d in denominators]
     dt_star = min(values)
     if math.isinf(dt_star):
-        return EulerBound(math.inf, "none", unbounded=True)
+        return EulerBound(math.inf, "none")
     return EulerBound(dt_star, _TERM_NAMES[values.index(dt_star)])
 
 
-def rk_step_bound(p: ModelParams, b_sup: float, method: ShuOsherForm) -> float:
-    """tau bound C * dt* for an SSP method with known coefficient."""
-    if method.ssp_c is None:
-        raise ValueError("method carries no SSP coefficient")
-    return method.ssp_c * euler_step_bound(p, b_sup).dt_star
-
-
-def population_cap(n0: float, k_sup: float, mu: float) -> PopulationCap:
-    """N^0 + K/mu for mu > 0; infinite cap with linear growth rate K for mu = 0."""
+def population_cap(n0: float, k_sup: float, mu: float) -> float:
+    """N^0 + K/mu for mu > 0, N^0 for K = 0, and infinite for mu = 0 < K."""
     n0 = float(n0)
     k_sup = float(k_sup)
     mu = float(mu)
     if not all(0.0 <= x < math.inf for x in (n0, k_sup, mu)):  # False for NaN
         raise ValueError("n0, k_sup and mu must be finite and non-negative")
     if k_sup == 0.0:
-        return PopulationCap(n0, 0.0, n0, mu)
+        return n0
     if mu == 0.0:
-        return PopulationCap(math.inf, k_sup, n0, mu)
-    return PopulationCap(n0 + k_sup / mu, k_sup, n0, mu)
+        return math.inf
+    return n0 + k_sup / mu
 
 
 def ab_coefficients(
@@ -155,19 +132,26 @@ def gamma_coefficients(method: ShuOsherForm) -> list[list[float]]:
 def bound_report(
     setup: ProblemSetup, method: ShuOsherForm, horizon: float
 ) -> BoundReport:
-    """Assemble the a priori bound chain K -> cap -> B -> dt* for one setup."""
+    """Assemble the a priori bound chain K -> cap -> B -> dt* for one setup.
+
+    ``pop_cap`` caps N at every step within ``horizon``: N0 + K/mu, or for
+    mu = 0 the linear envelope N^n <= N0 + n*tau*K at the horizon.  B is the
+    incidence sup over [0, pop_cap]; ``tau_method`` is C * dt*.
+    """
+    if method.ssp_c is None:
+        raise ValueError("method carries no SSP coefficient")
     k_sup = recruitment_sup(setup.recruitment, horizon)
-    cap = population_cap(setup.x0.total, k_sup, setup.params.mu)
-    # with mu = 0 the population obeys only the linear envelope; bound the
-    # incidence sup over the largest population reachable within the horizon
-    hi = cap.cap if math.isfinite(cap.cap) else cap.n0 + k_sup * horizon
-    b_sup = sup_incidence(setup.incidence, hi)
+    n0 = setup.x0.total
+    cap = population_cap(n0, k_sup, setup.params.mu)
+    if math.isinf(cap):
+        cap = n0 + k_sup * horizon
+    b_sup = sup_incidence(setup.incidence, cap)
     eb = euler_step_bound(setup.params, b_sup)
     return BoundReport(
         method=method.key or "?",
         dt_star=eb.dt_star,
-        tau_method=rk_step_bound(setup.params, b_sup, method),
-        pop_cap=cap.cap,
+        tau_method=method.ssp_c * eb.dt_star,
+        pop_cap=cap,
         b_sup=b_sup,
         k_sup=k_sup,
         binding_term=eb.binding_term,

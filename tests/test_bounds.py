@@ -25,11 +25,16 @@ from ssp_seir.step_bounds import (
     euler_step_bound,
     gamma_coefficients,
     population_cap,
-    rk_step_bound,
 )
 from ssp_seir.stepping import integrate
 
 EXPERIMENT_PARAMS = ModelParams(0.05, 0.25, 0.1867, 0.011)
+EXPERIMENT_SETUP = ProblemSetup(
+    EXPERIMENT_PARAMS,
+    media_incidence(0.0115, 0.001),
+    recruitment_from_key("choiceA"),
+    State(0.2, 0.6, 0.2, 0.0),
+)
 
 
 def _experiment_b_sup():
@@ -58,7 +63,7 @@ def test_euler_bound_incidence_binding():
 def test_euler_bound_degenerate_is_unbounded():
     eb = euler_step_bound(ModelParams(0.0, 0.0, 0.0, 0.0), 0.0)
     assert math.isinf(eb.dt_star)
-    assert eb.unbounded
+    assert eb.binding_term == "none"
 
 
 def test_euler_bound_monotone_in_each_rate():
@@ -75,23 +80,18 @@ def test_euler_bound_monotone_in_each_rate():
 
 
 def test_rk_bounds_scale_with_ssp_coefficient():
-    b = _experiment_b_sup()
-    assert rk_step_bound(EXPERIMENT_PARAMS, b, builtin_method("ssprk33")) == pytest.approx(
-        1.0 / 0.3, abs=5e-5
-    )
-    assert rk_step_bound(EXPERIMENT_PARAMS, b, builtin_method("ssprk104")) == pytest.approx(
-        20.0, abs=5e-4
-    )
-    eb = euler_step_bound(EXPERIMENT_PARAMS, b)
-    assert rk_step_bound(EXPERIMENT_PARAMS, b, builtin_method("euler")) == eb.dt_star
+    # sigma binds: dt* = 1/(mu + sigma) = 1/0.3
+    for key, c in (("euler", 1.0), ("ssprk33", 1.0), ("ssprk104", 6.0)):
+        report = bound_report(EXPERIMENT_SETUP, builtin_method(key), 1000.0)
+        assert report.tau_method == c * report.dt_star
+        assert report.tau_method == pytest.approx(c / 0.3, rel=1e-12)
 
 
 def test_population_cap_arithmetic():
-    assert population_cap(1.0, 0.1, 0.05).cap == pytest.approx(3.0, abs=1e-12)
-    assert population_cap(7.0, 0.0, 0.3).cap == 7.0
+    assert population_cap(1.0, 0.1, 0.05) == pytest.approx(3.0, abs=1e-12)
+    assert population_cap(7.0, 0.0, 0.3) == 7.0
     zero_mu = population_cap(2.0, 2.0, 0.0)
-    assert math.isinf(zero_mu.cap)
-    assert zero_mu.growth_rate == 2.0
+    assert type(zero_mu) is float and math.isinf(zero_mu)
 
 
 def test_population_cap_rejects_negative_inputs():
@@ -212,17 +212,21 @@ def test_gamma_expansion_matches_integrator(key):
 
 
 def test_bound_report_experiment_setup():
-    setup = ProblemSetup(
-        EXPERIMENT_PARAMS,
-        media_incidence(0.0115, 0.001),
-        recruitment_from_key("choiceA"),
-        State(0.2, 0.6, 0.2, 0.0),
-    )
-    report = bound_report(setup, builtin_method("ssprk104"), 1000.0)
+    report = bound_report(EXPERIMENT_SETUP, builtin_method("ssprk104"), 1000.0)
     assert report.tau_method == pytest.approx(20.0, abs=5e-4)
     assert report.k_sup <= 0.1
     assert report.pop_cap == pytest.approx(1.0 + report.k_sup / 0.05, rel=1e-12)
     assert report.binding_term == "sigma"
+
+
+@pytest.mark.parametrize("horizon", [1.0, 32.0, 1000.0])
+def test_bound_report_caps_mu_zero_by_the_linear_envelope(horizon):
+    # with mu = 0, N^n <= N0 + n*tau*K, so N0 + K*horizon caps every step
+    # within the horizon, and B is taken over the same interval
+    setup = EXPERIMENT_SETUP._replace(params=ModelParams(0.0, 0.25, 0.1867, 0.011))
+    report = bound_report(setup, builtin_method("ssprk33"), horizon)
+    assert report.pop_cap == 1.0 + report.k_sup * horizon
+    assert report.b_sup == sup_incidence(setup.incidence, report.pop_cap)
 
 
 def _random_incidence(rng):

@@ -187,6 +187,22 @@ def test_cli_simulate_stage_failure_names_no_step(tmp_path, capsys):
     assert (tmp_path / "verdict.txt").read_text().splitlines()[1] == line
 
 
+def test_cli_simulate_caps_mu_zero_at_the_last_step(tmp_path, capsys):
+    # with mu = 0 the cap is the linear envelope N0 + n*tau*K at the last
+    # step: 8 steps of 4 reach t = 32, so N0 + 32*K = 2.6, which N_8 meets;
+    # the envelope at t_f = 30 (2.5) would fail the run
+    path = tmp_path / "mu0.cfg"
+    path.write_text(DEFAULT_CONFIG_TEXT.replace("mu=0.05", "mu=0.0"))
+    code = main([
+        "--config", str(path), "--out", str(tmp_path), "simulate", "--method", "ssprk33",
+        "--tau", "4", "--tf", "30", "--pi", "const", "--stages", "--strict",
+    ])
+    assert code == 0
+    assert "population bound (cap 2.6): PASS" in capsys.readouterr().out.splitlines()
+    population = float((tmp_path / "trajectory.csv").read_text().splitlines()[-1].split(",")[-1])
+    assert 2.5 < population <= 2.6
+
+
 @pytest.mark.parametrize("tau", ["-1", "0", "nan", "inf"])
 def test_cli_simulate_rejects_bad_step(tmp_path, capsys, tau):
     code = main(["--out", str(tmp_path), "simulate", "--method", "euler", "--tau", tau])

@@ -1,4 +1,5 @@
-"""The convergence study's slope fit and the inputs it refuses."""
+"""The convergence study's slope fit and the inputs it refuses, and the
+guarantee sweep's stage verdict."""
 
 import math
 import re
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from ssp_seir.cli import main
 from ssp_seir.config import DEFAULT_CONFIG_TEXT, parse_config
-from ssp_seir.experiments import _fit_slope, convergence_study
+import ssp_seir.experiments as experiments
+from ssp_seir.experiments import _fit_slope, convergence_study, property_sweep
 
 
 def _normal_equations_slope(xs, ys):
@@ -87,3 +89,19 @@ def test_cli_convergence_exits_2_on_a_zero_error(tmp_path, capsys):
         r"error: convergence of euler: error 0\.0 at tau=\S+ has no logarithm to fit\n", err
     ), err
     assert not (tmp_path / "convergence_slopes.csv").exists()
+
+
+def test_sweep_flags_a_negative_stage(monkeypatch):
+    # each stage of an SSP form is a convex combination of Euler steps, so
+    # positivity must hold at the stages too, not only at the step states
+    integrate = experiments.integrate
+
+    def dipping(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        traj.stage_min = -1e-9
+        return traj
+
+    monkeypatch.setattr(experiments, "integrate", dipping)
+    report = property_sweep(n_configs=1, seed=3)
+    assert report.n_runs == 4 and len(report.failures) == 4
+    assert all(f.endswith(": non-negativity: FAIL (stage, value -1e-09)") for f in report.failures)

@@ -1,7 +1,7 @@
 """Every name a module imports is used in it, every name it exports is
 defined (no linter is installed), importing the package loads none of its
 modules, importing the CLI loads neither ``dataclasses`` nor ``inspect``,
-the set-up and the stepping path load no ``fractions``, every source file
+the CLI, the set-up and the stepping path load no ``fractions``, every source file
 parses as Python 3.10, every catalog formula reads only names it is given,
 and the package runs on the standard library alone."""
 
@@ -94,20 +94,20 @@ methods = [builtin_method(key) for key in BUILTIN_METHOD_KEYS]"""
 
 
 @pytest.mark.parametrize("code, names", [
-    ("import ssp_seir.cli", {"dataclasses", "inspect"}),
+    ("import ssp_seir.cli", {"fractions", "decimal", "dataclasses", "inspect"}),
     (_SET_UP, {"fractions", "decimal", "dataclasses", "inspect"}),
 ], ids=["cli", "benchmark-set-up"])
 def test_importing_loads_neither_dataclasses_nor_inspect(code, names):
     # together they cost about 10 ms of every command's start-up, and the
-    # exact rationals of ``fractions`` (with ``decimal``) about 3 ms of the
-    # set-up's
+    # exact rationals of ``fractions`` (with ``decimal``), which only the
+    # convergence slope fit imports, about 3 ms more
     assert _newly_loaded(code, names) == []
 
 
 @pytest.mark.parametrize("module", ["stepping", "checks", "step_bounds", "reference"])
 def test_the_stepping_path_loads_no_exact_rationals(module):
     # the builtin forms are float literals; only ``butcher`` (the exact
-    # oracle) and ``experiments`` (the exact slope fit) use ``fractions``
+    # oracle) and ``experiments._fit_slope`` use ``fractions``
     assert _newly_loaded(f"import ssp_seir.{module}", {"fractions", "decimal"}) == []
 
 
