@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .model import _immutable
+from .model import _Value
 from .shu_osher import BUILTIN_METHOD_KEYS, ShuOsherForm
 
 __all__ = [
@@ -49,7 +49,7 @@ class InfeasibleFormError(ValueError):
         )
 
 
-class ButcherTableau:
+class ButcherTableau(_Value):
     """Explicit Runge-Kutta coefficients (A strictly lower triangular).
 
     Entries are stored as exact ``Fraction`` values, converted without
@@ -58,7 +58,6 @@ class ButcherTableau:
     """
 
     __slots__ = ("a", "b")
-    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, a: tuple[tuple[Fraction, ...], ...], b: tuple[Fraction, ...]) -> None:
         try:
@@ -77,17 +76,7 @@ class ButcherTableau:
                     )
         if abs(sum(b) - 1) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {float(sum(b))}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __reduce__(self) -> tuple:  # a copy or unpickled instance is validated anew
-        return type(self), (self.a, self.b)
+        self._set(a, b)
 
     @property
     def m(self) -> int:

@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import IO, Any, Callable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG_TEXT, ConfigError, load_config
 from .experiments import (
@@ -51,8 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("bounds-table", help="compute tau_t and tau_r for every "
-                   "recruitment choice and method")
+    bounds = sub.add_parser("bounds-table", help="compute tau_t and tau_r for every "
+                            "recruitment choice and method")
+    bounds.set_defaults(run=_cmd_bounds_table)
 
     sim = sub.add_parser("simulate", help="integrate one setup and report verdicts")
     sim.add_argument("--method", required=True, help="method key (e.g. ssprk22)")
@@ -68,33 +69,43 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="exit nonzero when a property verdict fails",
     )
+    sim.set_defaults(run=_cmd_simulate)
 
     conv = sub.add_parser("convergence", help="order study against the fine reference")
     conv.add_argument(
         "--pi", default="choiceA", help="recruitment catalog key (default choiceA)"
     )
     conv.add_argument("--tf", type=float, default=None, help="override the config horizon")
+    conv.set_defaults(run=_cmd_convergence)
 
-    sub.add_parser(
+    cex = sub.add_parser(
         "counterexample",
         help="oscillating recruitment demo: N^n does not converge to pi/mu",
     )
+    cex.set_defaults(run=_cmd_counterexample)
 
     chk = sub.add_parser("check", help="randomized theorem-guarantee sweep")
     chk.add_argument("--configs", type=int, default=200, help="number of random setups")
     chk.add_argument("--seed", type=int, default=20240501)
+    chk.set_defaults(run=_cmd_check)
 
     dump = sub.add_parser("default-config", help="print the embedded default config")
-    del dump
+    dump.set_defaults(run=None)  # needs no config, so a bad one cannot stop it
     return parser
+
+
+def _write(out: Path, name: str, writer: Callable[[Any, IO[str]], None], data: Any) -> Path:
+    """Write ``data`` with ``writer`` to the file ``name`` in ``out``, made if missing."""
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / name
+    with path.open("w") as stream:
+        writer(data, stream)
+    return path
 
 
 def _cmd_bounds_table(args, config) -> int:
     rows = bounds_table(config)
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / "bounds_table.csv"
-    with path.open("w") as out:
-        write_bounds_table_csv(rows, out)
+    path = _write(args.out, "bounds_table.csv", write_bounds_table_csv, rows)
     print(f"{'pi':8s} {'method':9s} {'tau_t':>10s} {'tau_r':>10s} {'ratio':>8s}")
     for row in rows:
         print(
@@ -109,10 +120,7 @@ def _cmd_simulate(args, config) -> int:
     setup = config.setup(args.pi)
     method = builtin_method(args.method)
     result = run_simulation(setup, method, args.tau, args.tf, args.stages)
-    args.out.mkdir(parents=True, exist_ok=True)
-    traj_path = args.out / "trajectory.csv"
-    with traj_path.open("w") as out:
-        trajectory_to_csv(result.trajectory, out)
+    traj_path = _write(args.out, "trajectory.csv", trajectory_to_csv, result.trajectory)
     verdict_path = args.out / "verdict.txt"
     verdict_path.write_text(result.as_text() + "\n")
     print(result.as_text())
@@ -126,31 +134,23 @@ def _cmd_convergence(args, config) -> int:
     if args.tf is not None:
         config = config._replace(tf=args.tf)
     results = convergence_study(config, recruitment_key=args.pi)
-    args.out.mkdir(parents=True, exist_ok=True)
-    errors_path = args.out / "convergence.csv"
-    with errors_path.open("w") as out:
-        write_convergence_csv(results, out)
-    slopes_path = args.out / "convergence_slopes.csv"
-    with slopes_path.open("w") as out:
-        write_slopes_csv(results, out)
+    errors_path = _write(args.out, "convergence.csv", write_convergence_csv, results)
+    slopes_path = _write(args.out, "convergence_slopes.csv", write_slopes_csv, results)
     for res in results:
         print(f"{res.method:9s} fitted order {res.slope:6.3f}")
     print(f"wrote {errors_path} and {slopes_path}")
     return 0
 
 
-def _cmd_counterexample(args) -> int:
+def _cmd_counterexample(args, config) -> int:
     report = counterexample_report()
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / "counterexample.csv"
-    with path.open("w") as out:
-        trajectory_to_csv(report.trajectory, out)
+    path = _write(args.out, "counterexample.csv", trajectory_to_csv, report.trajectory)
     print(report.as_text())
     print(f"wrote {path}")
     return 0
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args, config) -> int:
     report = property_sweep(n_configs=args.configs, seed=args.seed)
     print(
         f"ran {report.n_runs} integrations over {report.n_configs} random setups: "
@@ -175,9 +175,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _run(argv: Optional[Sequence[str]]) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "default-config":
+    args = _build_parser().parse_args(argv)
+    if args.run is None:
         print(DEFAULT_CONFIG_TEXT, end="")
         return 0
     try:
@@ -186,23 +185,12 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "bounds-table":
-            return _cmd_bounds_table(args, config)
-        if args.command == "simulate":
-            return _cmd_simulate(args, config)
-        if args.command == "convergence":
-            return _cmd_convergence(args, config)
-        if args.command == "counterexample":
-            return _cmd_counterexample(args)
-        if args.command == "check":
-            return _cmd_check(args)
+        return args.run(args, config)
     except (KeyError, ValueError, RuntimeError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

@@ -66,34 +66,60 @@ def _immutable(self, name: str, *value: object) -> None:
     raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
 
 
-class ModelParams:
-    """Rate constants of the model, all non-negative and finite (1/time).
-    Immutable; equal rates compare and hash equal."""
+class _Value:
+    """Base of the validated immutable types.
 
-    __slots__ = ("mu", "sigma", "gamma", "delta")
+    A subclass lists its fields in ``__slots__``, in constructor order, and
+    its constructor validates its arguments and hands them to :meth:`_set`.
+    Instances compare and hash by the values of their fields, and a copy or
+    an unpickled instance goes through the constructor, so it is validated
+    anew.
+    """
+
+    __slots__ = ("_hash",)
     __setattr__ = __delattr__ = _immutable
 
-    def __init__(self, mu: float, sigma: float, gamma: float, delta: float) -> None:
-        for name, value in zip(self.__slots__, (mu, sigma, gamma, delta)):
-            value = _require_finite(name, value)
-            if value < 0.0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+    def _set(self, *values: object) -> None:
+        """Set the fields, in slot order, and the cached hash; once, from ``__init__``."""
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+        # cached because every integrate call hashes its form for the kernel
+        # cache; a subclass that hashes by identity may hold unhashable fields
+        value_hash = hash(values) if type(self).__hash__ is _Value.__hash__ else None
+        object.__setattr__(self, "_hash", value_hash)
 
-    def _values(self) -> tuple[float, float, float, float]:
-        return (self.mu, self.sigma, self.gamma, self.delta)
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return self._hash
 
-    def __reduce__(self) -> tuple:  # a copy or unpickled instance is validated anew
+    def __reduce__(self) -> tuple:
         return type(self), self._values()
 
     def __repr__(self) -> str:
-        return "ModelParams(mu={!r}, sigma={!r}, gamma={!r}, delta={!r})".format(*self._values())
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+def _require_nonnegative(name: str, value: float) -> float:
+    value = _require_finite(name, value)
+    if value < 0.0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
+
+
+class ModelParams(_Value):
+    """Rate constants of the model, all non-negative and finite (1/time).
+    Immutable; equal rates compare and hash equal."""
+
+    __slots__ = ("mu", "sigma", "gamma", "delta")
+
+    def __init__(self, mu: float, sigma: float, gamma: float, delta: float) -> None:
+        self._set(*map(_require_nonnegative, self.__slots__, (mu, sigma, gamma, delta)))
 
 
 class State(NamedTuple):
@@ -127,7 +153,7 @@ FORMULA_NAMESPACE = {
 }
 
 
-class RateFunction:
+class RateFunction(_Value):
     """A catalog entry: a force of infection ``x -> f(x)`` or a recruitment
     rate ``t -> pi(t)``, given as a formula or as a callable.
 
@@ -148,18 +174,14 @@ class RateFunction:
     """
 
     __slots__ = ("key", "fn", "sup", "alpha", "formula", "params")
-    __setattr__ = __delattr__ = _immutable
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(
         self, key: str, fn: Callable[[float], float], sup: Callable[[float], float],
         alpha: Optional[float] = None, formula: str = "fn(x)",
         params: tuple[tuple[str, float], ...] = (),
     ) -> None:
-        for name, value in zip(self.__slots__, (key, fn, sup, alpha, formula, params)):
-            object.__setattr__(self, name, value)
-
-    def __reduce__(self) -> tuple:  # a copy is a new entry, unequal to this one
-        return type(self), (self.key, self.fn, self.sup, self.alpha, self.formula, self.params)
+        self._set(key, fn, sup, alpha, formula, params)
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
@@ -342,17 +364,10 @@ def incidence_from_key(
 _CHOICE_A_MAX = 1.341736984114147
 
 
-def _require_kappa(kappa: float) -> float:
-    kappa = _require_finite("kappa", kappa)
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be non-negative, got {kappa}")
-    return kappa
-
-
 def choice_a_recruitment(kappa: float) -> RateFunction:
     """pi(t) = kappa * (2/pi * arctan(t) + sin(t)/t), with sin(t)/t := 1 at t=0;
     bounded by kappa * _CHOICE_A_MAX on every horizon."""
-    kappa = _require_kappa(kappa)
+    kappa = _require_nonnegative("kappa", kappa)
 
     return _entry(
         "choiceA", "kappa * (2.0 / pi * atan(x) + (1.0 if x == 0.0 else sin(x) / x))",
@@ -362,7 +377,7 @@ def choice_a_recruitment(kappa: float) -> RateFunction:
 
 def choice_b_recruitment(kappa: float) -> RateFunction:
     """pi(t) = kappa * (1/pi * arctan(t) + 1/2); sup is the limit kappa."""
-    kappa = _require_kappa(kappa)
+    kappa = _require_nonnegative("kappa", kappa)
 
     return _entry(
         "choiceB", "kappa * (atan(x) / pi + 0.5)", lambda horizon: kappa, {"kappa": kappa}
@@ -371,7 +386,7 @@ def choice_b_recruitment(kappa: float) -> RateFunction:
 
 def choice_c_recruitment(kappa: float) -> RateFunction:
     """pi(t) = kappa * (-t*exp(-t) + 1); bounded by kappa, attained at t=0."""
-    kappa = _require_kappa(kappa)
+    kappa = _require_nonnegative("kappa", kappa)
 
     return _entry(
         "choiceC", "kappa * (-x * exp(-x) + 1.0)", lambda horizon: kappa, {"kappa": kappa}

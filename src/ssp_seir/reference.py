@@ -115,21 +115,6 @@ def exact_population(
     return n0 * math.exp(-mu * t) + adaptive_simpson(integrand, 0.0, t, quad_tol)
 
 
-def _output_base(output_times: Sequence[float]) -> float:
-    positive = sorted(t for t in output_times if t > 0.0)
-    if not positive:
-        raise ValueError("at least one positive output time is required")
-    base = positive[0]
-    for t in positive:
-        ratio = t / base
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError(
-                f"output times must be integer multiples of the smallest one "
-                f"({base}); offending time {t}"
-            )
-    return base
-
-
 def grid_run(
     setup: ProblemSetup,
     method: ShuOsherForm,
@@ -143,24 +128,40 @@ def grid_run(
     exactly on the step grid (no interpolation), so the output times fall on
     every ``per_base``-th step and the run keeps only those rows.  The result
     holds the run's rows at the output times, in their order, with that step
-    as ``tau``.
+    as ``tau``.  Each output time must be a whole multiple of the smallest
+    positive one, from 0 to the last step.
     """
-    base = _output_base(output_times)
+    if not (math.isfinite(tau_nominal) and tau_nominal > 0.0):
+        raise ValueError(f"tau_nominal must be finite and positive, got {tau_nominal}")
+    if not (math.isfinite(t_f) and t_f > 0.0):
+        raise ValueError(f"t_f must be finite and positive, got {t_f}")
+    if not all(map(math.isfinite, output_times)):
+        raise ValueError(f"output_times must be finite, got {list(output_times)}")
+    positive = [t for t in output_times if t > 0.0]
+    if not positive:
+        raise ValueError("at least one positive output time is required")
+    base = min(positive)
     per_base = max(1, math.ceil(base / tau_nominal - 1e-12))
     tau = base / per_base
     n_steps = round(t_f / tau)
     if n_steps * tau < t_f - 1e-9 * t_f:
         n_steps = math.ceil(t_f / tau)
+    rows = []
+    for t in output_times:
+        k = round(t / base)
+        if not (0 <= k * per_base <= n_steps and abs(t / base - k) <= 1e-9):
+            raise ValueError(
+                f"output time {t} not on the step grid: output times must be "
+                f"integer multiples of the smallest positive one ({base}) up to t_f"
+            )
+        rows.append(k)
     kept = integrate(
         setup.x0, tau, n_steps, method,
         setup.params, setup.incidence, setup.recruitment, every=per_base,
     )
     data = array("d")
-    for t in output_times:
-        k = round(t / tau)
-        if not 0 <= k <= n_steps or abs(k * tau - t) > 1e-9 * (1.0 + t) or k % per_base:
-            raise ValueError(f"output time {t} not on the step grid")
-        data += kept.row(k // per_base)
+    for k in rows:
+        data += kept.row(k)
     return Trajectory(data, tau, kept.method, kept.stage_min)
 
 

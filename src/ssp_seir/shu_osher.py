@@ -14,12 +14,12 @@ from __future__ import annotations
 import functools
 import math
 
-from .model import _immutable
+from .model import _Value
 
 __all__ = ["ShuOsherForm", "BUILTIN_METHOD_KEYS", "builtin_method"]
 
 
-class ShuOsherForm:
+class ShuOsherForm(_Value):
     """Canonical Shu-Osher representation of an explicit RK method.
 
     ``alpha`` and ``v`` are indexed over all m+1 stages, the trivial first
@@ -32,8 +32,7 @@ class ShuOsherForm:
     once), so they share one step kernel.
     """
 
-    __slots__ = ("alpha", "v", "r", "c_stage", "ssp_c", "key", "_hash")
-    __setattr__ = __delattr__ = _immutable
+    __slots__ = ("alpha", "v", "r", "c_stage", "ssp_c", "key")
 
     def __init__(
         self, alpha: tuple[tuple[float, ...], ...], v: tuple[float, ...], r: float,
@@ -59,27 +58,7 @@ class ShuOsherForm:
             for j in range(i, n):
                 if alpha[i][j] != 0.0:
                     raise ValueError("alpha must be strictly lower triangular")
-        values = (alpha, v, r, c_stage, ssp_c, key)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-        # every integrate call hashes its form for the kernel cache
-        object.__setattr__(self, "_hash", hash(values))
-
-    def _values(self) -> tuple:
-        return (self.alpha, self.v, self.r, self.c_stage, self.ssp_c, self.key)
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:  # a copy or unpickled instance is validated anew
-        return type(self), self._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
-        return f"ShuOsherForm({fields})"
+        self._set(alpha, v, r, c_stage, ssp_c, key)
 
     @property
     def m(self) -> int:

@@ -324,5 +324,5 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str) -> Callable:
 def trajectory_to_csv(traj: Trajectory, out: IO[str]) -> None:
     """Write ``t,S,E,I,R,N`` rows at full double precision (round-trippable)."""
     out.write("t,S,E,I,R,N\n")
-    for t, s, e, i, r in zip(traj.times, *traj.compartments):
-        out.write(f"{t!r},{s!r},{e!r},{i!r},{r!r},{s + e + i + r!r}\n")
+    for t, s, e, i, r, n in zip(traj.times, *traj.compartments, traj.populations):
+        out.write(f"{t!r},{s!r},{e!r},{i!r},{r!r},{n!r}\n")

@@ -445,3 +445,23 @@ def test_cli_simulate_keeps_its_golden_bytes(tmp_path, method, tau, tf, trajecto
         for name in ("trajectory.csv", "verdict.txt")
     ]
     assert digests == [trajectory, verdict]
+
+
+# sha256 of the CSV files that ``bounds-table`` and ``convergence --pi const
+# --tf 100`` write with linear incidence and constant recruitment; as above,
+# only + - * / reach these bytes.  The slopes file is left out: its log2 is
+# the platform's.
+@pytest.mark.parametrize("command, name, digest", [
+    (["bounds-table"], "bounds_table.csv",
+     "6944e69e833ddf497b1d48c36e5016177b44f3610e0d97d80538609bd6d9eb79"),
+    (["convergence", "--pi", "const", "--tf", "100"], "convergence.csv",
+     "114d068d87ecc6a6e33ad5b65dc09e46170eaf78933ac2d8ec024f5017ad1eb4"),
+], ids=["bounds-table", "convergence"])
+def test_cli_tables_keep_their_golden_bytes(tmp_path, command, name, digest):
+    path = tmp_path / "linear.cfg"
+    path.write_text(
+        DEFAULT_CONFIG_TEXT.replace("incidence=media", "incidence=linear")
+        .replace("recruitments=choiceA,choiceB,choiceC", "recruitments=const")
+    )
+    assert main(["--config", str(path), "--out", str(tmp_path), *command]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

@@ -1,8 +1,9 @@
 """Every name a module imports is used in it, every name it exports is
 defined (no linter is installed), importing the package loads none of its
 modules, importing the CLI loads neither ``dataclasses`` nor ``inspect``,
-the CLI, the set-up and the stepping path load no ``fractions``, every source file
-parses as Python 3.10, every catalog formula reads only names it is given,
+the CLI, the set-up and the stepping path load no ``fractions``, only
+``model._Value._set`` bypasses the immutable types' ``__setattr__``, every
+source file parses as Python 3.10, every catalog formula reads only names it is given,
 and the package runs on the standard library alone."""
 
 import ast
@@ -51,6 +52,34 @@ def test_every_import_is_used(path):
 def test_every_export_resolves(name):
     module = importlib.import_module(name)
     assert [export for export in module.__all__ if not hasattr(module, export)] == []
+
+
+def _setattr_sites(source: str) -> list[str]:
+    """The functions, as ``Class.function``, that call ``object.__setattr__``."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "__setattr__"
+                    and isinstance(child.value, ast.Name) and child.value.id == "object"):
+                sites.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sites
+
+
+def test_one_immutable_value_idiom():
+    # every validated immutable type sets its fields through model._Value._set
+    sites = {path.stem: _setattr_sites(path.read_text()) for path in MODULES}
+    assert {stem: set(found) for stem, found in sites.items() if found} == {
+        "model": {"_Value._set"},
+    }
+    naming = [path.stem for path in MODULES if "_immutable" in path.read_text()]
+    assert naming == ["model"]
 
 
 def _child_env() -> dict:

@@ -129,6 +129,24 @@ def test_reference_rejects_incommensurate_outputs():
         reference_trajectory(_experiment_setup(), 10.0, [-2.0, 2.0, 10.0])
 
 
+@pytest.mark.parametrize("tau_nominal, t_f, outputs, name", [
+    (0.0, 10.0, [5.0], "tau_nominal"),
+    (-1.0, 10.0, [5.0], "tau_nominal"),
+    (math.inf, 10.0, [5.0], "tau_nominal"),
+    (0.3, math.inf, [5.0], "t_f"),
+    (0.3, math.nan, [5.0], "t_f"),
+    (0.3, 10.0, [5.0, math.inf], "output_times"),
+], ids=["tau-zero", "tau-negative", "tau-inf", "tf-inf", "tf-nan", "output-inf"])
+def test_grid_run_rejects_bad_input_by_name(tau_nominal, t_f, outputs, name):
+    with pytest.raises(ValueError, match=name):
+        grid_run(_experiment_setup(), builtin_method("euler"), tau_nominal, t_f, outputs)
+
+
+def test_reference_rejects_a_zero_refinement():
+    with pytest.raises(ValueError, match="tau_nominal"):
+        reference_trajectory(_experiment_setup(), 10.0, [5.0, 10.0], refinement=0.0)
+
+
 def test_reference_as_trajectory_schema():
     ref = reference_trajectory(_experiment_setup(), 4.0, [2.0, 4.0])
     assert isinstance(ref, Trajectory)

@@ -37,6 +37,13 @@ def test_frozen_types_reject_assignment_and_deletion(name):
     assert getattr(obj, field) is before
 
 
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_types_repr_names_their_fields_in_slot_order(name):
+    obj = FROZEN[name]()
+    fields = ", ".join(f"{field}={getattr(obj, field)!r}" for field in type(obj).__slots__)
+    assert repr(obj) == f"{name}({fields})"
+
+
 def _ssprk33_at(r):
     # a fresh form on every call: equal values, distinct objects
     return shu_osher_from_butcher(builtin_tableau("ssprk33"), r)
