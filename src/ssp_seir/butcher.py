@@ -17,8 +17,6 @@ are literals in :mod:`ssp_seir.shu_osher`, and the tests check them bit for
 bit against the derivation here.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

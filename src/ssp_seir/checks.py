@@ -9,12 +9,10 @@ below the threshold, where its verdict is settled, instead of integrating on
 to the horizon, and keeps only its first and last rows.
 """
 
-from __future__ import annotations
-
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .model import ProblemSetup
+from .model import ProblemSetup, _Value
 from .shu_osher import ShuOsherForm
 from .stepping import IntegrationOverflowError, Trajectory, integrate
 
@@ -38,13 +36,16 @@ class InsufficientDataError(ValueError):
     """The trajectory is too short for the requested estimate."""
 
 
-class Verdict(NamedTuple):
+class Verdict(_Value):
     """Pass/fail with a witness (step index, None for a stage; compartment; value) on failure."""
 
-    passed: bool
-    witness_index: Optional[int] = None
-    witness_compartment: Optional[str] = None
-    witness_value: Optional[float] = None
+    __slots__ = ("passed", "witness_index", "witness_compartment", "witness_value")
+
+    def __init__(
+        self, passed: bool, witness_index: Optional[int] = None,
+        witness_compartment: Optional[str] = None, witness_value: Optional[float] = None,
+    ) -> None:
+        self._set(passed, witness_index, witness_compartment, witness_value)
 
     def __bool__(self) -> bool:
         return self.passed

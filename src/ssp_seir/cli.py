@@ -11,8 +11,6 @@ Subcommands:
 All outputs are deterministic: the same config yields byte-identical files.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
@@ -186,7 +184,9 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         return 2
     try:
         return args.run(args, config)
-    except (KeyError, ValueError, RuntimeError) as exc:
+    except BrokenPipeError:
+        raise  # stdout is gone, so main ends quietly
+    except (KeyError, ValueError, RuntimeError, OSError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

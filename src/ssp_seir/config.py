@@ -6,16 +6,14 @@ rejected and every key must be present (start from
 the published experiment values, so the CLI runs with no arguments.
 """
 
-from __future__ import annotations
-
 import math
 from pathlib import Path
-from typing import NamedTuple
 
 from .model import (
     ModelParams,
     ProblemSetup,
     State,
+    _Value,
     incidence_from_key,
     recruitment_from_key,
 )
@@ -62,26 +60,29 @@ _STR_KEYS = ("incidence",)
 _ALL_KEYS = _FLOAT_KEYS + _LIST_KEYS + _STR_KEYS
 
 
-class ExperimentConfig(NamedTuple):
-    mu: float
-    sigma: float
-    gamma: float
-    delta: float
-    incidence: str
-    nu: float
-    eta: float
-    c1: float
-    c2: float
-    k: float
-    recruitments: tuple[str, ...]
-    kappa: float
-    s0: float
-    e0: float
-    i0: float
-    r0: float
-    tf: float
-    methods: tuple[str, ...]
-    bisect_tol: float
+class ExperimentConfig(_Value):
+    """The values of a config file, one field per key.
+
+    The constructor checks nothing: :func:`parse_config` checks the text, and
+    :meth:`params` and :meth:`setup` check what they build, so a copy made by
+    ``_replace`` with a bad rate fails there.
+    """
+
+    __slots__ = (
+        "mu", "sigma", "gamma", "delta", "incidence", "nu", "eta", "c1", "c2", "k",
+        "recruitments", "kappa", "s0", "e0", "i0", "r0", "tf", "methods", "bisect_tol",
+    )
+
+    def __init__(
+        self, mu: float, sigma: float, gamma: float, delta: float, incidence: str,
+        nu: float, eta: float, c1: float, c2: float, k: float, recruitments: tuple[str, ...],
+        kappa: float, s0: float, e0: float, i0: float, r0: float, tf: float,
+        methods: tuple[str, ...], bisect_tol: float,
+    ) -> None:
+        self._set(
+            mu, sigma, gamma, delta, incidence, nu, eta, c1, c2, k, recruitments,
+            kappa, s0, e0, i0, r0, tf, methods, bisect_tol,
+        )
 
     def params(self) -> ModelParams:
         return ModelParams(self.mu, self.sigma, self.gamma, self.delta)

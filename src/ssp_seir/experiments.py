@@ -6,12 +6,10 @@ The CLI is a thin wrapper around these; everything here is deterministic
 output.
 """
 
-from __future__ import annotations
-
 import math
 import random
 from operator import sub
-from typing import IO, NamedTuple, Optional, Sequence
+from typing import IO, Optional, Sequence
 
 from .checks import (
     check_nonnegativity,
@@ -27,6 +25,7 @@ from .model import (
     ProblemSetup,
     RateFunction,
     State,
+    _Value,
     counterexample_cosine_recruitment,
     incidence_from_key,
     linear_incidence,
@@ -57,11 +56,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class BoundsRow(NamedTuple):
-    recruitment: str
-    method: str
-    tau_t: float
-    tau_r: float
+class BoundsRow(_Value):
+    """One row of the bound table: the theoretical and the empirical threshold."""
+
+    __slots__ = ("recruitment", "method", "tau_t", "tau_r")
+
+    def __init__(self, recruitment: str, method: str, tau_t: float, tau_r: float) -> None:
+        self._set(recruitment, method, tau_t, tau_r)
 
     @property
     def ratio(self) -> float:
@@ -104,15 +105,17 @@ def write_bounds_table_csv(rows: Sequence[BoundsRow], out: IO[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-class SimulationResult(NamedTuple):
+class SimulationResult(_Value):
     """Verdicts on one run; a run that overflowed is judged on its steps before
     the overflow, and ``overflow_step`` is the 0-based index of that step."""
 
-    trajectory: Trajectory
-    nonnegativity: Verdict
-    population: Verdict
-    cap: float
-    overflow_step: Optional[int]
+    __slots__ = ("trajectory", "nonnegativity", "population", "cap", "overflow_step")
+
+    def __init__(
+        self, trajectory: Trajectory, nonnegativity: Verdict, population: Verdict, cap: float,
+        overflow_step: Optional[int],
+    ) -> None:
+        self._set(trajectory, nonnegativity, population, cap, overflow_step)
 
     @property
     def passed(self) -> bool:
@@ -171,11 +174,15 @@ def _judge(
 # ---------------------------------------------------------------------------
 
 
-class ConvergenceResult(NamedTuple):
-    method: str
-    taus: tuple[float, ...]
-    errors: tuple[float, ...]
-    slope: float
+class ConvergenceResult(_Value):
+    """One method's errors against the reference at each step size, and the fitted order."""
+
+    __slots__ = ("method", "taus", "errors", "slope")
+
+    def __init__(
+        self, method: str, taus: tuple[float, ...], errors: tuple[float, ...], slope: float,
+    ) -> None:
+        self._set(method, taus, errors, slope)
 
 
 _CONVERGENCE_OUTPUTS = 50
@@ -271,12 +278,17 @@ def write_slopes_csv(results: Sequence[ConvergenceResult], out: IO[str]) -> None
 # ---------------------------------------------------------------------------
 
 
-class CounterexampleReport(NamedTuple):
-    even_limit: float
-    odd_limit: float
-    gap_tail_min: float
-    gap_tail_max: float
-    trajectory: Trajectory
+class CounterexampleReport(_Value):
+    """The limits of the even and odd population subsequences, the tail's gap
+    to pi/mu, and the run."""
+
+    __slots__ = ("even_limit", "odd_limit", "gap_tail_min", "gap_tail_max", "trajectory")
+
+    def __init__(
+        self, even_limit: float, odd_limit: float, gap_tail_min: float, gap_tail_max: float,
+        trajectory: Trajectory,
+    ) -> None:
+        self._set(even_limit, odd_limit, gap_tail_min, gap_tail_max, trajectory)
 
     def as_text(self) -> str:
         return "\n".join(
@@ -330,10 +342,13 @@ def counterexample_report() -> CounterexampleReport:
 # ---------------------------------------------------------------------------
 
 
-class SweepReport(NamedTuple):
-    n_configs: int
-    n_runs: int
-    failures: list[str]
+class SweepReport(_Value):
+    """How many setups and runs the sweep made, and a line per failed guarantee."""
+
+    __slots__ = ("n_configs", "n_runs", "failures")
+
+    def __init__(self, n_configs: int, n_runs: int, failures: tuple[str, ...]) -> None:
+        self._set(n_configs, n_runs, failures)
 
     @property
     def passed(self) -> bool:
@@ -396,4 +411,4 @@ def property_sweep(n_configs: int = 200, seed: int = 20240501) -> SweepReport:
                 failures.append(f"{label}: {result.nonnegativity.as_text('non-negativity')}")
             if not result.population:
                 failures.append(f"{label}: {result.population.as_text('population bound')}")
-    return SweepReport(n_configs, n_runs, failures)
+    return SweepReport(n_configs, n_runs, tuple(failures))

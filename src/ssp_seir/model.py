@@ -12,11 +12,9 @@ non-negative axis, |f(x)| <= alpha*|x|) and ``pi`` a continuous recruitment
 rate bounded by a constant K >= 0.
 """
 
-from __future__ import annotations
-
 import functools
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 __all__ = [
     "ModelParams",
@@ -67,13 +65,13 @@ def _immutable(self, name: str, *value: object) -> None:
 
 
 class _Value:
-    """Base of the validated immutable types.
+    """Base of the package's immutable records.
 
     A subclass lists its fields in ``__slots__``, in constructor order, and
-    its constructor validates its arguments and hands them to :meth:`_set`.
-    Instances compare and hash by the values of their fields, and a copy or
-    an unpickled instance goes through the constructor, so it is validated
-    anew.
+    its constructor validates its arguments, if it has any rule for them,
+    and hands them to :meth:`_set`.  Instances compare and hash by the values
+    of their fields, and a copy, an unpickled instance or one made by
+    :meth:`_replace` goes through the constructor, so it is validated anew.
     """
 
     __slots__ = ("_hash",)
@@ -90,6 +88,13 @@ class _Value:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _replace(self, **changes: object) -> "_Value":
+        """A copy with the named fields changed, made by the constructor."""
+        values = tuple(map(changes.pop, self.__slots__, self._values()))
+        if changes:
+            raise TypeError(f"{type(self).__name__} has no field {', '.join(map(repr, changes))}")
+        return type(self)(*values)
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self._values() == other._values()
@@ -122,14 +127,13 @@ class ModelParams(_Value):
         self._set(*map(_require_nonnegative, self.__slots__, (mu, sigma, gamma, delta)))
 
 
-class State(NamedTuple):
+class State(_Value):
     """Compartment values (S, E, I, R) at time ``t``."""
 
-    s: float
-    e: float
-    i: float
-    r: float
-    t: float = 0.0
+    __slots__ = ("s", "e", "i", "r", "t")
+
+    def __init__(self, s: float, e: float, i: float, r: float, t: float = 0.0) -> None:
+        self._set(s, e, i, r, t)
 
     @property
     def total(self) -> float:
@@ -216,13 +220,15 @@ def _entry(
     return RateFunction(key, fn, sup, alpha, formula, tuple(params.items()))
 
 
-class ProblemSetup(NamedTuple):
+class ProblemSetup(_Value):
     """A fully specified integration problem."""
 
-    params: ModelParams
-    incidence: RateFunction
-    recruitment: RateFunction
-    x0: State
+    __slots__ = ("params", "incidence", "recruitment", "x0")
+
+    def __init__(
+        self, params: ModelParams, incidence: RateFunction, recruitment: RateFunction, x0: State,
+    ) -> None:
+        self._set(params, incidence, recruitment, x0)
 
 
 # ---------------------------------------------------------------------------

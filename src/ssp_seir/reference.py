@@ -13,8 +13,6 @@ Two oracles:
   but cannot expose a fault of the stepping loop they share.
 """
 
-from __future__ import annotations
-
 import math
 from array import array
 from typing import Callable, Sequence

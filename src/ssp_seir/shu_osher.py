@@ -9,8 +9,6 @@ the Butcher tableau rounds to.  That derivation lives in
 for bit.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 

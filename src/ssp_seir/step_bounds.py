@@ -12,12 +12,9 @@ how total population propagates through the stages and are exposed here so
 the identities they satisfy can be tested directly against the integrator.
 """
 
-from __future__ import annotations
-
 import math
-from typing import NamedTuple
 
-from .model import ModelParams, ProblemSetup, recruitment_sup, sup_incidence
+from .model import ModelParams, ProblemSetup, _Value, recruitment_sup, sup_incidence
 from .shu_osher import ShuOsherForm
 
 __all__ = [
@@ -33,23 +30,25 @@ __all__ = [
 _TERM_NAMES = ("incidence", "sigma", "gamma", "delta")
 
 
-class EulerBound(NamedTuple):
+class EulerBound(_Value):
     """Euler positivity step bound and the term attaining the min ("none" if none)."""
 
-    dt_star: float
-    binding_term: str
+    __slots__ = ("dt_star", "binding_term")
+
+    def __init__(self, dt_star: float, binding_term: str) -> None:
+        self._set(dt_star, binding_term)
 
 
-class BoundReport(NamedTuple):
+class BoundReport(_Value):
     """Step-size bound summary for one method on one problem setup."""
 
-    method: str
-    dt_star: float
-    tau_method: float
-    pop_cap: float
-    b_sup: float
-    k_sup: float
-    binding_term: str
+    __slots__ = ("method", "dt_star", "tau_method", "pop_cap", "b_sup", "k_sup", "binding_term")
+
+    def __init__(
+        self, method: str, dt_star: float, tau_method: float, pop_cap: float, b_sup: float,
+        k_sup: float, binding_term: str,
+    ) -> None:
+        self._set(method, dt_star, tau_method, pop_cap, b_sup, k_sup, binding_term)
 
 
 def euler_step_bound(p: ModelParams, b_sup: float) -> EulerBound:

@@ -26,8 +26,6 @@ stage-by-stage loop computes.  Negative compartment values are never
 clamped: observing them is the whole point of the property checks.
 """
 
-from __future__ import annotations
-
 import ast
 import functools
 import itertools
@@ -39,7 +37,7 @@ from array import array
 from operator import add
 from typing import IO, Callable
 
-from .model import FORMULA_NAMESPACE, ModelParams, RateFunction, State
+from .model import FORMULA_NAMESPACE, ModelParams, RateFunction, State, _Value
 from .shu_osher import ShuOsherForm
 
 __all__ = [
@@ -59,7 +57,7 @@ class IntegrationOverflowError(RuntimeError):
         super().__init__(f"non-finite state at step {step_index}")
 
 
-class Trajectory:
+class Trajectory(_Value):
     """Time-stamped step states with the stepping metadata.
 
     ``data`` is one flat float64 ``array('d')`` of rows of five values
@@ -69,13 +67,22 @@ class Trajectory:
     work on the columns, and :attr:`states` builds :class:`State` objects on
     every read.  ``stage_min`` is the smallest compartment value seen over
     all internal stages of all steps (step states included), a diagnostic
-    for stage-level positivity checks.  Instances compare by identity.
+    for stage-level positivity checks.  The fields cannot be reassigned, but
+    ``data`` is the run's own array, not a copy: writing to it changes the
+    run.  Instances compare and hash by identity.
     """
 
     __slots__ = ("data", "tau", "method", "stage_min")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, data: array, tau: float, method: str, stage_min: float) -> None:
-        self.data, self.tau, self.method, self.stage_min = data, tau, method, stage_min
+        self._set(data, tau, method, stage_min)
+
+    def __repr__(self) -> str:
+        return (
+            f"Trajectory(rows={len(self)}, tau={self.tau!r}, method={self.method!r}, "
+            f"stage_min={self.stage_min!r})"
+        )
 
     def row(self, k: int) -> array:
         """Row ``k`` (negative counts from the end): ``t, S, E, I, R``."""

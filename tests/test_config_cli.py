@@ -363,6 +363,19 @@ def test_cli_bad_config_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out, argv, reason", [
+    ("file", ["counterexample"], "File exists"),
+    ("file/sub", ["simulate", "--method", "euler", "--tau", "0.5", "--tf", "2"], "Not a directory"),
+], ids=["an-existing-file", "below-a-file"])
+def test_cli_reports_an_unusable_out_directory_in_one_line(tmp_path, capsys, out, argv, reason):
+    # like a bad --config: one error line and exit 2, not a traceback
+    (tmp_path / "file").write_text("kept\n")
+    assert main(["--out", str(tmp_path / out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err and err.count("\n") == 1, err
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("pi", ["choiceA", "choiceB", "choiceC"])
 def test_cli_simulate_rejects_negative_kappa(tmp_path, capsys, pi):
     path = tmp_path / "exp.cfg"

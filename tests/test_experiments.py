@@ -13,6 +13,7 @@ from ssp_seir.cli import main
 from ssp_seir.config import DEFAULT_CONFIG_TEXT, parse_config
 import ssp_seir.experiments as experiments
 from ssp_seir.experiments import _fit_slope, convergence_study, property_sweep
+from ssp_seir.stepping import Trajectory
 
 
 def _normal_equations_slope(xs, ys):
@@ -98,8 +99,7 @@ def test_sweep_flags_a_negative_stage(monkeypatch):
 
     def dipping(*args, **kwargs):
         traj = integrate(*args, **kwargs)
-        traj.stage_min = -1e-9
-        return traj
+        return Trajectory(traj.data, traj.tau, traj.method, -1e-9)
 
     monkeypatch.setattr(experiments, "integrate", dipping)
     report = property_sweep(n_configs=1, seed=3)

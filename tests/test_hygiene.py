@@ -1,8 +1,9 @@
 """Every name a module imports is used in it, every name it exports is
 defined (no linter is installed), importing the package loads none of its
 modules, importing the CLI loads neither ``dataclasses`` nor ``inspect``,
-the CLI, the set-up and the stepping path load no ``fractions``, only
-``model._Value._set`` bypasses the immutable types' ``__setattr__``, every
+the CLI, the set-up and the stepping path load no ``fractions`` and no
+``__future__``, every record is a ``model._Value`` (no ``NamedTuple``) and
+only ``model._Value._set`` bypasses its ``__setattr__``, every
 source file parses as Python 3.10, every catalog formula reads only names it is given,
 and the package runs on the standard library alone."""
 
@@ -31,8 +32,6 @@ def _unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
@@ -82,6 +81,19 @@ def test_one_immutable_value_idiom():
     assert naming == ["model"]
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_named_tuple_and_no_future_import(path):
+    # a NamedTuple class costs 0.1-0.4 ms to build at import, and the first
+    # ``from __future__`` import about 0.3 ms; records derive from _Value
+    source = path.read_text()
+    assert "NamedTuple" not in source
+    futures = [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__"
+    ]
+    assert futures == []
+
+
 def _child_env() -> dict:
     """The environment of a child interpreter that imports this checkout."""
     src = str(Path(ssp_seir.__file__).resolve().parents[1])
@@ -122,15 +134,16 @@ config = load_config(None)
 methods = [builtin_method(key) for key in BUILTIN_METHOD_KEYS]"""
 
 
-@pytest.mark.parametrize("code, names", [
-    ("import ssp_seir.cli", {"fractions", "decimal", "dataclasses", "inspect"}),
-    (_SET_UP, {"fractions", "decimal", "dataclasses", "inspect"}),
-], ids=["cli", "benchmark-set-up"])
-def test_importing_loads_neither_dataclasses_nor_inspect(code, names):
+_NOT_AT_START_UP = {"fractions", "decimal", "dataclasses", "inspect", "__future__"}
+
+
+@pytest.mark.parametrize("code", ["import ssp_seir.cli", _SET_UP], ids=["cli", "benchmark-set-up"])
+def test_importing_loads_neither_dataclasses_nor_inspect(code):
     # together they cost about 10 ms of every command's start-up, and the
     # exact rationals of ``fractions`` (with ``decimal``), which only the
-    # convergence slope fit imports, about 3 ms more
-    assert _newly_loaded(code, names) == []
+    # convergence slope fit imports, about 3 ms more; ``__future__`` about
+    # 0.3 ms
+    assert _newly_loaded(code, _NOT_AT_START_UP) == []
 
 
 @pytest.mark.parametrize("module", ["stepping", "checks", "step_bounds", "reference"])

@@ -1,5 +1,5 @@
-"""Contract of the package's immutable types: the validated classes reject
-assignment, compare as documented and admit no copy that skips their checks."""
+"""Contract of the package's immutable types: every record rejects
+assignment, compares as documented and admits no copy that skips its checks."""
 
 import copy
 import math
@@ -7,19 +7,57 @@ import pickle
 
 import pytest
 
+from ssp_seir.checks import Verdict
 from ssp_seir.config import DEFAULT_CONFIG_TEXT, parse_config
+from ssp_seir.experiments import (
+    BoundsRow,
+    ConvergenceResult,
+    CounterexampleReport,
+    SweepReport,
+    run_simulation,
+)
 from ssp_seir.model import ModelParams, State, linear_incidence, recruitment_from_key
 from ssp_seir.butcher import ButcherTableau, builtin_tableau, shu_osher_from_butcher
 from ssp_seir.shu_osher import ShuOsherForm, builtin_method
-from ssp_seir.stepping import _kernel, integrate
+from ssp_seir.step_bounds import EulerBound, bound_report
+from ssp_seir.stepping import Trajectory, _kernel, integrate
 
 RATES = ("mu", "sigma", "gamma", "delta")
 
-FROZEN = {
+
+def _config():
+    return parse_config(DEFAULT_CONFIG_TEXT)
+
+
+def _simulation():
+    return run_simulation(_config().setup("choiceC"), builtin_method("euler"), 0.5, 2.0)
+
+
+# the records that compare by value and hold no rate function or trajectory
+BY_VALUE = {
     "ModelParams": lambda: ModelParams(0.05, 0.25, 0.1867, 0.011),
-    "RateFunction": lambda: recruitment_from_key("choiceA"),
     "ButcherTableau": lambda: builtin_tableau("ssprk33"),
     "ShuOsherForm": lambda: builtin_method("ssprk33"),
+    "State": lambda: State(0.2, 0.6, 0.2, 0.0, 1.5),
+    "ExperimentConfig": _config,
+    "Verdict": lambda: Verdict(False, 3, "S", -1e-9),
+    "EulerBound": lambda: EulerBound(2.5, "sigma"),
+    "BoundReport": lambda: bound_report(
+        _config().setup("choiceA"), builtin_method("ssprk104"), 1000.0
+    ),
+    "BoundsRow": lambda: BoundsRow("choiceA", "euler", 1.5, 1.75),
+    "ConvergenceResult": lambda: ConvergenceResult("euler", (0.5, 0.25), (1e-3, 5e-4), 1.0),
+    "SweepReport": lambda: SweepReport(2, 8, ("config 0: overflow at step 3",)),
+}
+
+FROZEN = {
+    **BY_VALUE,
+    "RateFunction": lambda: recruitment_from_key("choiceA"),
+    "ProblemSetup": lambda: _config().setup("choiceA"),
+    "SimulationResult": _simulation,
+    "CounterexampleReport": lambda: CounterexampleReport(
+        4 / 3, 2 / 3, 0.1, 0.2, _simulation().trajectory
+    ),
 }
 
 
@@ -130,9 +168,61 @@ class _Pickled:
         return ModelParams, self.rates
 
 
-@pytest.mark.parametrize("name", ["ModelParams", "ButcherTableau", "ShuOsherForm"])
+@pytest.mark.parametrize("name", BY_VALUE)
 def test_value_types_copy_and_pickle_to_equal_instances(name):
-    obj = FROZEN[name]()
+    obj = BY_VALUE[name]()
     for duplicate in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert type(duplicate) is type(obj)
         assert duplicate == obj and hash(duplicate) == hash(obj)
+
+
+def test_records_are_not_tuples():
+    state = State(0.2, 0.6, 0.2, 0.0, 1.5)
+    assert not isinstance(state, tuple)
+    assert state != (0.2, 0.6, 0.2, 0.0, 1.5)
+    assert state == State(0.2, 0.6, 0.2, 0.0, t=1.5) and State(1.0, 0.0, 0.0, 0.0).t == 0.0
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("State", "t", 2.0),
+    ("ExperimentConfig", "tf", 10.0),
+    ("ModelParams", "delta", 0.0),
+    ("Verdict", "witness_value", -2e-9),
+    ("SweepReport", "failures", ()),
+])
+def test_replace_changes_only_the_named_field(name, field, value):
+    obj = BY_VALUE[name]()
+    assert obj._replace() == obj
+    changed = obj._replace(**{field: value})
+    assert type(changed) is type(obj) and getattr(changed, field) == value != getattr(obj, field)
+    others = [other for other in type(obj).__slots__ if other != field]
+    assert [getattr(changed, other) for other in others] == [getattr(obj, other) for other in others]
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_replace_rejects_an_unknown_field(name):
+    obj = FROZEN[name]()
+    with pytest.raises(TypeError, match="no field 'colour'"):
+        obj._replace(colour=1.0)
+
+
+def test_replace_goes_through_the_constructor():
+    p = ModelParams(0.05, 0.25, 0.1867, 0.011)
+    assert p._replace(mu=0.5) == ModelParams(0.5, 0.25, 0.1867, 0.011)
+    with pytest.raises(ValueError, match="mu must be non-negative"):
+        p._replace(mu=-1.0)
+    with pytest.raises(ValueError, match="consistency"):
+        builtin_method("ssprk22")._replace(v=(1.0, 0.25, 0.5))
+
+
+def test_trajectory_is_read_only_and_compares_by_identity():
+    traj = _simulation().trajectory
+    for field in Trajectory.__slots__:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(traj, field, -5.0)
+    assert repr(traj) == (
+        f"Trajectory(rows=5, tau=0.5, method='euler', stage_min={traj.stage_min!r})"
+    )
+    twin = Trajectory(traj.data, traj.tau, traj.method, traj.stage_min)
+    assert twin != traj and hash(twin) == object.__hash__(twin)
+    assert len({traj, twin}) == 2
