@@ -1,15 +1,36 @@
 """Trajectory property verdicts and the empirical step-size threshold search.
 
-Negativity uses the threshold -1e-12 rather than 0 so trajectories that sit
-exactly on a compartment boundary are not failed by round-off.  The
-empirical threshold search checks step states only, matching what the
+Negativity is judged against a threshold below 0 so that trajectories that
+sit exactly on a compartment boundary are not failed by round-off.  The
+threshold search, and a verdict given no population cap, use the absolute
+:data:`NEGATIVITY_THRESHOLD`, -1e-12.  The ``simulate`` and ``check``
+verdicts pass :func:`check_nonnegativity` the run's ``cap`` and scale the
+threshold with the run: ``min(-1e-12, -c*eps*n)``, with ``eps`` the double
+precision and ``n`` the run's own size, its largest row population but no
+more than the cap.  A compartment that the bound drives exactly to 0 comes
+out of the float arithmetic as a rounding error of the size of the
+population times ``eps``.  Over about 15,000 runs at ``tau = C*dt*``
+from boundary witnesses (a state whose binding compartment has no inflow,
+rescaled by 1 to 1e9, with mu from 0 and 1e-12 to 0.1) the smallest stage
+value was -0.72 ``eps*n``.  So an absolute -1e-12 fails a correct run once
+the population is about 1e4, and ``c = 8`` keeps a margin of 11 on that
+measurement, while a real violation at ``tau = C*dt*(1 + 1e-9)``, about
+1e-9 of the compartment, still fails at every scale.  The size is read
+from the run, not from the cap alone: the cap ``N0 + K/mu`` grows without
+bound as mu goes to 0 while the population may stay near N0.  Below a
+size of about 560 the rule is the absolute -1e-12, so no run at the
+published scale is judged differently.
+
+The empirical threshold search checks step states only, matching what the
 step-size experiments observe; :func:`check_nonnegativity` can also check the
-internal stages.  Each probe of the search stops at its first step state
-below the threshold, where its verdict is settled, instead of integrating on
-to the horizon, and keeps only its first and last rows.
+internal stages, of a run that tracked them.  Each probe of the search stops
+at its first step state below the threshold, where its verdict is settled,
+instead of integrating on to the horizon, keeps only its first and last
+rows, and tracks no stage minimum.
 """
 
 import math
+import sys
 from typing import Optional
 
 from .model import ProblemSetup, _Value
@@ -28,6 +49,7 @@ __all__ = [
 ]
 
 NEGATIVITY_THRESHOLD = -1e-12
+_ROUNDING_MULTIPLE = 8.0  # c of the scaled rule, in units of eps*n
 
 _COMPARTMENTS = ("S", "E", "I", "R")
 
@@ -69,20 +91,46 @@ def _nan_free(values) -> bool:
     return total == total
 
 
-def check_nonnegativity(traj: Trajectory, include_stages: bool = False) -> Verdict:
-    """Pass iff every step state (and, if flagged, every stage) is >= -1e-12."""
+def check_nonnegativity(
+    traj: Trajectory, include_stages: bool = False, cap: Optional[float] = None,
+) -> Verdict:
+    """Pass iff every step state (and, if flagged, every stage) is >= -1e-12,
+    or given the run's population ``cap``, >= the threshold scaled by the
+    run's size (module docstring).
+
+    Stages can be checked only on a run that tracked them: a trajectory
+    whose ``stage_min`` is None (``integrate(..., stages=False)``) raises
+    ValueError with ``include_stages``, rather than pass unchecked.
+    """
+    if include_stages and traj.stage_min is None:
+        raise ValueError("the run tracked no stage minimum: integrate it with stages=True")
+    verdict = _first_below(traj, include_stages, NEGATIVITY_THRESHOLD)
+    if verdict or cap is None:
+        return verdict
+    # the scaled threshold is never above -1e-12, so only a run that fails
+    # the absolute one needs its size; a NaN or a population above the cap
+    # leaves the cap
+    largest = max(traj.populations, default=0.0)
+    size = largest if largest <= cap else cap
+    scaled = -_ROUNDING_MULTIPLE * sys.float_info.epsilon * size
+    if -math.inf < scaled < NEGATIVITY_THRESHOLD:
+        return _first_below(traj, include_stages, scaled)
+    return verdict
+
+
+def _first_below(traj: Trajectory, include_stages: bool, threshold: float) -> Verdict:
     columns = traj.compartments
     # min() skips a NaN that is not first, hence the NaN test
     if not all(
-        _nan_free(column) and min(column, default=0.0) >= NEGATIVITY_THRESHOLD
+        _nan_free(column) and min(column, default=0.0) >= threshold
         for column in columns
     ):
         # the first failing value in row-major order
         for k, row in enumerate(zip(*columns)):
             for c, x in enumerate(row):
-                if not x >= NEGATIVITY_THRESHOLD:
+                if not x >= threshold:
                     return Verdict(False, k, _COMPARTMENTS[c], x)
-    if include_stages and not traj.stage_min >= NEGATIVITY_THRESHOLD:
+    if include_stages and not traj.stage_min >= threshold:
         return Verdict(False, None, "stage", traj.stage_min)
     return Verdict(True)
 
@@ -140,7 +188,7 @@ def _positivity_ok(setup: ProblemSetup, method: ShuOsherForm, tau: float, t_f: f
         traj = integrate(
             setup.x0, tau, n_steps, method,
             setup.params, setup.incidence, setup.recruitment,
-            stop_below=NEGATIVITY_THRESHOLD, every=max(n_steps, 1),
+            stop_below=NEGATIVITY_THRESHOLD, every=max(n_steps, 1), stages=False,
         )
     except IntegrationOverflowError:
         return False

@@ -154,18 +154,21 @@ def _judge(
     setup: ProblemSetup, method: ShuOsherForm, tau: float, n_steps: int, cap: float,
     include_stages: bool,
 ) -> SimulationResult:
-    """Integrate ``n_steps`` steps of ``tau``; judge positivity and the ``cap``."""
+    """Integrate ``n_steps`` steps of ``tau``; judge positivity against the
+    threshold scaled by the run's size (:mod:`~ssp_seir.checks`), at the
+    stages too with ``include_stages``, and the population against the
+    ``cap``.  The run tracks its stage minimum only with ``include_stages``."""
     overflow_step = None
     try:
         traj = integrate(
             setup.x0, tau, n_steps, method,
-            setup.params, setup.incidence, setup.recruitment,
+            setup.params, setup.incidence, setup.recruitment, stages=include_stages,
         )
     except IntegrationOverflowError as exc:
         traj, overflow_step = exc.partial, exc.step_index
     return SimulationResult(
-        traj, check_nonnegativity(traj, include_stages), check_population_bound(traj, cap),
-        cap, overflow_step,
+        traj, check_nonnegativity(traj, include_stages, cap),
+        check_population_bound(traj, cap), cap, overflow_step,
     )
 
 
@@ -321,7 +324,7 @@ def counterexample_report() -> CounterexampleReport:
     tau = 0.5
     traj = integrate(
         setup.x0, tau, _CEX_STEPS, builtin_method("euler"),
-        params, setup.incidence, pi,
+        params, setup.incidence, pi, stages=False,
     )
     even_limit, odd_limit = detect_oscillation(traj, period=2)
     gaps = [

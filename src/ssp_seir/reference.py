@@ -126,7 +126,8 @@ def grid_run(
     exactly on the step grid (no interpolation), so the output times fall on
     every ``per_base``-th step and the run keeps only those rows.  The result
     holds the run's rows at the output times, in their order, with that step
-    as ``tau``.  Each output time must be a whole multiple of the smallest
+    as ``tau``; the run tracks no stage minimum, so its ``stage_min`` is
+    None.  Each output time must be a whole multiple of the smallest
     positive one, from 0 to the last step.
     """
     if not (math.isfinite(tau_nominal) and tau_nominal > 0.0):
@@ -155,12 +156,12 @@ def grid_run(
         rows.append(k)
     kept = integrate(
         setup.x0, tau, n_steps, method,
-        setup.params, setup.incidence, setup.recruitment, every=per_base,
+        setup.params, setup.incidence, setup.recruitment, every=per_base, stages=False,
     )
     data = array("d")
     for k in rows:
         data += kept.row(k)
-    return Trajectory(data, tau, kept.method, kept.stage_min)
+    return Trajectory(data, tau, kept.method, None)
 
 
 def reference_trajectory(

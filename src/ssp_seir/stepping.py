@@ -13,7 +13,11 @@ not written into its source, and the formulas' constant ``pi`` is a
 literal, folded by the compiler with the constants next to it.  The kernel
 does only the work its caller reads: it keeps the rows of a stride
 ``every`` and the run's end row, so a threshold probe keeps just its end
-row and a grid run its output rows.
+row and a grid run its output rows; it tracks the per-stage minimum only
+for a run with ``stages`` (``simulate --stages`` and ``check``) and tests a
+floor only for a run given one (a threshold probe), so a grid run does
+neither.  The cache key is ``(form, incidence, recruitment, stages,
+floored)``.
 
 Stage recruitment is evaluated at the Butcher abscissa times carried by the
 form (t_n + c_j * tau); this preserves classical order for time-dependent
@@ -67,15 +71,16 @@ class Trajectory(_Value):
     work on the columns, and :attr:`states` builds :class:`State` objects on
     every read.  ``stage_min`` is the smallest compartment value seen over
     all internal stages of all steps (step states included), a diagnostic
-    for stage-level positivity checks.  The fields cannot be reassigned, but
-    ``data`` is the run's own array, not a copy: writing to it changes the
-    run.  Instances compare and hash by identity.
+    for stage-level positivity checks, or None for a run that tracked no
+    stages (``integrate(..., stages=False)``).  The fields cannot be
+    reassigned, but ``data`` is the run's own array, not a copy: writing to
+    it changes the run.  Instances compare and hash by identity.
     """
 
     __slots__ = ("data", "tau", "method", "stage_min")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, data: array, tau: float, method: str, stage_min: float) -> None:
+    def __init__(self, data: array, tau: float, method: str, stage_min: float | None) -> None:
         self._set(data, tau, method, stage_min)
 
     def __repr__(self) -> str:
@@ -124,6 +129,7 @@ def integrate(
     *,
     stop_below: float | None = None,
     every: int = 1,
+    stages: bool = True,
 ) -> Trajectory:
     """Repeated Shu-Osher stepping with effective sub-step tau/r; the
     one-stage form is forward Euler, bit for bit.  Deterministic given
@@ -146,10 +152,15 @@ def integrate(
     the failing step.  The steps taken, ``stage_min`` and the failing step
     do not depend on ``every``.
 
-    ``stage_min`` covers the stages of every step that ran.  On an overflow
-    it also covers the failing step's stages when that step ended on a
-    non-finite state, and not when a formula raised ``OverflowError``
-    partway through it.
+    With ``stages`` (the default), ``stage_min`` covers the stages of every
+    step that ran.  On an overflow it also covers the failing step's stages
+    when that step ended on a non-finite state, and not when a formula
+    raised ``OverflowError`` partway through it.  With ``stages=False`` the
+    run tracks no stage minimum and ``stage_min`` is None; its rows, the
+    steps taken, the failing step and ``method`` are those of the tracked
+    run, bit for bit.  The kernel is compiled for the bookkeeping the run
+    reads: the stage minimum only with ``stages``, the floor test only with
+    a ``stop_below`` (see :func:`_kernel`).
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"step size must be finite and non-negative, got {tau}")
@@ -160,14 +171,14 @@ def integrate(
     if not (isinstance(every, int) and every >= 1):
         raise ValueError(f"every must be a positive integer, got {every!r}")
     history = [x0.t, x0.s, x0.e, x0.i, x0.r]
-    stage_min = min(x0.s, x0.e, x0.i, x0.r)
+    stage_min = min(x0.s, x0.e, x0.i, x0.r) if stages else None
+    floored = stop_below is not None
     # each compartment on its own: min() skips a NaN that is not first
-    if stop_below is not None and not all(x >= stop_below for x in history[1:]):
+    if floored and not all(x >= stop_below for x in history[1:]):
         n_steps = 0  # stage_min is still the initial state's minimum
-    floor = -math.inf if stop_below is None else stop_below
-    failed_at, stage_min = _kernel(method, f.formula, pi.formula)(
+    failed_at, stage_min = _kernel(method, f.formula, pi.formula, stages, floored)(
         x0.s, x0.e, x0.i, x0.r, x0.t, tau, n_steps,
-        p, f.bindings, pi.bindings, floor, every, history, stage_min,
+        p, f.bindings, pi.bindings, stop_below, every, history, stage_min,
     )
     # struct converts the floats to doubles in about half the time array("d", list) takes
     data = array("d", struct.pack(f"{len(history)}d", *history))
@@ -209,7 +220,10 @@ _serial = itertools.count()  # numbers the kernels' file names
 
 
 @functools.cache
-def _kernel(form: ShuOsherForm, incidence: str, recruitment: str) -> Callable:
+def _kernel(
+    form: ShuOsherForm, incidence: str, recruitment: str, stages: bool = True,
+    floored: bool = True,
+) -> Callable:
     """Compile the whole step loop of ``form`` into one function, with the
     formulas ``incidence`` and ``recruitment`` pasted in place of calls.
 
@@ -224,12 +238,21 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str) -> Callable:
     time ``t0 + k*tau`` computed afresh (no accumulation drift), and returns
     ``(k, stage_min)``.  ``k`` is None when the loop ran out or the floor
     ended it at a step state with a compartment below ``floor``, else the
-    index of the step that failed.  ``stage_min`` covers the stages of the
-    steps before a failing one; when the failing step ended on a non-finite
-    state it covers that step's stages too, while an ``OverflowError``
-    raised within a step leaves them out.  The cache keeps one kernel per
-    distinct form value and pair of formulas integrated; its source is
-    registered with :mod:`linecache`, so tracebacks show its lines.
+    index of the step that failed.
+
+    The kernel emits only the bookkeeping its run reads.  With ``stages``,
+    ``stage_min`` is lowered to the smallest compartment of every stage: it
+    covers the stages of the steps before a failing one, and when the
+    failing step ended on a non-finite state that step's stages too, while
+    an ``OverflowError`` raised within a step leaves them out.  Without
+    ``stages`` the kernel never reads or changes ``stage_min`` and returns
+    it as given.  With ``floored`` it tests each step state against
+    ``floor``; without, it never reads ``floor``.  A kernel with neither
+    computes no stage minimum at all.
+
+    The cache keeps one kernel per distinct form value, pair of formulas
+    and pair of flags integrated; its source is registered with
+    :mod:`linecache`, so tracebacks show its lines.
     """
     m = form.m
     # nonzero alpha terms of each row in ascending j; skipping exact zeros
@@ -255,7 +278,7 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str) -> Callable:
     # k-1, it also stamps that step's row; step 0 starts at t0 + 0*tau like
     # the others (t0 = -0.0 becomes 0.0 there, while row 0 keeps x0.t)
     head.append("t = t0 + 0 * tau")
-    step = ["before = stage_min"]  # the minimum over the steps before this one
+    step = ["before = stage_min"] if stages else []  # the minimum before this step
     for k in range(m):
         xs, xe, xi, xr = (f"{c}{k}" if k else c for c in "seir")
         if k in read:
@@ -285,21 +308,28 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str) -> Callable:
             sum_ = ["0.0" if form.v[i] == 0.0 else _times(form.v[i], f"v{i}", c)]
             sum_ += [_times(form.alpha[i][j], f"a{i}_{j}", f"f{c}{j}") for j in terms[i]]
             step.append(f"{name} = {' + '.join(sum_)}")
-        # stage_min = min(stage_min, min(stage)), spelled out with min()'s
-        # NaN and tie rules
-        step.append(f"stage_low = {names[0]}")
-        step += [f"if {x} < stage_low: stage_low = {x}" for x in names[1:]]
-        step.append("if stage_low < stage_min: stage_min = stage_low")
+        if stages or (floored and i == m):
+            # stage_min = min(stage_min, min(stage)), spelled out with min()'s
+            # NaN and tie rules
+            step.append(f"stage_low = {names[0]}")
+            step += [f"if {x} < stage_low: stage_low = {x}" for x in names[1:]]
+        if stages:
+            step.append("if stage_low < stage_min: stage_min = stage_low")
     step += [
         # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
         "if (s - s) + (e - e) + (i - i) + (r - r) != 0.0:",
         "    return k, stage_min",
         "t = t0 + (k + 1) * tau",
-        # the state is finite here, so stage_low is its smallest compartment
-        # and < is the negation of >=
-        "if stage_low < floor:",
-        "    extend((t, s, e, i, r))",
-        "    return None, stage_min",
+    ]
+    if floored:
+        step += [
+            # the state is finite here, so stage_low is its smallest
+            # compartment and < is the negation of >=
+            "if stage_low < floor:",
+            "    extend((t, s, e, i, r))",
+            "    return None, stage_min",
+        ]
+    step += [
         "if k == keep:",
         "    extend((t, s, e, i, r))",
         "    keep += every",
@@ -312,12 +342,13 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str) -> Callable:
         + [f"    {line}" for line in head]
         + ["    try:", "        for k in range(n_steps):"]
         + [f"            {line}" for line in step]
-        + ["    except OverflowError:", "        return k, before"]
+        + ["    except OverflowError:", f"        return k, {'before' if stages else 'stage_min'}"]
         # the end state, unless the stride kept it
         + ["    if n_steps % every:", "        extend((t, s, e, i, r))"]
         + ["    return None, stage_min", ""]
     )
-    filename = f"<{form.key or 'shu-osher'} step kernel {next(_serial)}>"
+    flags = " stages" * stages + " floored" * floored
+    filename = f"<{form.key or 'shu-osher'}{flags} step kernel {next(_serial)}>"
     # mtime None: linecache.checkcache keeps the entry, having no file to
     # check.  Most lines recur in every kernel of a form: interned, each is
     # stored once.

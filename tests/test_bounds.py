@@ -1,11 +1,16 @@
 """Step-size bounds, population caps and the stage-coefficient recurrences."""
 
+import collections
 import math
 import random
 
 import pytest
 
-from ssp_seir.checks import check_nonnegativity, check_population_bound
+from ssp_seir.checks import (
+    NEGATIVITY_THRESHOLD,
+    check_nonnegativity,
+    check_population_bound,
+)
 from ssp_seir.model import (
     RECRUITMENT_KEYS,
     ModelParams,
@@ -278,4 +283,102 @@ def test_guarantees_hold_exactly_at_the_bound():
                 envelope = [(x0.total + n * tau * report.k_sup) * (1.0 + 1e-12) for n in steps]
                 if any(traj.populations[n] > envelope[n] for n in steps):
                     failures.append(f"{label}: population above N0 + n*tau*K")
+    # Scaled setups: the same model in other units, from 1 to 1e9.  Three in
+    # four start from a boundary witness, where the exact stage value at the
+    # bound is 0 and the float one a rounding error of the population's size;
+    # one in five has mu = 0 and one in five mu = 1e-9, whose cap N0 + K/mu
+    # is far above the population the run reaches.
+    # Each run is judged as simulate and check judge it, against the
+    # negativity threshold scaled by the run's size; some of them fail the
+    # absolute -1e-12.
+    below_absolute = 0
+    for idx in range(120):
+        scale = 10.0 ** rng.uniform(0.0, 9.0)
+        mu = {3: 1e-9, 4: 0.0}.get(idx % 5) or rng.uniform(0.01, 0.1)
+        term = ("sigma", "gamma", "delta", "none")[idx % 4]
+        setup = _scaled_witness(rng, term, scale, mu)
+        params, incidence, pi, x0 = setup.params, setup.incidence, setup.recruitment, setup.x0
+        for method in methods:
+            horizon = 1000.0
+            report = bound_report(setup, method, horizon)
+            while n_steps * report.tau_method > horizon:
+                horizon = 2.0 * n_steps * report.tau_method
+                report = bound_report(setup, method, horizon)
+            tau = report.tau_method
+            label = f"scaled setup {idx} (scale {scale:.3g}, {term}, mu={mu}), {method.key}"
+            traj = integrate(x0, tau, n_steps, method, params, incidence, pi)
+            below_absolute += not traj.stage_min >= NEGATIVITY_THRESHOLD
+            verdict = check_nonnegativity(traj, include_stages=True, cap=report.pop_cap)
+            if not verdict:
+                failures.append(f"{label}: {verdict.as_text('non-negativity')}")
+            if mu > 0.0:
+                if not check_population_bound(traj, report.pop_cap):
+                    failures.append(f"{label}: population above {report.pop_cap!r}")
+            else:
+                steps = range(n_steps + 1)
+                envelope = [(x0.total + n * tau * report.k_sup) * (1.0 + 1e-12) for n in steps]
+                if any(traj.populations[n] > envelope[n] for n in steps):
+                    failures.append(f"{label}: population above N0 + n*tau*K")
     assert not failures, failures[:5]
+    assert below_absolute >= 10, below_absolute
+
+
+def _scaled_witness(rng, term, scale, mu):
+    """A setup in units ``scale`` times the default's: the state and kappa
+    times ``scale``, the media incidence's rates over it.  For the term
+    "sigma", "gamma" or "delta" that rate is the largest, B stays below it,
+    and the state is a boundary witness, with no inflow into the
+    compartment the term drains; for "none" the state is drawn from [0, 2]."""
+    rates = {name: rng.uniform(0.0, 0.15) for name in ("sigma", "gamma", "delta")}
+    if term in rates:
+        rates[term] = rng.uniform(0.2, 1.0)
+    x = [rng.uniform(0.0, 1.0) for _ in range(4)]
+    if term == "sigma":  # E drains, and I = 0 gives it no inflow
+        x[1], x[2] = rng.uniform(0.1, 1.0), 0.0
+    elif term == "gamma":  # I drains, and E = R = 0 give it none
+        x[1], x[2], x[3] = 0.0, rng.uniform(0.1, 1.0), 0.0
+    elif term == "delta":  # R drains, and I = 0 gives it none
+        x[2], x[3] = 0.0, rng.uniform(0.1, 1.0)
+    else:
+        x = [rng.uniform(0.0, 2.0) for _ in range(4)]
+    incidence = media_incidence(rng.uniform(0.0, 0.02) / scale, rng.uniform(0.0, 0.5) / scale)
+    pi = recruitment_from_key(
+        rng.choice(RECRUITMENT_KEYS[:4]), kappa=rng.uniform(0.0, 0.05) * scale
+    )
+    return ProblemSetup(
+        ModelParams(mu, **rates), incidence, pi, State(*(v * scale for v in x)),
+    )
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e9])
+def test_scaled_rule_still_fails_a_witness_just_above_the_bound(scale):
+    # at tau = C*dt*(1 + 1e-9) a boundary witness's drained compartment goes
+    # to about -1e-9 of its value: a real violation, which the scaled
+    # threshold must not hide at any scale, nor with a small mu, whose cap
+    # N0 + K/mu is up to 1e12 times the run's population
+    rng = random.Random(20261019)
+    methods = [builtin_method(key) for key in BUILTIN_METHOD_KEYS]
+    witnesses = collections.Counter()
+    for idx in range(30):
+        term = ("sigma", "gamma", "delta")[idx % 3]
+        mu = (rng.uniform(0.01, 0.1), 1e-9, 1e-12)[idx // 3 % 3]
+        setup = _scaled_witness(rng, term, scale, mu)
+        if bound_report(setup, methods[0], 1000.0).binding_term != term:
+            # the incidence sup grows with the cap, so with a small mu the
+            # incidence may bind instead, and the state is no witness
+            assert mu < 0.01
+            continue
+        witnesses[mu if mu < 0.01 else "drawn"] += 1
+        for method in methods:
+            report = bound_report(setup, method, 1000.0)
+            assert report.binding_term == term
+            at, above = (
+                integrate(setup.x0, report.tau_method * factor, 1, method, setup.params,
+                          setup.incidence, setup.recruitment)
+                for factor in (1.0, 1.0 + 1e-9)
+            )
+            assert check_nonnegativity(at, include_stages=True, cap=report.pop_cap)
+            verdict = check_nonnegativity(above, include_stages=True, cap=report.pop_cap)
+            assert not verdict, (idx, method.key)
+            assert verdict.witness_value < -1e-11 * scale
+    assert witnesses["drawn"] == 12 and witnesses[1e-9] >= 5 and witnesses[1e-12] >= 5, witnesses

@@ -416,3 +416,72 @@ def test_verdict_text_names_the_step_only_when_there_is_one():
     )
     assert Verdict(False, 3, "I", -0.5).as_text("x") == "x: FAIL (step 3, I, value -0.5)"
     assert Verdict(False, 3, None, -0.5).as_text("x") == "x: FAIL (step 3, value -0.5)"
+
+
+def test_stage_verdict_refuses_an_untracked_run():
+    # a run integrated with stages=False has no stage minimum to judge: the
+    # stage verdict raises rather than pass it unchecked, while the step
+    # verdict reads its rows as usual
+    setup = _experiment_setup("choiceA")
+    args = (setup.x0, 25.0, 12, builtin_method("ssprk104"), setup.params,
+            setup.incidence, setup.recruitment)
+    untracked = integrate(*args, stages=False)
+    assert untracked.stage_min is None
+    assert check_nonnegativity(untracked).passed
+    with pytest.raises(ValueError, match="stage"):
+        check_nonnegativity(untracked, include_stages=True)
+    # the same run, tracked, fails at a stage
+    assert not check_nonnegativity(integrate(*args), include_stages=True)
+    # an overflow's partial run is untracked too
+    with pytest.raises(IntegrationOverflowError) as exc_info:
+        integrate(State(0.7, 0.1, 0.2, 0.0), 50.0, 100, builtin_method("euler"),
+                  EXPERIMENT_PARAMS, linear_incidence(), recruitment_from_key("choiceC"),
+                  stages=False)
+    with pytest.raises(ValueError, match="stage"):
+        check_nonnegativity(exc_info.value.partial, include_stages=True)
+
+
+def _rows_run(*rows, stage_min=None):
+    """A tracked run of the given ``S, E, I, R`` rows, with the stage
+    minimum of its rows unless given."""
+    data = array("d")
+    for k, row in enumerate(rows):
+        data += array("d", [0.5 * k, *row])
+    low = min(min(row) for row in rows)
+    return Trajectory(data, 0.5, "euler", low if stage_min is None else stage_min)
+
+
+def test_scaled_negativity_threshold_reads_the_runs_size():
+    eps = 2.0**-52
+    # a run of size 1e4, whose threshold is -8*eps*1e4, about -1.8e-11
+    run = _rows_run((1e4, 0.0, 0.0, 0.0), (1e4, -1e-11, 0.0, 0.0))
+    assert not check_nonnegativity(run, include_stages=True)
+    for cap in (1e4, 1e9, 1e15, math.inf):
+        assert check_nonnegativity(run, include_stages=True, cap=cap)
+    # a cap far above the run's size does not loosen the rule
+    deep = _rows_run((1e4, 0.0, 0.0, 0.0), (1e4, -2e-11, 0.0, 0.0))
+    verdict = check_nonnegativity(deep, cap=1e15)
+    assert (verdict.passed, verdict.witness_index, verdict.witness_value) == (False, 1, -2e-11)
+    assert -8 * eps * 1e4 > -2e-11
+    # a cap below the run's size bounds it: -8*eps*600 is about -1.07e-12
+    assert not check_nonnegativity(run, cap=600.0)
+    # at the published scale the rule is the absolute -1e-12
+    small = _rows_run((500.0, 0.0, 0.0, 0.0), (500.0, -1.01e-12, 0.0, 0.0))
+    assert not check_nonnegativity(small, cap=1e12)
+    # the stage minimum is judged against the same size
+    stage = _rows_run((1e4, 0.0, 0.0, 0.0), (1e4, 0.0, 0.0, 0.0), stage_min=-1e-11)
+    assert check_nonnegativity(stage, include_stages=True, cap=1e4)
+    verdict = check_nonnegativity(stage, include_stages=True, cap=500.0)
+    assert (verdict.witness_compartment, verdict.witness_value) == ("stage", -1e-11)
+    # the first failing value is the one below the scaled threshold
+    both = _rows_run((1e4, -1e-11, 0.0, 0.0), (1e4, 0.0, -1e-10, 0.0))
+    verdict = check_nonnegativity(both, cap=1e4)
+    assert (verdict.witness_index, verdict.witness_compartment) == (1, "I")
+    # NaN fails at every scale, and a NaN population leaves the cap as the size
+    nan = _rows_run((math.nan, 0.0, 0.0, 0.0), (1e4, -1e-11, 0.0, 0.0))
+    verdict = check_nonnegativity(nan, cap=1e4)
+    assert (verdict.witness_index, verdict.witness_compartment) == (0, "S")
+    assert math.isnan(verdict.witness_value)
+    # a size that is not finite scales nothing
+    huge = _rows_run((math.inf, 0.0, 0.0, 0.0), (1.0, -1e-11, 0.0, 0.0))
+    assert check_nonnegativity(huge, cap=math.inf).witness_value == -1e-11

@@ -460,6 +460,25 @@ def test_cli_simulate_keeps_its_golden_bytes(tmp_path, method, tau, tf, trajecto
     assert digests == [trajectory, verdict]
 
 
+@pytest.mark.parametrize(
+    "method, tau, tf, trajectory", [row[:4] for row in _GOLDEN],
+    ids=[f"{row[0]}-tau{row[1]}" for row in _GOLDEN],
+)
+def test_cli_simulate_without_stages_keeps_the_golden_trajectory(
+    tmp_path, method, tau, tf, trajectory,
+):
+    # without --stages the run takes the kernel that tracks no stage minimum
+    # and tests no floor; its rows are the tracked run's, byte for byte
+    path = tmp_path / "linear.cfg"
+    path.write_text(DEFAULT_CONFIG_TEXT.replace("incidence=media", "incidence=linear"))
+    assert main([
+        "--config", str(path), "--out", str(tmp_path), "simulate",
+        "--pi", "const", "--method", method, "--tau", tau, "--tf", tf,
+    ]) == 0
+    digest = hashlib.sha256((tmp_path / "trajectory.csv").read_bytes()).hexdigest()
+    assert digest == trajectory
+
+
 # sha256 of the CSV files that ``bounds-table`` and ``convergence --pi const
 # --tf 100`` write with linear incidence and constant recruitment; as above,
 # only + - * / reach these bytes.  The slopes file is left out: its log2 is

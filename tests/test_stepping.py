@@ -3,6 +3,7 @@ determinism."""
 
 import collections
 import io
+import linecache
 import math
 import random
 import traceback
@@ -394,10 +395,11 @@ def test_integrate_matches_stagewise_oracle():
     assert min(overflows[key] for key in entries) >= 1, overflows
 
 
-def _run_to_end(args, stop_below, every):
+def _run_to_end(args, stop_below, every, stages=True):
     """``(rows, stage_min, overflow step or None, method)`` of a run."""
     try:
-        traj, overflow_step = integrate(*args, stop_below=stop_below, every=every), None
+        traj = integrate(*args, stop_below=stop_below, every=every, stages=stages)
+        overflow_step = None
     except IntegrationOverflowError as exc:
         traj, overflow_step = exc.partial, exc.step_index
     rows = [traj.row(k).tobytes() for k in range(len(traj))]
@@ -550,3 +552,104 @@ def test_unkeyed_form_names_its_trajectory_and_keeps_edge_cases():
     stopped = integrate(x0, 0.5, 4, *args, stop_below=0.0)
     assert stopped.data.tobytes() == empty.data.tobytes()
     assert stopped.stage_min == -0.5
+
+
+_SIGNED_ZEROS = (-0.0, 0.0, 5e-324, -5e-324)
+
+
+def _signed_zero_run(rng, forms):
+    """A seeded run whose compartments and step sit on the signed zeros and
+    the subnormals around them, where ``0.0 + y`` and ``y`` differ."""
+    x0, _, _, form, p, f, pi, stop_below = _seeded_run(rng, forms)
+    x0 = State(
+        *(rng.choice(_SIGNED_ZEROS + (rng.uniform(0.0, 2.0),)) for _ in range(4)), t=x0.t,
+    )
+    rates = (p.mu, p.sigma, p.gamma, p.delta)
+    p = ModelParams(*(rng.choice([0.0, rate]) for rate in rates))
+    pi = rng.choice([ZERO_PI, pi])
+    tau = rng.choice([0.0, 1e-300, 1e-320, rng.uniform(0.0, 2.0)])
+    return x0, tau, rng.randint(0, 6), form, p, f, pi, stop_below
+
+
+def test_integrate_matches_the_oracle_on_signed_zeros():
+    # A stage with v = 0 starts its sum at 0.0, which turns a -0.0 sub-step
+    # into 0.0: a kernel that left that 0.0 + out where the step state, which
+    # can be -0.0, feeds the stage would change bits.  Runs from -0.0, 0.0
+    # and the smallest subnormals, with or without stage tracking and over
+    # every floor, must match the oracle byte for byte, the sign of every
+    # zero included.
+    rng = random.Random(21)
+    forms = _oracle_forms()
+    negative_zeros = 0  # rows of the oracle holding a -0.0 beyond row 0
+    for _ in range(3000):
+        x0, tau, n, form, p, f, pi, stop_below = _signed_zero_run(rng, forms)
+        rows, stage_min, overflow_step = _oracle(x0, tau, n, form, p, f, pi, stop_below)
+        expected = np.array(rows).tobytes()
+        negative_zeros += any(
+            x == 0.0 and math.copysign(1.0, x) < 0.0 for row in rows[1:] for x in row[1:]
+        )
+        for stages in (True, False):
+            try:
+                traj = integrate(x0, tau, n, form, p, f, pi, stop_below=stop_below, stages=stages)
+            except IntegrationOverflowError as exc:
+                assert exc.step_index == overflow_step
+                traj = exc.partial
+            else:
+                assert overflow_step is None
+            assert traj.data.tobytes() == expected
+            assert repr(traj.stage_min) == (repr(stage_min) if stages else "None")
+    assert negative_zeros >= 40, negative_zeros
+
+
+def test_untracked_runs_keep_the_tracked_runs_rows():
+    # stages=False drops the stage minimum and nothing else: the rows, the
+    # overflow step and the method are those of the tracked run, for every
+    # stride and floor
+    rng = random.Random(13)
+    forms = _oracle_forms()
+    seen = collections.Counter()
+    for _ in range(300):
+        x0, tau, n, form, p, f, pi, _ = _seeded_run(rng, forms)
+        args = (x0, tau, n, form, p, f, pi)
+        for stop_below in (None, -1e-12, 0.0):
+            for every in {1, 2, rng.randint(1, 12), max(n, 1), n + 1}:
+                rows, _, overflow_step, method = _run_to_end(args, stop_below, every)
+                assert _run_to_end(args, stop_below, every, stages=False) == (
+                    rows, "None", overflow_step, method
+                )
+            seen["overflow" if overflow_step is not None else "ran"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+def _kernel_source(form, stages, floored):
+    code = _kernel(form, "x", "p", stages, floored).__code__
+    return "".join(linecache.getlines(code.co_filename))
+
+
+def _stage_minima(source):
+    """How many stages the kernel source takes the minimum of."""
+    return sum(line.strip().startswith("stage_low = ") for line in source.splitlines())
+
+
+@pytest.mark.parametrize("key", BUILTIN_METHOD_KEYS)
+def test_kernel_emits_only_the_bookkeeping_its_run_reads(key):
+    form = builtin_method(key)
+    tracked = _kernel_source(form, True, True)
+    assert _stage_minima(tracked) == form.m and "before = stage_min" in tracked
+    probe = _kernel_source(form, False, True)
+    assert _stage_minima(probe) == 1 and "stage_min = stage_low" not in probe
+    assert "if stage_low < floor:" in probe
+    bare = _kernel_source(form, False, False)
+    assert "stage_low" not in bare and "floor:" not in bare and "before" not in bare
+    assert "stage_low" not in _kernel_source(form, True, False).split("t = t0 + (k + 1)")[1]
+
+
+def test_kernel_cache_keys_on_the_bookkeeping_flags():
+    form = shu_osher_from_butcher(builtin_tableau("ssprk33"), 0.75)
+    size = _kernel.cache_info().currsize
+    x0 = State(0.2, 0.6, 0.2, 0.0)
+    args = (0.5, 3, form, FREE, linear_incidence(), ZERO_PI)
+    for stages in (True, False):
+        for stop_below in (None, -1e-12, 0.0):  # the floor's value is an argument
+            integrate(x0, *args, stop_below=stop_below, stages=stages)
+    assert _kernel.cache_info().currsize == size + 4
