@@ -26,7 +26,10 @@ step-size experiments observe; :func:`check_nonnegativity` can also check the
 internal stages, of a run that tracked them.  Each probe of the search stops
 at its first step state below the threshold, where its verdict is settled,
 instead of integrating on to the horizon, keeps only its first and last
-rows, and tracks no stage minimum.
+rows, and tracks no stage minimum.  Its kernel judges each step state by
+float comparisons alone, the same test that ends it at the floor, and the
+probe reads its verdict from the end row's four compartments by four more
+comparisons, building no row or generator.
 """
 
 import math
@@ -194,8 +197,9 @@ def _positivity_ok(setup: ProblemSetup, method: ShuOsherForm, tau: float, t_f: f
         return False
     # the floor ends the run at its first failing state, so every step state
     # before the end passed and the end row, the only one kept after row 0,
-    # holds the verdict
-    return all(x >= NEGATIVITY_THRESHOLD for x in traj.row(-1)[1:])
+    # holds the verdict: its last four values, S, E, I and R
+    d, low = traj.data, NEGATIVITY_THRESHOLD
+    return d[-4] >= low and d[-3] >= low and d[-2] >= low and d[-1] >= low
 
 
 def find_empirical_bound(

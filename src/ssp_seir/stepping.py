@@ -17,7 +17,11 @@ row and a grid run its output rows; it tracks the per-stage minimum only
 for a run with ``stages`` (``simulate --stages`` and ``check``) and tests a
 floor only for a run given one (a threshold probe), so a grid run does
 neither.  The cache key is ``(form, incidence, recruitment, stages,
-floored)``.
+floored)``.  Each step state is judged by float comparisons alone, which
+allocate nothing: ``x < inf and x > -inf`` for each compartment, and for a
+floored run ``x >= floor and x < inf``, with the floor clamped to
+``-float_max`` so that a -inf still fails it.  Only a state that fails is
+told apart, an overflow before a floor stop, as in the plain loop.
 
 Stage recruitment is evaluated at the Butcher abscissa times carried by the
 form (t_n + c_j * tau); this preserves classical order for time-dependent
@@ -160,7 +164,8 @@ def integrate(
     steps taken, the failing step and ``method`` are those of the tracked
     run, bit for bit.  The kernel is compiled for the bookkeeping the run
     reads: the stage minimum only with ``stages``, the floor test only with
-    a ``stop_below`` (see :func:`_kernel`).
+    a ``stop_below`` (see :func:`_kernel`).  The start time ``x0.t`` must be
+    finite: every row's time and every recruitment argument derive from it.
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"step size must be finite and non-negative, got {tau}")
@@ -170,15 +175,21 @@ def integrate(
         raise ValueError("stop floor must not be NaN")
     if not (isinstance(every, int) and every >= 1):
         raise ValueError(f"every must be a positive integer, got {every!r}")
-    history = [x0.t, x0.s, x0.e, x0.i, x0.r]
-    stage_min = min(x0.s, x0.e, x0.i, x0.r) if stages else None
+    if not math.isfinite(x0.t):
+        raise ValueError(f"start time must be finite, got {x0.t}")
+    s, e, i, r = x0.s, x0.e, x0.i, x0.r
+    history = [x0.t, s, e, i, r]
+    stage_min = min(s, e, i, r) if stages else None
     floored = stop_below is not None
     # each compartment on its own: min() skips a NaN that is not first
-    if floored and not all(x >= stop_below for x in history[1:]):
+    if floored and not (s >= stop_below and e >= stop_below and i >= stop_below and r >= stop_below):
         n_steps = 0  # stage_min is still the initial state's minimum
+    # the kernel's floor, clamped so that -inf fails it (see _kernel); every
+    # finite value is >= either floor alike
+    floor = max(stop_below, -sys.float_info.max) if floored else None
     failed_at, stage_min = _kernel(method, f.formula, pi.formula, stages, floored)(
-        x0.s, x0.e, x0.i, x0.r, x0.t, tau, n_steps,
-        p, f.bindings, pi.bindings, stop_below, every, history, stage_min,
+        s, e, i, r, x0.t, tau, n_steps,
+        p, f.bindings, pi.bindings, floor, every, history, stage_min,
     )
     # struct converts the floats to doubles in about half the time array("d", list) takes
     data = array("d", struct.pack(f"{len(history)}d", *history))
@@ -240,6 +251,18 @@ def _kernel(
     ended it at a step state with a compartment below ``floor``, else the
     index of the step that failed.
 
+    Each step state is judged by comparisons alone, with no float
+    arithmetic: an unfloored kernel tests ``x < inf`` and ``x > ninf`` for
+    each compartment, a floored one ``x >= floor`` and ``x < inf``.  A NaN
+    fails every comparison, and ``floor`` is at least ``-float_max``
+    (:func:`integrate` clamps it), so a -inf fails ``x >= floor`` even under
+    a -inf floor, while every finite value meets the clamped floor exactly
+    when it meets the given one.  So a state passes exactly when it is
+    finite and, if floored, not below the floor, the plain loop's test, and
+    the run is the same bit for bit.  Only a failing state is told apart,
+    in the plain loop's order: a non-finite one ends the run as an
+    overflow, a finite one at the floor.
+
     The kernel emits only the bookkeeping its run reads.  With ``stages``,
     ``stage_min`` is lowered to the smallest compartment of every stage: it
     covers the stages of the steps before a failing one, and when the
@@ -247,8 +270,8 @@ def _kernel(
     an ``OverflowError`` raised within a step leaves them out.  Without
     ``stages`` the kernel never reads or changes ``stage_min`` and returns
     it as given.  With ``floored`` it tests each step state against
-    ``floor``; without, it never reads ``floor``.  A kernel with neither
-    computes no stage minimum at all.
+    ``floor``; without, it never reads ``floor``.  A kernel without
+    ``stages`` computes no stage minimum at all.
 
     The cache keeps one kernel per distinct form value, pair of formulas
     and pair of flags integrated; its source is registered with
@@ -308,27 +331,31 @@ def _kernel(
             sum_ = ["0.0" if form.v[i] == 0.0 else _times(form.v[i], f"v{i}", c)]
             sum_ += [_times(form.alpha[i][j], f"a{i}_{j}", f"f{c}{j}") for j in terms[i]]
             step.append(f"{name} = {' + '.join(sum_)}")
-        if stages or (floored and i == m):
+        if stages:
             # stage_min = min(stage_min, min(stage)), spelled out with min()'s
             # NaN and tie rules
             step.append(f"stage_low = {names[0]}")
             step += [f"if {x} < stage_low: stage_low = {x}" for x in names[1:]]
-        if stages:
             step.append("if stage_low < stage_min: stage_min = stage_low")
-    step += [
-        # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
-        "if (s - s) + (e - e) + (i - i) + (r - r) != 0.0:",
-        "    return k, stage_min",
-        "t = t0 + (k + 1) * tau",
-    ]
+    # the step state's test is comparisons alone, which allocate nothing: a
+    # NaN fails every one of them, and with floor >= -float_max (integrate
+    # clamps it) x >= floor also fails at -inf
+    below_inf = " and ".join(f"{c} < inf" for c in "seir")
+    finite = f"{below_inf} and {' and '.join(f'{c} > ninf' for c in 'seir')}"
+    head += ["inf = float('inf')", "ninf = -inf"]
+    step.append("t = t0 + (k + 1) * tau")
     if floored:
         step += [
-            # the state is finite here, so stage_low is its smallest
-            # compartment and < is the negation of >=
-            "if stage_low < floor:",
+            f"if not ({' and '.join(f'{c} >= floor' for c in 'seir')} and {below_inf}):",
+            # decided in this order: a non-finite state is an overflow, a
+            # finite one the floor stop
+            f"    if not ({finite}):",
+            "        return k, stage_min",
             "    extend((t, s, e, i, r))",
             "    return None, stage_min",
         ]
+    else:
+        step += [f"if not ({finite}):", "    return k, stage_min"]
     step += [
         "if k == keep:",
         "    extend((t, s, e, i, r))",

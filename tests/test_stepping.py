@@ -137,6 +137,19 @@ def test_stop_floor_rejects_nan():
         )
 
 
+@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("pi", ["const", "choiceA"])
+@pytest.mark.parametrize("n_steps", [0, 3])
+def test_integrate_rejects_a_non_finite_start_time(t0, pi, n_steps):
+    # unchecked, a NaN start stamps every row NaN under a constant
+    # recruitment, and an infinite one reaches sin() in choiceA's formula
+    with pytest.raises(ValueError, match=f"start time must be finite, got {t0}"):
+        integrate(
+            State(1.0, 0.0, 0.0, 0.0, t=t0), 0.5, n_steps, builtin_method("euler"),
+            ModelParams(0.1, 0.0, 0.0, 0.0), linear_incidence(), recruitment_from_key(pi),
+        )
+
+
 def test_stop_floor_ends_at_a_failing_initial_state():
     x0 = State(1.0, -0.5, 0.0, 0.0)
     args = (x0, 0.5, 4, builtin_method("euler"), FREE, linear_incidence(), ZERO_PI)
@@ -253,8 +266,10 @@ def test_csv_round_trip():
 def _oracle(x0, tau, n_steps, form, p, f, pi, stop_below=None):
     """Shu-Osher stepping written out stage by stage from the model equations.
 
-    Returns ``(rows, stage_min, overflow_step)`` with rows ``(t, s, e, i, r)``;
-    ``overflow_step`` is None unless a step overflowed or turned non-finite.
+    Returns ``(rows, stage_min, overflow_step, end)`` with rows
+    ``(t, s, e, i, r)``; ``overflow_step`` is None unless a step overflowed
+    or turned non-finite, and ``end`` is that step's non-finite state, or
+    None.
     """
 
     def derivative(t, x):
@@ -292,14 +307,14 @@ def _oracle(x0, tau, n_steps, form, p, f, pi, stop_below=None):
                 stage = tuple(acc)
                 step_low = min(step_low, min(stage))
         except OverflowError:
-            return rows, low, k
+            return rows, low, k, None
         low, x = step_low, stage
         if not all(math.isfinite(u) for u in x):
-            return rows, low, k
+            return rows, low, k, x
         rows.append((x0.t + (k + 1) * tau, *x))
         if stop_below is not None and not min(x) >= stop_below:
             break
-    return rows, low, None
+    return rows, low, None, None
 
 
 def _sparse_form():
@@ -355,8 +370,22 @@ def _seeded_run(rng, forms):
     )
     x0 = State(*(rng.uniform(0.0, 2.0) for _ in range(4)), t=rng.choice([0.0, -0.0, 1.5]))
     tau = rng.choice([rng.uniform(0.0, 1.0), rng.uniform(0.0, 30.0), 10.0 ** rng.uniform(0.0, 4.0)])
-    stop_below = rng.choice([None, -1e-12, 0.0])
-    return x0, tau, rng.randint(0, 120), rng.choice(forms), p, f, pi, stop_below
+    # the floors -inf and +inf pass and fail every finite value; 1.0 stops
+    # most runs partway
+    stop_below = rng.choice([None, -1e-12, 0.0, 1.0, -math.inf, math.inf])
+    form = rng.choice(forms)
+    if rng.random() < 0.125:
+        # I alone moves, by a factor 1 - h*mu from -1 to -9 per Euler
+        # sub-step, from near the top of the double range, and the linear
+        # incidence stays finite on it: a run overflows within a few steps,
+        # often with a -inf in I and no +inf or NaN anywhere, the state that
+        # a -inf floor must still end as an overflow
+        tau = 10.0 ** rng.uniform(-1.0, 3.0)
+        p = ModelParams(rng.uniform(2.0, 10.0) * form.r / tau, p.sigma, 0.0, p.delta)
+        x0 = State(0.0, 0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(250.0, 308.0), 0.0, t=x0.t)
+        f, pi = linear_incidence(), ZERO_PI
+        stop_below = rng.choice([-math.inf, stop_below])
+    return x0, tau, rng.randint(0, 120), form, p, f, pi, stop_below
 
 
 def test_integrate_matches_stagewise_oracle():
@@ -366,9 +395,16 @@ def test_integrate_matches_stagewise_oracle():
     # runs (and overflowing runs) per incidence and per recruitment entry
     runs = collections.Counter()
     overflows = collections.Counter()
+    # runs under a -inf floor ending on a state whose only non-finite values
+    # are -inf: each of them passes x >= -inf and x < inf
+    floored_at_minus_inf = 0
     for _ in range(1200):
         x0, tau, n, form, p, f, pi, stop_below = _seeded_run(rng, forms)
-        rows, stage_min, overflow_step = _oracle(x0, tau, n, form, p, f, pi, stop_below)
+        rows, stage_min, overflow_step, end = _oracle(x0, tau, n, form, p, f, pi, stop_below)
+        floored_at_minus_inf += (
+            stop_below == -math.inf and end is not None
+            and all(x == -math.inf or math.isfinite(x) for x in end)
+        )
         expected = np.array(rows).tobytes()
         keys = [f"f={f.key}", f"pi={pi.key}"]
         if f.key == "holling" and dict(f.params)["k"] == 1.5 and min(row[3] for row in rows) < 0.0:
@@ -393,6 +429,7 @@ def test_integrate_matches_stagewise_oracle():
     entries.append("holling k=1.5, I<0")
     assert min(runs[key] for key in entries) >= 20, runs
     assert min(overflows[key] for key in entries) >= 1, overflows
+    assert floored_at_minus_inf >= 5, floored_at_minus_inf
 
 
 def _run_to_end(args, stop_below, every, stages=True):
@@ -583,7 +620,7 @@ def test_integrate_matches_the_oracle_on_signed_zeros():
     negative_zeros = 0  # rows of the oracle holding a -0.0 beyond row 0
     for _ in range(3000):
         x0, tau, n, form, p, f, pi, stop_below = _signed_zero_run(rng, forms)
-        rows, stage_min, overflow_step = _oracle(x0, tau, n, form, p, f, pi, stop_below)
+        rows, stage_min, overflow_step, _ = _oracle(x0, tau, n, form, p, f, pi, stop_below)
         expected = np.array(rows).tobytes()
         negative_zeros += any(
             x == 0.0 and math.copysign(1.0, x) < 0.0 for row in rows[1:] for x in row[1:]
@@ -637,11 +674,19 @@ def test_kernel_emits_only_the_bookkeeping_its_run_reads(key):
     tracked = _kernel_source(form, True, True)
     assert _stage_minima(tracked) == form.m and "before = stage_min" in tracked
     probe = _kernel_source(form, False, True)
-    assert _stage_minima(probe) == 1 and "stage_min = stage_low" not in probe
-    assert "if stage_low < floor:" in probe
+    assert _stage_minima(probe) == 0 and "stage_low" not in probe
+    assert "if not (s >= floor and e >= floor and i >= floor and r >= floor and" in probe
     bare = _kernel_source(form, False, False)
-    assert "stage_low" not in bare and "floor:" not in bare and "before" not in bare
+    assert "stage_low" not in bare and "floor" not in bare[bare.index("\n"):]
+    assert "before" not in bare
     assert "stage_low" not in _kernel_source(form, True, False).split("t = t0 + (k + 1)")[1]
+    # each step state is judged by float comparisons alone, none by the
+    # arithmetic x - x, which allocates a float per term
+    for stages in (True, False):
+        for floored in (True, False):
+            source = _kernel_source(form, stages, floored)
+            assert "(s - s)" not in source and " != 0.0" not in source
+            assert "s < inf and e < inf and i < inf and r < inf" in source
 
 
 def test_kernel_cache_keys_on_the_bookkeeping_flags():
