@@ -247,11 +247,9 @@ def holling_incidence(c1: float, c2: float, k: float) -> RateFunction:
     The absolute value keeps f real when a probe drives x below zero with a
     fractional exponent; for x >= 0 it is the textbook form.
     """
-    c1 = _require_finite("c1", c1)
-    c2 = _require_finite("c2", c2)
-    k = _require_finite("k", k)
-    if c1 < 0.0 or c2 < 0.0 or k < 0.0:
-        raise ValueError("Holling parameters must be non-negative")
+    c1 = _require_nonnegative("c1", c1)
+    c2 = _require_nonnegative("c2", c2)
+    k = _require_nonnegative("k", k)
 
     # f increases up to x* = (c2*(k-1))**(-1/k) and decreases afterwards;
     # for c2 = 0 or k <= 1 it increases throughout
@@ -269,10 +267,8 @@ def holling_incidence(c1: float, c2: float, k: float) -> RateFunction:
 
 def media_incidence(nu: float, eta: float) -> RateFunction:
     """Media-effect force of infection f(x) = nu * exp(-eta*x) * x."""
-    nu = _require_finite("nu", nu)
-    eta = _require_finite("eta", eta)
-    if nu < 0.0 or eta < 0.0:
-        raise ValueError("media parameters must be non-negative")
+    nu = _require_nonnegative("nu", nu)
+    eta = _require_nonnegative("eta", eta)
 
     def sup(hi: float) -> float:
         # f increases up to x = 1/eta and decreases afterwards
@@ -291,10 +287,8 @@ def media_exp_incidence(nu: float, eta: float) -> RateFunction:
     incidence can be compared.  ``alpha`` is None accordingly.  Its sup is
     g(0) = nu, which needs eta >= 0.
     """
-    nu = _require_finite("nu", nu)
-    eta = _require_finite("eta", eta)
-    if nu < 0.0 or eta < 0.0:
-        raise ValueError("media parameters must be non-negative")
+    nu = _require_nonnegative("nu", nu)
+    eta = _require_nonnegative("eta", eta)
 
     return _entry("media-exp", "nu * exp(-eta * x)", lambda hi: nu, {"nu": nu, "eta": eta})
 
@@ -318,9 +312,7 @@ def custom_incidence(fn: Callable[[float], float], alpha: float) -> RateFunction
     """Wrap a user function after validating f(0)=0, f>=0 and f <= alpha*x on
     the check grid; its sup over [0, hi] is the declared linear bound
     alpha*hi."""
-    alpha = _require_finite("alpha", alpha)
-    if alpha < 0.0:
-        raise ValueError("alpha must be non-negative")
+    alpha = _require_nonnegative("alpha", alpha)
     # each test is written so that a NaN fails it
     if not abs(fn(0.0)) <= 1e-12:
         raise ValueError(f"custom incidence must satisfy f(0)=0, got f(0)={fn(0.0)!r}")
@@ -401,9 +393,7 @@ def choice_c_recruitment(kappa: float) -> RateFunction:
 
 def constant_recruitment(p: float) -> RateFunction:
     """pi(t) = p."""
-    p = _require_finite("p", p)
-    if p < 0.0:
-        raise ValueError("constant recruitment must be non-negative")
+    p = _require_nonnegative("p", p)
     return _entry("const", "p", lambda horizon: p, {"p": p})
 
 
@@ -419,9 +409,7 @@ def custom_recruitment(fn: Callable[[float], float], bound: float) -> RateFuncti
     ``fn`` must be pure (no state, no side effects): a step evaluates it once
     per distinct stage time, so stages at equal times share one value.
     """
-    bound = _require_finite("bound", bound)
-    if bound < 0.0:
-        raise ValueError("bound must be non-negative")
+    bound = _require_nonnegative("bound", bound)
     for t in _grid(_CHECK_SPAN, _CHECK_POINTS):
         y = fn(t)
         if not -1e-12 <= y <= bound + 1e-12:  # a NaN fails it too

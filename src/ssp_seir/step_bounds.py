@@ -40,15 +40,17 @@ class EulerBound(_Value):
 
 
 class BoundReport(_Value):
-    """Step-size bound summary for one method on one problem setup."""
+    """Step-size bound summary for one method on one problem setup: ``dt_star``,
+    ``tau_method`` (C * dt*), ``pop_cap``, ``b_sup``, ``k_sup`` and the
+    ``binding_term`` of :class:`EulerBound`.  It does not name the method."""
 
-    __slots__ = ("method", "dt_star", "tau_method", "pop_cap", "b_sup", "k_sup", "binding_term")
+    __slots__ = ("dt_star", "tau_method", "pop_cap", "b_sup", "k_sup", "binding_term")
 
     def __init__(
-        self, method: str, dt_star: float, tau_method: float, pop_cap: float, b_sup: float,
-        k_sup: float, binding_term: str,
+        self, dt_star: float, tau_method: float, pop_cap: float, b_sup: float, k_sup: float,
+        binding_term: str,
     ) -> None:
-        self._set(method, dt_star, tau_method, pop_cap, b_sup, k_sup, binding_term)
+        self._set(dt_star, tau_method, pop_cap, b_sup, k_sup, binding_term)
 
 
 def euler_step_bound(p: ModelParams, b_sup: float) -> EulerBound:
@@ -147,7 +149,6 @@ def bound_report(
     b_sup = sup_incidence(setup.incidence, cap)
     eb = euler_step_bound(setup.params, b_sup)
     return BoundReport(
-        method=method.key or "?",
         dt_star=eb.dt_star,
         tau_method=method.ssp_c * eb.dt_star,
         pop_cap=cap,

@@ -13,15 +13,10 @@ not written into its source, and the formulas' constant ``pi`` is a
 literal, folded by the compiler with the constants next to it.  The kernel
 does only the work its caller reads: it keeps the rows of a stride
 ``every`` and the run's end row, so a threshold probe keeps just its end
-row and a grid run its output rows; it tracks the per-stage minimum only
-for a run with ``stages`` (``simulate --stages`` and ``check``) and tests a
-floor only for a run given one (a threshold probe), so a grid run does
-neither.  The cache key is ``(form, incidence, recruitment, stages,
-floored)``.  Each step state is judged by float comparisons alone, which
-allocate nothing: ``x < inf and x > -inf`` for each compartment, and for a
-floored run ``x >= floor and x < inf``, with the floor clamped to
-``-float_max`` so that a -inf still fails it.  Only a state that fails is
-told apart, an overflow before a floor stop, as in the plain loop.
+row and a grid run its output rows, and it tracks the per-stage minimum
+only for a run with ``stages`` (``simulate --stages`` and ``check``).  The
+cache key is ``(form, incidence, recruitment, stages)``; every kernel ends a
+step with the same test of the step state (see :func:`_kernel`).
 
 Stage recruitment is evaluated at the Butcher abscissa times carried by the
 form (t_n + c_j * tau); this preserves classical order for time-dependent
@@ -162,10 +157,10 @@ def integrate(
     raised ``OverflowError`` partway through it.  With ``stages=False`` the
     run tracks no stage minimum and ``stage_min`` is None; its rows, the
     steps taken, the failing step and ``method`` are those of the tracked
-    run, bit for bit.  The kernel is compiled for the bookkeeping the run
-    reads: the stage minimum only with ``stages``, the floor test only with
-    a ``stop_below`` (see :func:`_kernel`).  The start time ``x0.t`` must be
-    finite: every row's time and every recruitment argument derive from it.
+    run, bit for bit.  The kernel computes the stage minimum only with
+    ``stages``, and judges each step state as :func:`_kernel` describes.
+    The start time ``x0.t`` must be finite: every row's time and every
+    recruitment argument derive from it.
     """
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"step size must be finite and non-negative, got {tau}")
@@ -180,14 +175,15 @@ def integrate(
     s, e, i, r = x0.s, x0.e, x0.i, x0.r
     history = [x0.t, s, e, i, r]
     stage_min = min(s, e, i, r) if stages else None
-    floored = stop_below is not None
     # each compartment on its own: min() skips a NaN that is not first
-    if floored and not (s >= stop_below and e >= stop_below and i >= stop_below and r >= stop_below):
+    if stop_below is not None and not (
+        s >= stop_below and e >= stop_below and i >= stop_below and r >= stop_below
+    ):
         n_steps = 0  # stage_min is still the initial state's minimum
-    # the kernel's floor, clamped so that -inf fails it (see _kernel); every
-    # finite value is >= either floor alike
-    floor = max(stop_below, -sys.float_info.max) if floored else None
-    failed_at, stage_min = _kernel(method, f.formula, pi.formula, stages, floored)(
+    # the kernel's floor (see _kernel): clamped to -float_max, which without
+    # a stop_below every finite value meets
+    floor = -sys.float_info.max if stop_below is None else max(stop_below, -sys.float_info.max)
+    failed_at, stage_min = _kernel(method, f.formula, pi.formula, stages)(
         s, e, i, r, x0.t, tau, n_steps,
         p, f.bindings, pi.bindings, floor, every, history, stage_min,
     )
@@ -231,10 +227,7 @@ _serial = itertools.count()  # numbers the kernels' file names
 
 
 @functools.cache
-def _kernel(
-    form: ShuOsherForm, incidence: str, recruitment: str, stages: bool = True,
-    floored: bool = True,
-) -> Callable:
+def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool = True) -> Callable:
     """Compile the whole step loop of ``form`` into one function, with the
     formulas ``incidence`` and ``recruitment`` pasted in place of calls.
 
@@ -251,17 +244,16 @@ def _kernel(
     ended it at a step state with a compartment below ``floor``, else the
     index of the step that failed.
 
-    Each step state is judged by comparisons alone, with no float
-    arithmetic: an unfloored kernel tests ``x < inf`` and ``x > ninf`` for
-    each compartment, a floored one ``x >= floor`` and ``x < inf``.  A NaN
-    fails every comparison, and ``floor`` is at least ``-float_max``
-    (:func:`integrate` clamps it), so a -inf fails ``x >= floor`` even under
-    a -inf floor, while every finite value meets the clamped floor exactly
-    when it meets the given one.  So a state passes exactly when it is
-    finite and, if floored, not below the floor, the plain loop's test, and
-    the run is the same bit for bit.  Only a failing state is told apart,
-    in the plain loop's order: a non-finite one ends the run as an
-    overflow, a finite one at the floor.
+    Every kernel ends a step with one test of the step state, by
+    comparisons alone, which allocate nothing: ``x >= floor`` and
+    ``x < inf`` for each compartment.  A NaN fails every comparison, and
+    ``floor`` is at least ``-float_max``: :func:`integrate` clamps a
+    ``stop_below`` to it, so a -inf fails even under a -inf floor, and
+    passes ``-float_max`` for a run without one, which every finite value
+    meets.  So a state passes exactly when it is finite and not below the
+    run's floor, the plain loop's test, and the run is the same bit for
+    bit.  Only a failing state is told apart, in the plain loop's order: a
+    non-finite one ends the run as an overflow, a finite one at the floor.
 
     The kernel emits only the bookkeeping its run reads.  With ``stages``,
     ``stage_min`` is lowered to the smallest compartment of every stage: it
@@ -269,12 +261,10 @@ def _kernel(
     failing step ended on a non-finite state that step's stages too, while
     an ``OverflowError`` raised within a step leaves them out.  Without
     ``stages`` the kernel never reads or changes ``stage_min`` and returns
-    it as given.  With ``floored`` it tests each step state against
-    ``floor``; without, it never reads ``floor``.  A kernel without
-    ``stages`` computes no stage minimum at all.
+    it as given, computing no stage minimum at all.
 
     The cache keeps one kernel per distinct form value, pair of formulas
-    and pair of flags integrated; its source is registered with
+    and ``stages`` flag integrated; its source is registered with
     :mod:`linecache`, so tracebacks show its lines.
     """
     m = form.m
@@ -337,26 +327,17 @@ def _kernel(
             step.append(f"stage_low = {names[0]}")
             step += [f"if {x} < stage_low: stage_low = {x}" for x in names[1:]]
             step.append("if stage_low < stage_min: stage_min = stage_low")
-    # the step state's test is comparisons alone, which allocate nothing: a
-    # NaN fails every one of them, and with floor >= -float_max (integrate
-    # clamps it) x >= floor also fails at -inf
+    # the step state's test (see the docstring); only a failing state is
+    # told apart: a non-finite one is an overflow, a finite one the floor stop
     below_inf = " and ".join(f"{c} < inf" for c in "seir")
-    finite = f"{below_inf} and {' and '.join(f'{c} > ninf' for c in 'seir')}"
     head += ["inf = float('inf')", "ninf = -inf"]
-    step.append("t = t0 + (k + 1) * tau")
-    if floored:
-        step += [
-            f"if not ({' and '.join(f'{c} >= floor' for c in 'seir')} and {below_inf}):",
-            # decided in this order: a non-finite state is an overflow, a
-            # finite one the floor stop
-            f"    if not ({finite}):",
-            "        return k, stage_min",
-            "    extend((t, s, e, i, r))",
-            "    return None, stage_min",
-        ]
-    else:
-        step += [f"if not ({finite}):", "    return k, stage_min"]
     step += [
+        "t = t0 + (k + 1) * tau",
+        f"if not ({' and '.join(f'{c} >= floor' for c in 'seir')} and {below_inf}):",
+        f"    if not ({below_inf} and {' and '.join(f'{c} > ninf' for c in 'seir')}):",
+        "        return k, stage_min",
+        "    extend((t, s, e, i, r))",
+        "    return None, stage_min",
         "if k == keep:",
         "    extend((t, s, e, i, r))",
         "    keep += every",
@@ -374,8 +355,7 @@ def _kernel(
         + ["    if n_steps % every:", "        extend((t, s, e, i, r))"]
         + ["    return None, stage_min", ""]
     )
-    flags = " stages" * stages + " floored" * floored
-    filename = f"<{form.key or 'shu-osher'}{flags} step kernel {next(_serial)}>"
+    filename = f"<{form.key or 'shu-osher'}{' stages' * stages} step kernel {next(_serial)}>"
     # mtime None: linecache.checkcache keeps the entry, having no file to
     # check.  Most lines recur in every kernel of a form: interned, each is
     # stored once.

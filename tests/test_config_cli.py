@@ -398,7 +398,7 @@ def test_cli_simulate_rejects_negative_media_exp_rate(tmp_path, capsys):
         "--method", "euler", "--tau", "1",
     ])
     assert code == 2
-    assert "error: media parameters must be non-negative" in capsys.readouterr().err
+    assert "error: eta must be non-negative, got -0.05" in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
 
 

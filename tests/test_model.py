@@ -150,12 +150,26 @@ def test_media_exp_entry_is_not_a_valid_incidence():
     assert g.alpha is None
 
 
-@pytest.mark.parametrize("nu, eta", [(0.0115, -0.05), (-0.0115, 0.001)])
-def test_media_exp_rejects_negative_parameters(nu, eta):
+def _custom_incidence(alpha):
+    return custom_incidence(lambda x: 0.0, alpha)
+
+
+@pytest.mark.parametrize("make, args, name", [
+    pytest.param(media_exp_incidence, (0.0115, -0.05), "eta", id="0.0115--0.05"),
+    pytest.param(media_exp_incidence, (-0.0115, 0.001), "nu", id="-0.0115-0.001"),
+    pytest.param(media_incidence, (0.0115, -0.05), "eta", id="media-eta"),
+    pytest.param(media_incidence, (-0.0115, 0.001), "nu", id="media-nu"),
+    pytest.param(holling_incidence, (-1.0, 1.0, 2.0), "c1", id="holling-c1"),
+    pytest.param(holling_incidence, (1.0, -1.0, 2.0), "c2", id="holling-c2"),
+    pytest.param(holling_incidence, (1.0, 1.0, -2.0), "k", id="holling-k"),
+    pytest.param(_custom_incidence, (-0.5,), "alpha", id="custom-alpha"),
+])
+def test_media_exp_rejects_negative_parameters(make, args, name):
     # with eta < 0 the function grows, and sup = nu under-estimates it:
-    # nu=0.0115, eta=-0.05 gives g(10) = 0.01896 > 0.0115
-    with pytest.raises(ValueError, match="non-negative"):
-        media_exp_incidence(nu, eta)
+    # nu=0.0115, eta=-0.05 gives g(10) = 0.01896 > 0.0115.  Every incidence
+    # constructor names the parameter it rejects.
+    with pytest.raises(ValueError, match=f"{name} must be non-negative, got -"):
+        make(*args)
 
 
 def test_incidence_from_key():
@@ -260,12 +274,23 @@ def test_choice_a_removable_singularity():
     assert pi(1e-9) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize(
-    "make", [choice_a_recruitment, choice_b_recruitment, choice_c_recruitment]
-)
-def test_choice_recruitments_reject_negative_kappa(make):
-    # the closed-form sups kappa*M and kappa hold only for kappa >= 0
-    with pytest.raises(ValueError, match="kappa"):
+def _custom_recruitment(bound):
+    return custom_recruitment(lambda t: 0.0, bound)
+
+
+@pytest.mark.parametrize("make, name", [
+    pytest.param(make, name, id=make.__name__) for make, name in (
+        (choice_a_recruitment, "kappa"),
+        (choice_b_recruitment, "kappa"),
+        (choice_c_recruitment, "kappa"),
+        (constant_recruitment, "p"),
+        (_custom_recruitment, "bound"),
+    )
+])
+def test_choice_recruitments_reject_negative_kappa(make, name):
+    # the closed-form sups kappa*M and kappa hold only for kappa >= 0; every
+    # recruitment constructor names the parameter it rejects
+    with pytest.raises(ValueError, match=f"{name} must be non-negative, got -0.05"):
         make(-0.05)
     assert recruitment_sup(make(0.0), 10.0) == 0.0
 

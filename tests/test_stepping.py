@@ -658,8 +658,8 @@ def test_untracked_runs_keep_the_tracked_runs_rows():
     assert min(seen.values()) >= 40, seen
 
 
-def _kernel_source(form, stages, floored):
-    code = _kernel(form, "x", "p", stages, floored).__code__
+def _kernel_source(form, stages):
+    code = _kernel(form, "x", "p", stages).__code__
     return "".join(linecache.getlines(code.co_filename))
 
 
@@ -671,22 +671,22 @@ def _stage_minima(source):
 @pytest.mark.parametrize("key", BUILTIN_METHOD_KEYS)
 def test_kernel_emits_only_the_bookkeeping_its_run_reads(key):
     form = builtin_method(key)
-    tracked = _kernel_source(form, True, True)
+    tracked = _kernel_source(form, True)
     assert _stage_minima(tracked) == form.m and "before = stage_min" in tracked
-    probe = _kernel_source(form, False, True)
-    assert _stage_minima(probe) == 0 and "stage_low" not in probe
-    assert "if not (s >= floor and e >= floor and i >= floor and r >= floor and" in probe
-    bare = _kernel_source(form, False, False)
-    assert "stage_low" not in bare and "floor" not in bare[bare.index("\n"):]
+    bare = _kernel_source(form, False)
+    assert _stage_minima(bare) == 0 and "stage_low" not in bare
     assert "before" not in bare
-    assert "stage_low" not in _kernel_source(form, True, False).split("t = t0 + (k + 1)")[1]
+    assert "stage_low" not in tracked.split("t = t0 + (k + 1)")[1]
     # each step state is judged by float comparisons alone, none by the
-    # arithmetic x - x, which allocates a float per term
-    for stages in (True, False):
-        for floored in (True, False):
-            source = _kernel_source(form, stages, floored)
-            assert "(s - s)" not in source and " != 0.0" not in source
-            assert "s < inf and e < inf and i < inf and r < inf" in source
+    # arithmetic x - x, which allocates a float per term, and every kernel
+    # ends a step with the one floored test
+    for source in (tracked, bare):
+        assert "(s - s)" not in source and " != 0.0" not in source
+        assert "s < inf and e < inf and i < inf and r < inf" in source
+        assert (
+            "if not (s >= floor and e >= floor and i >= floor and r >= floor and"
+            " s < inf and e < inf and i < inf and r < inf):"
+        ) in source
 
 
 def test_kernel_cache_keys_on_the_bookkeeping_flags():
@@ -695,6 +695,7 @@ def test_kernel_cache_keys_on_the_bookkeeping_flags():
     x0 = State(0.2, 0.6, 0.2, 0.0)
     args = (0.5, 3, form, FREE, linear_incidence(), ZERO_PI)
     for stages in (True, False):
-        for stop_below in (None, -1e-12, 0.0):  # the floor's value is an argument
+        # the floor, or its absence, is an argument: one kernel per stage flag
+        for stop_below in (None, -1e-12, 0.0, -math.inf):
             integrate(x0, *args, stop_below=stop_below, stages=stages)
-    assert _kernel.cache_info().currsize == size + 4
+    assert _kernel.cache_info().currsize == size + 2
