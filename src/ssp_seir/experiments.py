@@ -31,7 +31,7 @@ from .model import (
     linear_incidence,
     recruitment_from_key,
 )
-from .reference import grid_run, reference_trajectory
+from .reference import grid_run, reference_trajectory, step_grid
 from .shu_osher import BUILTIN_METHOD_KEYS, ShuOsherForm, builtin_method
 from .step_bounds import bound_report
 from .stepping import IntegrationOverflowError, Trajectory, integrate
@@ -200,8 +200,9 @@ def convergence_study(
 
     For each method of ``config.methods`` the step sizes are tau_t * 2^-k
     (k = 1.._CONVERGENCE_HALVINGS), shrunk minimally by
-    :func:`~ssp_seir.reference.grid_run` so the _CONVERGENCE_OUTPUTS evenly
-    spaced output times lie on each step grid; the order is the
+    :func:`~ssp_seir.reference.step_grid` so the _CONVERGENCE_OUTPUTS evenly
+    spaced output times lie on each step grid (halvings that land on one
+    grid share its run); the order is the
     least-squares slope of log2(error) against log2(tau) over the
     _CONVERGENCE_FIT_POINTS smallest steps.  Raises ValueError when one of
     their errors is zero or not finite, or when they are all one size (a
@@ -217,13 +218,19 @@ def convergence_study(
         tau_t = bound_report(setup, method, config.tf).tau_method
         taus = []
         errors = []
+        grid = None
         for k in range(1, _CONVERGENCE_HALVINGS + 1):
-            run = grid_run(setup, method, tau_t * 2.0**-k, config.tf, output_times)
+            tau_nominal = tau_t * 2.0**-k
+            # halvings above the output spacing can share a grid, and its run
+            previous, grid = grid, step_grid(tau_nominal, config.tf, output_times)
+            if grid != previous:
+                run = grid_run(setup, method, tau_nominal, config.tf, output_times)
+                error = max(
+                    max(map(abs, map(sub, a, b)))
+                    for a, b in zip(run.compartments, reference.compartments)
+                )
             taus.append(run.tau)
-            errors.append(max(
-                max(map(abs, map(sub, a, b)))
-                for a, b in zip(run.compartments, reference.compartments)
-            ))
+            errors.append(error)
         fit_taus = taus[-_CONVERGENCE_FIT_POINTS:]
         fit_errors = errors[-_CONVERGENCE_FIT_POINTS:]
         for tau, err in zip(fit_taus, fit_errors):

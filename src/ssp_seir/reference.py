@@ -28,6 +28,7 @@ __all__ = [
     "exact_population",
     "grid_run",
     "reference_trajectory",
+    "step_grid",
 ]
 
 DEFAULT_REFINEMENT = 2.0**-10
@@ -113,22 +114,14 @@ def exact_population(
     return n0 * math.exp(-mu * t) + adaptive_simpson(integrand, 0.0, t, quad_tol)
 
 
-def grid_run(
-    setup: ProblemSetup,
-    method: ShuOsherForm,
-    tau_nominal: float,
-    t_f: float,
-    output_times: Sequence[float],
-) -> Trajectory:
-    """Run ``method`` to ``t_f`` and keep the rows at ``output_times``.
+def step_grid(
+    tau_nominal: float, t_f: float, output_times: Sequence[float],
+) -> tuple[float, int, int]:
+    """``(base, per_base, n_steps)``: the step grid :func:`grid_run` runs on.
 
-    The step is ``tau_nominal`` shrunk minimally so every output time lands
-    exactly on the step grid (no interpolation), so the output times fall on
-    every ``per_base``-th step and the run keeps only those rows.  The result
-    holds the run's rows at the output times, in their order, with that step
-    as ``tau``; the run tracks no stage minimum, so its ``stage_min`` is
-    None.  Each output time must be a whole multiple of the smallest
-    positive one, from 0 to the last step.
+    The step ``base / per_base`` is ``tau_nominal`` shrunk minimally so that
+    the smallest positive output time ``base`` is ``per_base`` steps, and
+    ``n_steps`` steps reach ``t_f``.  Equal grids give equal runs.
     """
     if not (math.isfinite(tau_nominal) and tau_nominal > 0.0):
         raise ValueError(f"tau_nominal must be finite and positive, got {tau_nominal}")
@@ -145,6 +138,28 @@ def grid_run(
     n_steps = round(t_f / tau)
     if n_steps * tau < t_f - 1e-9 * t_f:
         n_steps = math.ceil(t_f / tau)
+    return base, per_base, n_steps
+
+
+def grid_run(
+    setup: ProblemSetup,
+    method: ShuOsherForm,
+    tau_nominal: float,
+    t_f: float,
+    output_times: Sequence[float],
+) -> Trajectory:
+    """Run ``method`` to ``t_f`` and keep the rows at ``output_times``.
+
+    The step is ``tau_nominal`` shrunk minimally so every output time lands
+    exactly on the step grid (no interpolation; :func:`step_grid`), so the
+    output times fall on every ``per_base``-th step and the run keeps only
+    those rows.  The result holds the run's rows at the output times, in
+    their order, with that step as ``tau``; the run tracks no stage minimum,
+    so its ``stage_min`` is None.  Each output time must be a whole multiple
+    of the smallest positive one, from 0 to the last step.
+    """
+    base, per_base, n_steps = step_grid(tau_nominal, t_f, output_times)
+    tau = base / per_base
     rows = []
     for t in output_times:
         k = round(t / base)

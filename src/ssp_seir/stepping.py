@@ -21,7 +21,10 @@ step with the same test of the step state (see :func:`_kernel`).
 Stage recruitment is evaluated at the Butcher abscissa times carried by the
 form (t_n + c_j * tau); this preserves classical order for time-dependent
 recruitment and collapses to pi(t_n) for forward Euler.  Within a step, pi is
-evaluated once per distinct abscissa, so catalog functions must be pure.
+evaluated once per distinct abscissa, and a form with the abscissae 0 and 1
+(ssprk22, ssprk33, ssprk104) carries its c = 1 value over the step boundary
+to the next step's c = 0 stage when the two times are equal floats (see
+:func:`_kernel`), so catalog functions must be pure.
 The arithmetic and its order are fixed: the stage combination is v_i*x
 first, then the alpha terms in ascending stage index, so repeated runs are
 bitwise reproducible, and the kernel computes bit for bit what a plain
@@ -200,7 +203,9 @@ def _paste(formula: str, x: str, prefix: str) -> tuple[str, tuple[str, ...]]:
     """``(expression, parameters)``: ``formula`` reading its argument from the
     local ``x``, each of its ``parameters`` from the local ``prefix + name``,
     and each constant of :data:`FORMULA_NAMESPACE` (``pi``) as a literal, so
-    that the compiler folds ``2.0 / pi`` into one constant."""
+    that the compiler folds ``2.0 / pi`` into one constant.  A negated
+    parameter ``-name`` reads the local ``'n' + prefix + name`` instead and is
+    listed as ``-name``: :func:`_bind` negates it once, which is exact."""
     parameters = set()
 
     class Paste(ast.NodeTransformer):
@@ -213,8 +218,28 @@ def _paste(formula: str, x: str, prefix: str) -> tuple[str, tuple[str, ...]]:
             value = FORMULA_NAMESPACE[node.id]
             return node if callable(value) else ast.Constant(value)
 
+        def visit_UnaryOp(self, node: ast.UnaryOp) -> ast.expr:
+            name = node.operand
+            if (
+                isinstance(node.op, ast.USub) and isinstance(name, ast.Name)
+                and name.id != "x" and name.id not in FORMULA_NAMESPACE
+            ):
+                parameters.add("-" + name.id)
+                return ast.Name("n" + prefix + name.id, ast.Load())
+            return self.generic_visit(node)
+
     expression = ast.unparse(Paste().visit(ast.parse(formula, mode="eval")))
     return expression, tuple(sorted(parameters))
+
+
+def _bind(formula: str, prefix: str, entry: str) -> list[str]:
+    """The prologue lines binding the parameters of ``formula``, pasted with
+    ``prefix``, from the bindings ``entry``."""
+    return [
+        f"n{prefix}{n[1:]} = -{entry}[{n[1:]!r}]" if n[0] == "-"
+        else f"{prefix}{n} = {entry}[{n!r}]"
+        for n in _paste(formula, "x", prefix)[1]
+    ]
 
 
 def _times(coefficient: float, name: str, x: str) -> str:
@@ -235,7 +260,28 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
     each formula parameter from the entry's bindings, not written into its
     source; a coefficient of exactly 1.0 is left out of its product, which
     is bitwise the same.  A formula's constants are written as literals
-    (:func:`_paste`), so the compiler folds ``2.0 / pi`` and ``2.0 * pi``.
+    (:func:`_paste`), so the compiler folds ``2.0 / pi`` and ``2.0 * pi``,
+    and a negated parameter such as media's ``-eta`` is negated once, in the
+    prologue.
+
+    The kernel skips work that cannot change a bit:
+
+    * Recruitment is pasted at ``t`` itself at an abscissa of 0: ``t`` is
+      finite and never -0.0, so ``t + 0.0`` is ``t``.  A form evaluating pi
+      at abscissae of exactly 0.0 and 1.0 keeps its c = 1 time ``t_one =
+      t + tau`` (``t_one`` starts at -inf) and value; the next step's c = 0
+      stage reuses that value when ``t == t_one``.  ``tau >= 0``, so
+      ``t_one`` is never -0.0 either, and equal floats are equal bits: a pure
+      pi gives the same value.
+    * A copy stage ``i < m``, with ``v_i = 0`` and one alpha term, of exactly
+      1.0, from a stage ``j >= 1`` with ``v_j = 0``, reads stage ``j``'s
+      Euler sub-step ``f_j`` instead of summing ``0.0 + f_j``.  Stage ``j``
+      sums from the literal 0.0, so it is never -0.0: in round-to-nearest
+      ``x + y`` is -0.0 only when both operands are.  Neither, then, is
+      ``f_j = x_j + h*(...)``, and ``0.0 + f_j`` is ``f_j``, NaN included.
+      A copy of stage 0 (the step state) or of a stage with ``v_j != 0``,
+      either of which can hold -0.0, keeps its ``0.0 +``, as does the final
+      stage.
 
     It extends the flat list ``history`` by the row ``t, s, e, i, r`` of
     every ``every``-th step state and of the state the run ended on, its
@@ -275,8 +321,12 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
     # pi is evaluated once per distinct abscissa, at the first stage that needs
     # it; later stages at the same time reuse it.  0.0 and -0.0 are one key: t
     # is never -0.0 (below), so t + 0.0*tau and t + -0.0*tau are the same bits
+    # as t, which is pasted itself
     first: dict[float, int] = {}
     pi_of = {k: first.setdefault(form.c_stage[k], k) for k in sorted(read)}
+    # the stages that carry pi over the step boundary (see the docstring)
+    zero, one = first.get(0.0), first.get(1.0)
+    carry = zero is not None and one is not None
     head = [
         "h = tau / form.r",
         "mu, sigma, gamma, delta = p.mu, p.sigma, p.gamma, p.delta",
@@ -284,24 +334,29 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
         "extend = history.extend",
         "keep = every - 1",  # the next step whose state is kept
     ]
-    head += [f"f_{n} = incidence[{n!r}]" for n in _paste(incidence, "i", "f_")[1]]
-    head += [f"pi_{n} = recruitment[{n!r}]" for n in _paste(recruitment, "t_pi", "pi_")[1]]
-    head += [f"ct{k} = form.c_stage[{k}] * tau" for k in first.values()]
+    head += _bind(incidence, "f_", "incidence") + _bind(recruitment, "pi_", "recruitment")
+    head += [f"ct{k} = form.c_stage[{k}] * tau" for c, k in first.items() if c != 0.0]
     # t is the start time t0 + k*tau of step k.  Computed at the end of step
     # k-1, it also stamps that step's row; step 0 starts at t0 + 0*tau like
     # the others (t0 = -0.0 becomes 0.0 there, while row 0 keeps x0.t)
     head.append("t = t0 + 0 * tau")
+    if carry:
+        head.append("t_one = float('-inf')")  # no finite t equals it
     step = ["before = stage_min"] if stages else []  # the minimum before this step
+    stage = [tuple("seir")]  # the compartment names of each stage
     for k in range(m):
-        xs, xe, xi, xr = (f"{c}{k}" if k else c for c in "seir")
+        xs, xe, xi, xr = stage[k]
         if k in read:
             # parentheses group as the call did: they leave the tree as it was
             step.append(f"inc = ({_paste(incidence, xi, 'f_')[0]}) * {xs}")
             if pi_of[k] == k:
-                step += [
-                    f"t_pi = t + ct{k}",
-                    f"pi{k} = {_paste(recruitment, 't_pi', 'pi_')[0]}",
-                ]
+                at = "t" if form.c_stage[k] == 0.0 else "t_one" if carry and k == one else "t_pi"
+                if at != "t":
+                    step.append(f"{at} = t + ct{k}")
+                value = _paste(recruitment, at, "pi_")[0]
+                if carry and k == zero:
+                    value = f"pi{one} if t == t_one else {value}"
+                step.append(f"pi{k} = {value}")
             step += [
                 f"fs{k} = {xs} + h * (pi{pi_of[k]} - mu * {xs} - inc)",
                 f"fe{k} = {xe} + h * (inc - mu_sigma * {xe})",
@@ -316,11 +371,18 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
         if form.v[i] not in (0.0, 1.0):
             head.append(f"v{i} = form.v[{i}]")
         head += [f"a{i}_{j} = form.alpha[{i}][{j}]" for j in terms[i] if form.alpha[i][j] != 1.0]
-        names = [c if i == m else f"{c}{i}" for c in "seir"]
-        for c, name in zip("seir", names):
-            sum_ = ["0.0" if form.v[i] == 0.0 else _times(form.v[i], f"v{i}", c)]
-            sum_ += [_times(form.alpha[i][j], f"a{i}_{j}", f"f{c}{j}") for j in terms[i]]
-            step.append(f"{name} = {' + '.join(sum_)}")
+        # a copy stage of a stage j >= 1 with v_j = 0 reads its Euler sub-step
+        # (see the docstring)
+        j = terms[i][0] if len(terms[i]) == 1 else 0
+        if i < m and j and form.v[i] == form.v[j] == 0.0 and form.alpha[i][j] == 1.0:
+            names = tuple(f"f{c}{j}" for c in "seir")
+        else:
+            names = tuple(c if i == m else f"{c}{i}" for c in "seir")
+            for c, name in zip("seir", names):
+                sum_ = ["0.0" if form.v[i] == 0.0 else _times(form.v[i], f"v{i}", c)]
+                sum_ += [_times(form.alpha[i][j], f"a{i}_{j}", f"f{c}{j}") for j in terms[i]]
+                step.append(f"{name} = {' + '.join(sum_)}")
+        stage.append(names)
         if stages:
             # stage_min = min(stage_min, min(stage)), spelled out with min()'s
             # NaN and tie rules

@@ -92,6 +92,28 @@ def test_cli_convergence_exits_2_on_a_zero_error(tmp_path, capsys):
     assert not (tmp_path / "convergence_slopes.csv").exists()
 
 
+def test_convergence_integrates_each_distinct_grid_step_once(monkeypatch):
+    # at tf = 100 the output spacing is 2.0, and ssprk104's first three
+    # halvings of tau_t = 20 all shrink to it: one run serves all three rows
+    import ssp_seir.reference as reference
+    integrate = reference.integrate
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(args[1])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(reference, "integrate", counted)
+    results = convergence_study(parse_config(DEFAULT_CONFIG_TEXT)._replace(tf=100.0))
+    assert [r.method for r in results] == ["euler", "ssprk22", "ssprk33", "ssprk104"]
+    assert all(len(r.taus) == len(r.errors) == 8 for r in results)
+    rk104 = results[-1]
+    assert rk104.taus[:4] == (2.0, 2.0, 2.0, 1.0) and len(set(rk104.errors[:3])) == 1
+    # the reference run, then one run per distinct step of each method
+    assert len(steps) == 1 + sum(len(set(r.taus)) for r in results) == 31
+    assert steps[1:] == [tau for r in results for tau in dict.fromkeys(r.taus)]
+
+
 def test_sweep_flags_a_negative_stage(monkeypatch):
     # each stage of an SSP form is a convex combination of Euler steps, so
     # positivity must hold at the stages too, not only at the step states

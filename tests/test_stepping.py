@@ -6,6 +6,7 @@ import io
 import linecache
 import math
 import random
+import re
 import traceback
 
 import numpy as np
@@ -508,12 +509,15 @@ def test_kernel_tracebacks_show_its_source():
     assert "step kernel" in text and "inc = (f_fn(i)) * s" in text
 
 
-@pytest.mark.parametrize("form, calls", [
-    (builtin_method("euler"), 1), (builtin_method("ssprk22"), 2),
-    (builtin_method("ssprk33"), 3), (builtin_method("ssprk104"), 7), (_sparse_form(), 1),
+@pytest.mark.parametrize("form, calls, carries", [
+    (builtin_method("euler"), 1, False), (builtin_method("ssprk22"), 2, True),
+    (builtin_method("ssprk33"), 3, True), (builtin_method("ssprk104"), 7, True),
+    (_sparse_form(), 1, False),
 ], ids=["euler", "ssprk22", "ssprk33", "ssprk104", "sparse"])
-def test_recruitment_evaluated_once_per_distinct_abscissa(form, calls):
-    # ssprk104's ten abscissae repeat 1/3, 1/2 and 2/3 exactly
+def test_recruitment_evaluated_once_per_distinct_abscissa(form, calls, carries):
+    # ssprk104's ten abscissae repeat 1/3, 1/2 and 2/3 exactly.  A form that
+    # evaluates pi at c = 1 and c = 0 reuses step k-1's c = 1 value at step
+    # k's c = 0 stage when the two times are equal floats
     choice_a = recruitment_from_key("choiceA")
     times = []
 
@@ -522,10 +526,13 @@ def test_recruitment_evaluated_once_per_distinct_abscissa(form, calls):
         return choice_a.fn(t)
 
     pi = RateFunction("counted", counted, sup=choice_a.sup)
-    args = (State(0.2, 0.6, 0.2, 0.0), 0.7, 25, form,
+    t0, tau, n = 1.5, 0.7, 25
+    args = (State(0.2, 0.6, 0.2, 0.0, t=t0), tau, n, form,
             ModelParams(0.05, 0.25, 0.1867, 0.011), media_incidence(0.0115, 0.001))
     traj = integrate(*args, pi)
-    assert len(times) == 25 * calls
+    hits = sum((t0 + (k - 1) * tau) + 1.0 * tau == t0 + k * tau for k in range(1, n))
+    assert 0 < hits < n - 1  # t0 and tau give both equal and unequal times
+    assert len(times) == n * calls - (hits if carries else 0)
     assert len(set(times[:calls])) == calls
     assert traj.data.tobytes() == integrate(*args, choice_a).data.tobytes()
 
@@ -658,8 +665,8 @@ def test_untracked_runs_keep_the_tracked_runs_rows():
     assert min(seen.values()) >= 40, seen
 
 
-def _kernel_source(form, stages):
-    code = _kernel(form, "x", "p", stages).__code__
+def _kernel_source(form, stages, incidence="x"):
+    code = _kernel(form, incidence, "p", stages).__code__
     return "".join(linecache.getlines(code.co_filename))
 
 
@@ -668,15 +675,35 @@ def _stage_minima(source):
     return sum(line.strip().startswith("stage_low = ") for line in source.splitlines())
 
 
-@pytest.mark.parametrize("key", BUILTIN_METHOD_KEYS)
+_EXTRA_FORMS = dict(zip(["butcher-ssprk33", "sparse"], _oracle_forms()[len(BUILTIN_METHOD_KEYS):]))
+
+
+@pytest.mark.parametrize("key", BUILTIN_METHOD_KEYS + tuple(_EXTRA_FORMS))
 def test_kernel_emits_only_the_bookkeeping_its_run_reads(key):
-    form = builtin_method(key)
+    form = _EXTRA_FORMS[key] if key in _EXTRA_FORMS else builtin_method(key)
     tracked = _kernel_source(form, True)
     assert _stage_minima(tracked) == form.m and "before = stage_min" in tracked
     bare = _kernel_source(form, False)
     assert _stage_minima(bare) == 0 and "stage_low" not in bare
     assert "before" not in bare
     assert "stage_low" not in tracked.split("t = t0 + (k + 1)")[1]
+    # a copy stage i < m has v_i = 0 and one alpha term, of exactly 1.0, from
+    # stage j.  It sums 0.0 + f_j only when stage j is stage 0 or has v_j != 0,
+    # which can hold -0.0; otherwise it reads f_j, which cannot, and has no line
+    copies = {}
+    for i in range(1, form.m):
+        sources = [j for j, a in enumerate(form.alpha[i]) if a != 0.0]
+        if form.v[i] == 0.0 and [form.alpha[i][j] for j in sources] == [1.0]:
+            copies[i] = sources[0]
+    summed = {i: j for i, j in copies.items() if j == 0 or form.v[j] != 0.0}
+    # (copy stages, those summing 0.0 + f_j): ssprk104 reads 6 of its 8 as f_j
+    assert (len(copies), len(summed)) == {
+        "ssprk22": (1, 1), "ssprk33": (1, 1), "ssprk104": (8, 2),
+    }.get(key, (0, 0))
+    # a media kernel negates eta once, in its prologue
+    media = _kernel_source(form, False, media_incidence(0.0115, 0.001).formula)
+    assert "-f_eta" not in media.split("for k in range(n_steps):")[1]
+    assert "nf_eta = -incidence['eta']" in media
     # each step state is judged by float comparisons alone, none by the
     # arithmetic x - x, which allocates a float per term, and every kernel
     # ends a step with the one floored test
@@ -687,6 +714,12 @@ def test_kernel_emits_only_the_bookkeeping_its_run_reads(key):
             "if not (s >= floor and e >= floor and i >= floor and r >= floor and"
             " s < inf and e < inf and i < inf and r < inf):"
         ) in source
+        found = re.findall(r"^ *([seir])(\d+) = 0\.0 \+ f\1(\d+)$", source, re.M)
+        assert sorted((c, int(i), int(j)) for c, i, j in found) == sorted(
+            (c, i, j) for i, j in summed.items() for c in "seir"
+        )
+        for i in copies.keys() - summed.keys():
+            assert not re.search(rf"^ *[seir]{i} = ", source, re.M), i
 
 
 def test_kernel_cache_keys_on_the_bookkeeping_flags():
