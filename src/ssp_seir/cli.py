@@ -1,12 +1,19 @@
 """Command-line harness for the step-size experiments.
 
-Subcommands:
+Commands:
 
 * ``bounds-table``   theoretical vs empirical positivity thresholds (CSV)
 * ``simulate``       one integration with property verdicts and a trajectory CSV
 * ``convergence``    error-vs-step study against the fine reference (CSV)
 * ``counterexample`` the oscillating-recruitment non-convergence demo
 * ``check``          randomized guarantee sweep over the builtin methods
+* ``default-config`` print the embedded default config
+
+One table, :data:`COMMANDS`, drives parsing: each command's name, its
+one-line help, the function adding its options and its handler.  :func:`main`
+parses the global options and the command name with the top-level parser,
+whose help lists the table, and the rest of the line with a parser built for
+the invoked command alone, so a run never builds the other commands' parsers.
 
 All outputs are deterministic: the same config yields byte-identical files.
 """
@@ -34,26 +41,7 @@ from .stepping import trajectory_to_csv
 __all__ = ["main"]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ssp-seir",
-        description="Positivity-preserving SSP integration experiments for the "
-        "generalized SEIR model.",
-    )
-    parser.add_argument(
-        "--config", type=Path, default=None,
-        help="key=value config file (defaults to the embedded experiment values)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=Path("."), help="output directory for CSV files"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    bounds = sub.add_parser("bounds-table", help="compute tau_t and tau_r for every "
-                            "recruitment choice and method")
-    bounds.set_defaults(run=_cmd_bounds_table)
-
-    sim = sub.add_parser("simulate", help="integrate one setup and report verdicts")
+def _simulate_options(sim: argparse.ArgumentParser) -> None:
     sim.add_argument("--method", required=True, help="method key (e.g. ssprk22)")
     sim.add_argument("--tau", type=float, required=True, help="step size")
     sim.add_argument("--tf", type=float, default=30.0, help="final time (default 30)")
@@ -67,29 +55,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="exit nonzero when a property verdict fails",
     )
-    sim.set_defaults(run=_cmd_simulate)
 
-    conv = sub.add_parser("convergence", help="order study against the fine reference")
+
+def _convergence_options(conv: argparse.ArgumentParser) -> None:
     conv.add_argument(
         "--pi", default="choiceA", help="recruitment catalog key (default choiceA)"
     )
     conv.add_argument("--tf", type=float, default=None, help="override the config horizon")
-    conv.set_defaults(run=_cmd_convergence)
 
-    cex = sub.add_parser(
-        "counterexample",
-        help="oscillating recruitment demo: N^n does not converge to pi/mu",
-    )
-    cex.set_defaults(run=_cmd_counterexample)
 
-    chk = sub.add_parser("check", help="randomized theorem-guarantee sweep")
+def _check_options(chk: argparse.ArgumentParser) -> None:
     chk.add_argument("--configs", type=int, default=200, help="number of random setups")
     chk.add_argument("--seed", type=int, default=20240501)
-    chk.set_defaults(run=_cmd_check)
-
-    dump = sub.add_parser("default-config", help="print the embedded default config")
-    dump.set_defaults(run=None)  # needs no config, so a bad one cannot stop it
-    return parser
 
 
 def _write(out: Path, name: str, writer: Callable[[Any, IO[str]], None], data: Any) -> Path:
@@ -159,6 +136,61 @@ def _cmd_check(args, config) -> int:
     return 0 if report.passed else 1
 
 
+# name -> (one-line help, option adder or None, handler).  default-config's
+# handler is None: it needs no config, so a bad one cannot stop it.
+COMMANDS: dict[str, tuple[str, Optional[Callable], Optional[Callable]]] = {
+    "bounds-table": (
+        "compute tau_t and tau_r for every recruitment choice and method",
+        None, _cmd_bounds_table,
+    ),
+    "simulate": ("integrate one setup and report verdicts", _simulate_options, _cmd_simulate),
+    "convergence": (
+        "order study against the fine reference", _convergence_options, _cmd_convergence,
+    ),
+    "counterexample": (
+        "oscillating recruitment demo: N^n does not converge to pi/mu",
+        None, _cmd_counterexample,
+    ),
+    "check": ("randomized theorem-guarantee sweep", _check_options, _cmd_check),
+    "default-config": ("print the embedded default config", None, None),
+}
+
+
+def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """Parse ``argv``: the global options and the command name, then the
+    command's own options with a parser built for that command alone.  The
+    namespace's ``run`` is the command's handler."""
+    parser = argparse.ArgumentParser(
+        prog="ssp-seir",
+        description="Positivity-preserving SSP integration experiments for the "
+        "generalized SEIR model.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:16s}{entry[0]}" for name, entry in COMMANDS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "--config", type=Path, default=None,
+        help="key=value config file (defaults to the embedded experiment values)",
+    )
+    parser.add_argument(
+        "--out", type=Path, default=Path("."), help="output directory for CSV files"
+    )
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    # everything after the command, global-looking options included, is the
+    # command's: a global option placed after it is an error, as it must be
+    rest = parser.add_argument("rest", nargs=argparse.REMAINDER, metavar="...",
+                               help="the command's options (see ssp-seir command -h)")
+    rest.required = False  # an empty rest is no missing argument
+    args = parser.parse_args(argv)
+    help_, add_options, args.run = COMMANDS[args.command]
+    command = argparse.ArgumentParser(prog=f"ssp-seir {args.command}", description=help_)
+    if add_options is not None:
+        add_options(command)
+    return command.parse_args(args.rest, namespace=args)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code = _run(argv)
@@ -173,7 +205,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _run(argv: Optional[Sequence[str]]) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     if args.run is None:
         print(DEFAULT_CONFIG_TEXT, end="")
         return 0

@@ -140,12 +140,16 @@ def run_simulation(
     include_stages: bool = False,
 ) -> SimulationResult:
     """Integrate ceil(t_f/tau) steps and judge them against the bound chain
-    taken over the time of the last step."""
+    taken over the time of the last step.  A step count t_f/tau that is not
+    finite is a ValueError."""
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"step size must be finite and positive, got {tau}")
     if not (math.isfinite(t_f) and t_f >= 0.0):
         raise ValueError(f"final time must be finite and non-negative, got {t_f}")
-    n_steps = math.ceil(t_f / tau)
+    steps = t_f / tau
+    if not math.isfinite(steps):
+        raise ValueError(f"step count t_f/tau is not finite for t_f={t_f!r}, tau={tau!r}")
+    n_steps = math.ceil(steps)
     cap = bound_report(setup, method, max(n_steps * tau, tau)).pop_cap
     return _judge(setup, method, tau, n_steps, cap, include_stages)
 

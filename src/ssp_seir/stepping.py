@@ -28,8 +28,12 @@ to the next step's c = 0 stage when the two times are equal floats (see
 The arithmetic and its order are fixed: the stage combination is v_i*x
 first, then the alpha terms in ascending stage index, so repeated runs are
 bitwise reproducible, and the kernel computes bit for bit what a plain
-stage-by-stage loop computes.  Negative compartment values are never
-clamped: observing them is the whole point of the property checks.
+stage-by-stage loop computes.  The step clock is a float count, so the time
+``t0 + k*tau`` of step k takes no int-to-float conversion; it is exact, and
+bitwise the plain loop's, for k below 2**53.  A copy stage spells
+``0.0 + f_j`` as ``f_j or 0.0``, the same value without a new float.
+Negative compartment values are never clamped: observing them is the whole
+point of the property checks.
 """
 
 import ast
@@ -137,7 +141,8 @@ def integrate(
     one-stage form is forward Euler, bit for bit.  Deterministic given
     identical inputs.
 
-    Step times are computed as t0 + k*tau directly (no accumulation drift).
+    Step times are computed as t0 + k*tau directly (no accumulation drift),
+    with k counted in floats, which is exact below 2**53 steps.
     Raises :class:`IntegrationOverflowError` as soon as a non-finite state
     appears, carrying the partial trajectory.
 
@@ -190,7 +195,8 @@ def integrate(
         s, e, i, r, x0.t, tau, n_steps,
         p, f.bindings, pi.bindings, floor, every, history, stage_min,
     )
-    # struct converts the floats to doubles in about half the time array("d", list) takes
+    # from about 100 floats up, struct converts them to doubles in about half
+    # the time array("d", list) takes; for a probe's 10 it takes about twice as long
     data = array("d", struct.pack(f"{len(history)}d", *history))
     traj = Trajectory(data, tau, method.key or f"shu-osher-{method.m}", stage_min)
     if failed_at is not None:
@@ -273,19 +279,24 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
       stage reuses that value when ``t == t_one``.  ``tau >= 0``, so
       ``t_one`` is never -0.0 either, and equal floats are equal bits: a pure
       pi gives the same value.
-    * A copy stage ``i < m``, with ``v_i = 0`` and one alpha term, of exactly
-      1.0, from a stage ``j >= 1`` with ``v_j = 0``, reads stage ``j``'s
-      Euler sub-step ``f_j`` instead of summing ``0.0 + f_j``.  Stage ``j``
-      sums from the literal 0.0, so it is never -0.0: in round-to-nearest
-      ``x + y`` is -0.0 only when both operands are.  Neither, then, is
-      ``f_j = x_j + h*(...)``, and ``0.0 + f_j`` is ``f_j``, NaN included.
-      A copy of stage 0 (the step state) or of a stage with ``v_j != 0``,
-      either of which can hold -0.0, keeps its ``0.0 +``, as does the final
-      stage.
+    * A copy stage ``i``, with ``v_i = 0`` and one alpha term, of exactly
+      1.0, from stage ``j``, would sum ``0.0 + f_j`` of stage ``j``'s Euler
+      sub-step ``f_j``.  When ``i < m`` and ``j >= 1`` has ``v_j = 0``, it
+      reads ``f_j`` itself and has no line: stage ``j`` sums from the literal
+      0.0, so it is never -0.0 (in round-to-nearest ``x + y`` is -0.0 only
+      when both operands are), neither is ``f_j = x_j + h*(...)``, and
+      ``0.0 + f_j`` is ``f_j``, NaN included.  Any other copy (of stage 0,
+      the step state, or of a stage with ``v_j != 0``, either of which can
+      hold -0.0, or the final stage, as Euler's is) is ``f_j or 0.0``: that
+      is ``f_j`` for a nonzero or NaN ``f_j`` and 0.0 for either zero, the
+      value ``0.0 + f_j`` has, and it allocates no float.
 
     It extends the flat list ``history`` by the row ``t, s, e, i, r`` of
     every ``every``-th step state and of the state the run ended on, its
-    time ``t0 + k*tau`` computed afresh (no accumulation drift), and returns
+    time ``t0 + kf*tau`` computed afresh (no accumulation drift) from a float
+    step count ``kf``, which ``kf += 1.0`` advances and a float product
+    multiplies without converting an int.  While ``k + 1 < 2**53`` every
+    count is exact, so the time is bitwise ``t0 + (k + 1)*tau``.  It returns
     ``(k, stage_min)``.  ``k`` is None when the loop ran out or the floor
     ended it at a step state with a compartment below ``floor``, else the
     index of the step that failed.
@@ -336,10 +347,11 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
     ]
     head += _bind(incidence, "f_", "incidence") + _bind(recruitment, "pi_", "recruitment")
     head += [f"ct{k} = form.c_stage[{k}] * tau" for c, k in first.items() if c != 0.0]
-    # t is the start time t0 + k*tau of step k.  Computed at the end of step
-    # k-1, it also stamps that step's row; step 0 starts at t0 + 0*tau like
-    # the others (t0 = -0.0 becomes 0.0 there, while row 0 keeps x0.t)
-    head.append("t = t0 + 0 * tau")
+    # t is the start time t0 + kf*tau of step k, kf the float k (see the
+    # docstring).  Computed at the end of step k-1, it also stamps that step's
+    # row; step 0 starts at t0 + 0.0*tau like the others (t0 = -0.0 becomes
+    # 0.0 there, while row 0 keeps x0.t)
+    head += ["kf = 0.0", "t = t0 + kf * tau"]
     if carry:
         head.append("t_one = float('-inf')")  # no finite t equals it
     step = ["before = stage_min"] if stages else []  # the minimum before this step
@@ -371,17 +383,22 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
         if form.v[i] not in (0.0, 1.0):
             head.append(f"v{i} = form.v[{i}]")
         head += [f"a{i}_{j} = form.alpha[{i}][{j}]" for j in terms[i] if form.alpha[i][j] != 1.0]
-        # a copy stage of a stage j >= 1 with v_j = 0 reads its Euler sub-step
-        # (see the docstring)
-        j = terms[i][0] if len(terms[i]) == 1 else 0
-        if i < m and j and form.v[i] == form.v[j] == 0.0 and form.alpha[i][j] == 1.0:
+        # a copy stage, with v_i = 0 and one alpha term of exactly 1.0, reads
+        # stage j's Euler sub-step when that is never -0.0, and is f_j or 0.0
+        # otherwise (see the docstring)
+        j = terms[i][0] if len(terms[i]) == 1 else None
+        copy = j is not None and form.v[i] == 0.0 and form.alpha[i][j] == 1.0
+        if copy and i < m and j and form.v[j] == 0.0:
             names = tuple(f"f{c}{j}" for c in "seir")
         else:
             names = tuple(c if i == m else f"{c}{i}" for c in "seir")
             for c, name in zip("seir", names):
-                sum_ = ["0.0" if form.v[i] == 0.0 else _times(form.v[i], f"v{i}", c)]
-                sum_ += [_times(form.alpha[i][j], f"a{i}_{j}", f"f{c}{j}") for j in terms[i]]
-                step.append(f"{name} = {' + '.join(sum_)}")
+                if copy:
+                    step.append(f"{name} = f{c}{j} or 0.0")
+                else:
+                    sum_ = ["0.0" if form.v[i] == 0.0 else _times(form.v[i], f"v{i}", c)]
+                    sum_ += [_times(form.alpha[i][j], f"a{i}_{j}", f"f{c}{j}") for j in terms[i]]
+                    step.append(f"{name} = {' + '.join(sum_)}")
         stage.append(names)
         if stages:
             # stage_min = min(stage_min, min(stage)), spelled out with min()'s
@@ -394,7 +411,8 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
     below_inf = " and ".join(f"{c} < inf" for c in "seir")
     head += ["inf = float('inf')", "ninf = -inf"]
     step += [
-        "t = t0 + (k + 1) * tau",
+        "kf += 1.0",
+        "t = t0 + kf * tau",
         f"if not ({' and '.join(f'{c} >= floor' for c in 'seir')} and {below_inf}):",
         f"    if not ({below_inf} and {' and '.join(f'{c} > ninf' for c in 'seir')}):",
         "        return k, stage_min",

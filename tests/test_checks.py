@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssp_seir import checks
 from ssp_seir.checks import (
     NEGATIVITY_THRESHOLD,
     InsufficientDataError,
@@ -257,6 +258,24 @@ def test_empirical_bound_ends_at_adjacent_doubles():
         assert not _positivity_ok(setup, method, up, 8.0)
     else:
         assert _positivity_ok(setup, method, down, 8.0)
+
+
+@pytest.mark.parametrize("method_key, probes", [("euler", 18), ("ssprk104", 20)])
+def test_empirical_bound_probes_through_integrate(monkeypatch, default_config, method_key, probes):
+    # two rows of the published table (choiceA in its threshold state): the
+    # bisection makes this many probes, each one an integrate call
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "integrate", counted)
+    config = default_config._replace(s0=0.7, e0=0.1, i0=0.2, r0=0.0)
+    setup, method = config.setup("choiceA"), builtin_method(method_key)
+    tau_t = bound_report(setup, method, config.tf).tau_method
+    find_empirical_bound(setup, method, config.tf, (tau_t, 2.0 * tau_t), config.bisect_tol)
+    assert len(calls) == probes and calls[0] == tau_t
 
 
 def test_empirical_bound_is_deterministic():

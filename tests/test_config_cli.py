@@ -211,6 +211,19 @@ def test_cli_simulate_rejects_bad_step(tmp_path, capsys, tau):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("tau, tf", [("5e-324", "1e308"), ("1e-200", "1e200")])
+def test_cli_simulate_rejects_a_step_count_that_is_not_finite(tmp_path, capsys, tau, tf):
+    code = main([
+        "--out", str(tmp_path), "simulate", "--method", "euler", "--tau", tau, "--tf", tf,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step count t_f/tau is not finite")
+    assert f"t_f={float(tf)!r}" in err and f"tau={float(tau)!r}" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("tf", ["inf", "nan", "-5"])
 def test_cli_simulate_rejects_bad_horizon(tmp_path, capsys, tf):
     code = main([
@@ -497,3 +510,50 @@ def test_cli_tables_keep_their_golden_bytes(tmp_path, command, name, digest):
     )
     assert main(["--config", str(path), "--out", str(tmp_path), *command]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+# each command's options, as its help names them
+_COMMAND_OPTIONS = {
+    "bounds-table": [],
+    "simulate": ["--method", "--tau", "--tf", "--pi", "--stages", "--strict"],
+    "convergence": ["--pi", "--tf"],
+    "counterexample": [],
+    "check": ["--configs", "--seed"],
+    "default-config": [],
+}
+
+
+def _exit_code(argv):
+    """What main returns, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 2),
+    (["nope"], 2),
+    (["simulate", "--tau", "1"], 2),  # no --method
+    (["simulate", "--method", "euler", "--tau", "x"], 2),
+    (["simulate", "--tau", "x"], 2),
+    (["bounds-table", "--out", "d"], 2),  # a global option after the command
+    (["-h"], 0),
+    *[([command, "-h"], 0) for command in _COMMAND_OPTIONS],
+])
+def test_cli_command_line_exit_codes_and_help(tmp_path, capsys, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)  # no command here may write a file
+    assert _exit_code(argv) == code
+    out, err = capsys.readouterr()
+    assert not list(tmp_path.iterdir())
+    if code:
+        assert not out and err.splitlines()[-1].startswith("ssp-seir")
+        assert ": error: " in err.splitlines()[-1]
+    elif argv == ["-h"]:
+        # the top-level help lists every command with its one-line help
+        for command in _COMMAND_OPTIONS:
+            assert re.search(rf"^ +{command} +\S", out, re.M), command
+    else:
+        assert out.startswith(f"usage: ssp-seir {argv[0]} [-h]")
+        for option in _COMMAND_OPTIONS[argv[0]]:
+            assert f"{option} " in out, option

@@ -177,6 +177,21 @@ def test_integrate_times_have_no_drift():
         assert x.t == k * 0.1  # exact product, not accumulated sum
 
 
+@pytest.mark.parametrize("t0", [0.0, -0.0, 1.5, 1e17])
+def test_row_times_are_int_step_products_over_a_long_run(t0):
+    # the kernel counts steps in floats; every kept time is still bitwise
+    # t0 + k*tau with an int k, and row 0 keeps t0 itself
+    n, tau = 100_003, 0.1
+    for every in (1, 997):
+        traj = integrate(
+            State(1.0, 0.0, 0.0, 0.0, t=t0), tau, n, builtin_method("euler"),
+            FREE, linear_incidence(), ZERO_PI, every=every, stages=False,
+        )
+        kept = list(range(every, n + 1, every)) + ([n] if n % every else [])
+        expected = [t0] + [t0 + k * tau for k in kept]
+        assert traj.data[0::5].tobytes() == np.array(expected).tobytes()
+
+
 def test_trajectory_views_agree_with_its_states():
     traj = integrate(
         State(0.2, 0.6, 0.2, 0.0, t=1.5), 0.7, 30, builtin_method("ssprk33"),
@@ -686,17 +701,18 @@ def test_kernel_emits_only_the_bookkeeping_its_run_reads(key):
     bare = _kernel_source(form, False)
     assert _stage_minima(bare) == 0 and "stage_low" not in bare
     assert "before" not in bare
-    assert "stage_low" not in tracked.split("t = t0 + (k + 1)")[1]
+    assert "stage_low" not in tracked.split("t = t0 + kf * tau")[2]
     # a copy stage i < m has v_i = 0 and one alpha term, of exactly 1.0, from
-    # stage j.  It sums 0.0 + f_j only when stage j is stage 0 or has v_j != 0,
-    # which can hold -0.0; otherwise it reads f_j, which cannot, and has no line
+    # stage j.  It is f_j or 0.0 (0.0 + f_j without a new float) only when
+    # stage j is stage 0 or has v_j != 0, which can hold -0.0; otherwise it
+    # reads f_j, which cannot, and has no line
     copies = {}
     for i in range(1, form.m):
         sources = [j for j, a in enumerate(form.alpha[i]) if a != 0.0]
         if form.v[i] == 0.0 and [form.alpha[i][j] for j in sources] == [1.0]:
             copies[i] = sources[0]
     summed = {i: j for i, j in copies.items() if j == 0 or form.v[j] != 0.0}
-    # (copy stages, those summing 0.0 + f_j): ssprk104 reads 6 of its 8 as f_j
+    # (copy stages, those spelled f_j or 0.0): ssprk104 reads 6 of its 8 as f_j
     assert (len(copies), len(summed)) == {
         "ssprk22": (1, 1), "ssprk33": (1, 1), "ssprk104": (8, 2),
     }.get(key, (0, 0))
@@ -714,12 +730,17 @@ def test_kernel_emits_only_the_bookkeeping_its_run_reads(key):
             "if not (s >= floor and e >= floor and i >= floor and r >= floor and"
             " s < inf and e < inf and i < inf and r < inf):"
         ) in source
-        found = re.findall(r"^ *([seir])(\d+) = 0\.0 \+ f\1(\d+)$", source, re.M)
+        assert "0.0 + f" not in source and " + 1) * tau" not in source
+        assert "kf += 1.0\n" in source
+        found = re.findall(r"^ *([seir])(\d+) = f\1(\d+) or 0\.0$", source, re.M)
         assert sorted((c, int(i), int(j)) for c, i, j in found) == sorted(
             (c, i, j) for i, j in summed.items() for c in "seir"
         )
         for i in copies.keys() - summed.keys():
             assert not re.search(rf"^ *[seir]{i} = ", source, re.M), i
+        # Euler's final stage is the one final copy among these forms
+        final = re.findall(r"^ *([seir]) = f\1(\d+) or 0\.0$", source, re.M)
+        assert final == ([(c, "0") for c in "seir"] if key == "euler" else [])
 
 
 def test_kernel_cache_keys_on_the_bookkeeping_flags():
