@@ -121,7 +121,9 @@ def step_grid(
 
     The step ``base / per_base`` is ``tau_nominal`` shrunk minimally so that
     the smallest positive output time ``base`` is ``per_base`` steps, and
-    ``n_steps`` steps reach ``t_f``.  Equal grids give equal runs.
+    ``n_steps`` steps reach ``t_f``.  Equal grids give equal runs.  A step
+    count ``base / tau_nominal`` or ``t_f / tau`` that is not finite is a
+    ValueError.
     """
     if not (math.isfinite(tau_nominal) and tau_nominal > 0.0):
         raise ValueError(f"tau_nominal must be finite and positive, got {tau_nominal}")
@@ -133,11 +135,20 @@ def step_grid(
     if not positive:
         raise ValueError("at least one positive output time is required")
     base = min(positive)
-    per_base = max(1, math.ceil(base / tau_nominal - 1e-12))
+    ratio = base / tau_nominal
+    if not math.isfinite(ratio):
+        raise ValueError(
+            f"step count base/tau_nominal is not finite for base={base!r}, "
+            f"tau_nominal={tau_nominal!r}"
+        )
+    per_base = max(1, math.ceil(ratio - 1e-12))
     tau = base / per_base
-    n_steps = round(t_f / tau)
+    steps = t_f / tau
+    if not math.isfinite(steps):
+        raise ValueError(f"step count t_f/tau is not finite for t_f={t_f!r}, tau={tau!r}")
+    n_steps = round(steps)
     if n_steps * tau < t_f - 1e-9 * t_f:
-        n_steps = math.ceil(t_f / tau)
+        n_steps = math.ceil(steps)
     return base, per_base, n_steps
 
 

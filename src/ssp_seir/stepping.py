@@ -447,7 +447,28 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
 
 
 def trajectory_to_csv(traj: Trajectory, out: IO[str]) -> None:
-    """Write ``t,S,E,I,R,N`` rows at full double precision (round-trippable)."""
-    out.write("t,S,E,I,R,N\n")
-    for t, s, e, i, r, n in zip(traj.times, *traj.compartments, traj.populations):
-        out.write(f"{t!r},{s!r},{e!r},{i!r},{r!r},{n!r}\n")
+    """Write ``t,S,E,I,R,N`` rows at full double precision (round-trippable).
+
+    Each value is written as its ``repr``, with N computed as
+    :attr:`Trajectory.populations` does, ``((S + E) + I) + R``.  A value
+    whose text the writer already has is not formatted again: N takes S's
+    text when ``N == S`` and ``S != 0``, and E, I and R each take their
+    previous row's text under the same rule.  That is exact: equal nonzero
+    doubles have the same bits, so they have one shortest repr.  The two
+    zeros compare equal but print as ``0.0`` and ``-0.0``, so a zero is
+    always formatted, and so is a NaN, which equals nothing.
+    """
+    write = out.write
+    write("t,S,E,I,R,N\n")
+    # NaN equals nothing, so each column's first value is formatted
+    e0 = i0 = r0 = math.nan
+    for t, s, e, i, r in zip(traj.times, *traj.compartments):
+        st = repr(s)
+        if e != e0 or not e:
+            e0, et = e, repr(e)
+        if i != i0 or not i:
+            i0, it = i, repr(i)
+        if r != r0 or not r:
+            r0, rt = r, repr(r)
+        n = ((s + e) + i) + r
+        write(f"{t!r},{st},{et},{it},{rt},{st if n == s and s else repr(n)}\n")

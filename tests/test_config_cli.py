@@ -251,6 +251,16 @@ def test_cli_convergence_rejects_bad_horizon(tmp_path, capsys, tf):
     assert not (tmp_path / "convergence.csv").exists()
 
 
+def test_cli_convergence_rejects_a_step_count_that_is_not_finite(tmp_path, capsys):
+    # finite, but 1e308 over the reference grid's step overflows
+    code = main(["--out", str(tmp_path), "convergence", "--tf", "1e308"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step count t_f/tau is not finite for t_f=1e+308")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
 @pytest.mark.parametrize("tf", ["inf", "nan", "0", "-1"])
 def test_config_rejects_bad_horizon(tf):
     with pytest.raises(ConfigError, match="key tf"):

@@ -1,6 +1,7 @@
 """Quadrature and fine-step reference oracles."""
 
 import math
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from ssp_seir.reference import (
     exact_population,
     grid_run,
     reference_trajectory,
+    step_grid,
 )
 from ssp_seir.shu_osher import builtin_method
 from ssp_seir.stepping import Trajectory, integrate
@@ -140,6 +142,15 @@ def test_reference_rejects_incommensurate_outputs():
 def test_grid_run_rejects_bad_input_by_name(tau_nominal, t_f, outputs, name):
     with pytest.raises(ValueError, match=name):
         grid_run(_experiment_setup(), builtin_method("euler"), tau_nominal, t_f, outputs)
+
+
+@pytest.mark.parametrize("tau_nominal, t_f, message", [
+    (5e-324, 10.0, "base/tau_nominal is not finite for base=5.0, tau_nominal=5e-324"),
+    (0.3, 1e308, "t_f/tau is not finite for t_f=1e+308, tau=0.29411764705882354"),
+], ids=["tau-subnormal", "tf-huge"])
+def test_step_grid_rejects_a_step_count_that_is_not_finite(tau_nominal, t_f, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        step_grid(tau_nominal, t_f, [5.0])
 
 
 def test_reference_rejects_a_zero_refinement():

@@ -8,6 +8,7 @@ import math
 import random
 import re
 import traceback
+from array import array
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from ssp_seir.butcher import builtin_tableau, shu_osher_from_butcher
 from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, ShuOsherForm, builtin_method
 from ssp_seir.stepping import (
     IntegrationOverflowError,
+    Trajectory,
     _kernel,
     integrate,
     trajectory_to_csv,
@@ -272,6 +274,39 @@ def test_csv_round_trip():
         t, s, e, i, r, n = (float(v) for v in line.split(","))
         assert (t, s, e, i, r) == (x.t, x.s, x.e, x.i, x.r)
         assert n == x.total
+
+
+def _csv_oracle(traj):
+    """The CSV text written value by value: ``repr`` of each one."""
+    rows = zip(traj.times, *traj.compartments, traj.populations)
+    return "t,S,E,I,R,N\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def test_csv_writer_matches_the_per_value_repr_oracle():
+    # the writer reuses the text of an equal nonzero value; equal values with
+    # two texts (0.0 and -0.0) and values equal to nothing (NaN) are the cases
+    # that reuse would get wrong
+    rng = random.Random(20261020)
+    pool = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-300, 0.3, -2.5, 7.0]
+    # in the first and last row S = -0.0 and N = ((S + E) + I) + R = 0.0, equal
+    # to S but not its text; E, I and R change the sign of their zeros
+    fixed = [
+        (0.0, -0.0, 0.0, 0.0, 0.0), (1.0, 0.3, 0.0, -0.0, 5e-324),
+        (2.0, -0.0, -0.0, 0.0, 5e-324), (3.0, -0.0, 0.0, 0.0, 0.0),
+    ]
+    for case in range(200):
+        row = [rng.choice(pool) for _ in range(5)]
+        data = array("d", [v for r in fixed for v in r] if case % 2 else [])
+        for _ in range(rng.randrange(1, 40)):
+            for c in range(5):
+                # most values repeat their previous row's, making runs
+                if rng.random() < 0.3:
+                    row[c] = rng.choice(pool)
+            data.extend(row)
+        traj = Trajectory(data, 1.0, "euler", None)
+        buf = io.StringIO()
+        trajectory_to_csv(traj, buf)
+        assert buf.getvalue() == _csv_oracle(traj)
 
 
 # ---------------------------------------------------------------------------
