@@ -9,17 +9,21 @@ threshold with the run: ``min(-1e-12, -c*eps*n)``, with ``eps`` the double
 precision and ``n`` the run's own size, its largest row population but no
 more than the cap.  A compartment that the bound drives exactly to 0 comes
 out of the float arithmetic as a rounding error of the size of the
-population times ``eps``.  Over about 15,000 runs at ``tau = C*dt*``
-from boundary witnesses (a state whose binding compartment has no inflow,
-rescaled by 1 to 1e9, with mu from 0 and 1e-12 to 0.1) the smallest stage
-value was -0.72 ``eps*n``.  So an absolute -1e-12 fails a correct run once
-the population is about 1e4, and ``c = 8`` keeps a margin of 11 on that
-measurement, while a real violation at ``tau = C*dt*(1 + 1e-9)``, about
-1e-9 of the compartment, still fails at every scale.  The size is read
-from the run, not from the cap alone: the cap ``N0 + K/mu`` grows without
-bound as mu goes to 0 while the population may stay near N0.  Below a
-size of about 560 the rule is the absolute -1e-12, so no run at the
-published scale is judged differently.
+population times ``eps``.  The step kernel evaluates each Euler sub-step
+as a sum of non-negative products wherever its coefficients round to >= 0
+(:mod:`~ssp_seir.stepping`), so a stage falls below 0 only where one of
+them rounds below 0, as at a ``tau`` one ulp above the bound.  Over 16,000
+runs at ``tau = C*dt*`` from boundary witnesses (a state whose binding
+compartment has no inflow, rescaled by 1 to 1e9, with mu from 0 and 1e-12
+to 0.1) a stage fell below 0 in 137, all of them ssprk104 runs with such a
+coefficient, and the smallest stage value was -1.0 ``eps*n``.  So an
+absolute -1e-12 fails such a run once the population is about 1e4, and
+``c = 8`` keeps a margin of 8 on that measurement, while a real violation
+at ``tau = C*dt*(1 + 1e-9)``, about 1e-9 of the compartment, still fails at
+every scale.  The size is read from the run, not from the cap alone: the
+cap ``N0 + K/mu`` grows without bound as mu goes to 0 while the population
+may stay near N0.  Below a size of about 560 the rule is the absolute
+-1e-12, so no run at the published scale is judged differently.
 
 The empirical threshold search checks step states only, matching what the
 step-size experiments observe; :func:`check_nonnegativity` can also check the
@@ -212,7 +216,8 @@ def find_empirical_bound(
     """Bisect the step size at which positivity over [0, t_f] first fails.
 
     The bracket is expanded/shrunk geometrically until positivity holds at
-    the lower end and fails at the upper end, then bisected to width ``tol``
+    the lower end and fails at the upper end (a lower end that fails becomes
+    the upper end and is not probed again), then bisected to width ``tol``
     (or until its ends are adjacent doubles); the returned threshold is the
     midpoint of the final bracket.  The run count ceil(t_f/tau) covers the
     horizon with a constant step throughout.
@@ -237,15 +242,16 @@ def find_empirical_bound(
             raise RuntimeError(
                 f"could not find a passing lower bracket (smallest step probed {hi!r})"
             )
-    attempts = 0
-    while ok(hi):
-        lo = hi
-        hi *= 2.0
-        attempts += 1
-        if attempts > 60:
-            raise RuntimeError(
-                f"could not find a failing upper bracket (largest step probed {lo!r})"
-            )
+    # after a failing lower end, hi is the last one, known to fail
+    if not attempts:
+        while ok(hi):
+            lo = hi
+            hi *= 2.0
+            attempts += 1
+            if attempts > 60:
+                raise RuntimeError(
+                    f"could not find a failing upper bracket (largest step probed {lo!r})"
+                )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

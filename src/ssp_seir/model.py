@@ -460,8 +460,9 @@ def rhs(
     for name, value in (("t", t), ("s", x.s), ("e", x.e), ("i", x.i), ("r", x.r)):
         if not math.isfinite(value):
             raise ValueError(f"non-finite input {name}={value!r}")
-    # stepping's generated kernel computes these expressions in this order,
-    # each formula pasted in place of its call
+    # the derivative itself; stepping's generated kernel does not compute it
+    # but each Euler sub-step x + h*rhs in the paper's positivity form, with
+    # the coefficients 1 - h*(mu + rate) (see ssp_seir.stepping)
     s, e, i, r = x.s, x.e, x.i, x.r
     inc = f.fn(i) * s
     pi_t = pi.fn(t)

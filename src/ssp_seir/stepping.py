@@ -3,7 +3,7 @@
 Every method, explicit Euler included (the one-stage form), runs through
 :func:`integrate`, and the only step loop is a kernel generated from the
 Shu-Osher form and the two rate formulas: the source of one function holding
-the whole loop, with the stages unrolled, the model right-hand side inlined
+the whole loop, with the stages unrolled, each Euler sub-step written out
 and each formula pasted in place of a call to its rate function (a callable
 entry's formula is the call ``fn(x)``).  A kernel is compiled on the first
 :func:`integrate` call for a form and pair of formulas and cached by their
@@ -18,22 +18,40 @@ only for a run with ``stages`` (``simulate --stages`` and ``check``).  The
 cache key is ``(form, incidence, recruitment, stages)``; every kernel ends a
 step with the same test of the step state (see :func:`_kernel`).
 
+Each Euler sub-step ``x + h*rhs(t, x)``, with ``h = tau/r``, is evaluated
+in the positivity form of the paper's proof, a combination of the stage's
+compartments whose coefficients are the terms of dt*::
+
+    S' = (c_s - h*f(I))*S + h*pi(t)          c_s = 1 - h*mu
+    E' = c_e*E + h*f(I)*S                    c_e = 1 - h*(mu + sigma)
+    I' = c_i*I + (h*sigma)*E + (h*delta)*R   c_i = 1 - h*(mu + gamma)
+    R' = c_r*R + (h*gamma)*I                 c_r = 1 - h*(mu + delta)
+
+The coefficients and the three products ``h*rate`` are computed once per
+run, ``h*f(I)`` once per stage and ``h*pi`` once per distinct abscissa, so
+a stage takes 15 float operations besides its formulas and ``h*pi`` where
+``x + h*F(x)`` takes 22, and it cancels no large terms near the bound.
+``tau <= C*dt*`` makes every coefficient non-negative in exact arithmetic,
+``c_s - h*f(I)`` included, as ``f(I) <= B``.  Where they are in floats too,
+a sub-step of non-negative compartments is a sum of non-negative products,
+never below 0: a stage falls below 0 only where a coefficient rounds below 0.
+
 Stage recruitment is evaluated at the Butcher abscissa times carried by the
 form (t_n + c_j * tau); this preserves classical order for time-dependent
-recruitment and collapses to pi(t_n) for forward Euler.  Within a step, pi is
-evaluated once per distinct abscissa, and a form with the abscissae 0 and 1
-(ssprk22, ssprk33, ssprk104) carries its c = 1 value over the step boundary
-to the next step's c = 0 stage when the two times are equal floats (see
-:func:`_kernel`), so catalog functions must be pure.
+recruitment and collapses to pi(t_n) for forward Euler.  Within a step,
+``h*pi`` is evaluated once per distinct abscissa, and a form with the
+abscissae 0 and 1 (ssprk22, ssprk33, ssprk104) carries its c = 1 value over
+the step boundary to the next step's c = 0 stage when the two times are
+equal floats (see :func:`_kernel`), so catalog functions must be pure.
 The arithmetic and its order are fixed: the stage combination is v_i*x
 first, then the alpha terms in ascending stage index, so repeated runs are
 bitwise reproducible, and the kernel computes bit for bit what a plain
-stage-by-stage loop computes.  The step clock is a float count, so the time
-``t0 + k*tau`` of step k takes no int-to-float conversion; it is exact, and
-bitwise the plain loop's, for k below 2**53.  A copy stage spells
-``0.0 + f_j`` as ``f_j or 0.0``, the same value without a new float.
-Negative compartment values are never clamped: observing them is the whole
-point of the property checks.
+stage-by-stage loop computes.  A copy stage, with v_i = 0 and one alpha
+term of exactly 1.0, is the Euler sub-step it copies.  The step clock is a
+float count, so the time ``t0 + k*tau`` of step k takes no int-to-float
+conversion; it is exact, and bitwise the plain loop's, for k below 2**53,
+and :func:`integrate` rejects a longer run.  Negative compartment values are
+never clamped: observing them is the whole point of the property checks.
 """
 
 import ast
@@ -142,7 +160,8 @@ def integrate(
     identical inputs.
 
     Step times are computed as t0 + k*tau directly (no accumulation drift),
-    with k counted in floats, which is exact below 2**53 steps.
+    with k counted in floats, which is exact below 2**53 steps: a longer
+    run is a ValueError.
     Raises :class:`IntegrationOverflowError` as soon as a non-finite state
     appears, carrying the partial trajectory.
 
@@ -174,6 +193,9 @@ def integrate(
         raise ValueError(f"step size must be finite and non-negative, got {tau}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+    if n_steps >= 2**53:
+        # the float step clock (see _kernel) counts exactly only below 2**53
+        raise ValueError(f"n_steps must be below 2**53, got {n_steps}")
     if stop_below is not None and math.isnan(stop_below):
         raise ValueError("stop floor must not be NaN")
     if not (isinstance(every, int) and every >= 1):
@@ -265,31 +287,30 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
     The coefficients are read from ``form`` in the function's prologue, and
     each formula parameter from the entry's bindings, not written into its
     source; a coefficient of exactly 1.0 is left out of its product, which
-    is bitwise the same.  A formula's constants are written as literals
-    (:func:`_paste`), so the compiler folds ``2.0 / pi`` and ``2.0 * pi``,
-    and a negated parameter such as media's ``-eta`` is negated once, in the
-    prologue.
+    is bitwise the same.  The prologue also binds the coefficients of the
+    Euler sub-step's positivity form (module docstring), ``c_s``, ``c_e``,
+    ``c_i`` and ``c_r``, and the products ``h_sigma``, ``h_gamma`` and
+    ``h_delta``; each stage computes ``hf = h*f(I)`` once, and each
+    distinct abscissa ``hp = h*pi(t)``.  A formula's constants are written
+    as literals (:func:`_paste`), so the compiler folds ``2.0 / pi`` and
+    ``2.0 * pi``, and a negated parameter such as media's ``-eta`` is
+    negated once, in the prologue.
 
     The kernel skips work that cannot change a bit:
 
     * Recruitment is pasted at ``t`` itself at an abscissa of 0: ``t`` is
       finite and never -0.0, so ``t + 0.0`` is ``t``.  A form evaluating pi
       at abscissae of exactly 0.0 and 1.0 keeps its c = 1 time ``t_one =
-      t + tau`` (``t_one`` starts at -inf) and value; the next step's c = 0
-      stage reuses that value when ``t == t_one``.  ``tau >= 0``, so
+      t + tau`` (``t_one`` starts at -inf) and its ``h*pi``; the next step's
+      c = 0 stage reuses that product when ``t == t_one``.  ``tau >= 0``, so
       ``t_one`` is never -0.0 either, and equal floats are equal bits: a pure
-      pi gives the same value.
+      pi, times the run's one ``h``, gives the same product.
     * A copy stage ``i``, with ``v_i = 0`` and one alpha term, of exactly
-      1.0, from stage ``j``, would sum ``0.0 + f_j`` of stage ``j``'s Euler
-      sub-step ``f_j``.  When ``i < m`` and ``j >= 1`` has ``v_j = 0``, it
-      reads ``f_j`` itself and has no line: stage ``j`` sums from the literal
-      0.0, so it is never -0.0 (in round-to-nearest ``x + y`` is -0.0 only
-      when both operands are), neither is ``f_j = x_j + h*(...)``, and
-      ``0.0 + f_j`` is ``f_j``, NaN included.  Any other copy (of stage 0,
-      the step state, or of a stage with ``v_j != 0``, either of which can
-      hold -0.0, or the final stage, as Euler's is) is ``f_j or 0.0``: that
-      is ``f_j`` for a nonzero or NaN ``f_j`` and 0.0 for either zero, the
-      value ``0.0 + f_j`` has, and it allocates no float.
+      1.0, from stage ``j``, is stage ``j``'s Euler sub-step ``f_j``, and
+      not ``0.0 + f_j``: for ``i < m`` it reads ``f_j`` and has no line,
+      and as the final stage (Euler's) it copies ``f_j`` into the step
+      state.  The plain loop defines a copy stage so too; a sub-step in
+      the positivity form can be -0.0, which ``0.0 +`` would turn into 0.0.
 
     It extends the flat list ``history`` by the row ``t, s, e, i, r`` of
     every ``every``-th step state and of the state the run ended on, its
@@ -341,7 +362,10 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
     head = [
         "h = tau / form.r",
         "mu, sigma, gamma, delta = p.mu, p.sigma, p.gamma, p.delta",
-        "mu_sigma, mu_gamma, mu_delta = mu + sigma, mu + gamma, mu + delta",
+        # the coefficients of the Euler sub-step's positivity form
+        "c_s, c_e = 1.0 - h * mu, 1.0 - h * (mu + sigma)",
+        "c_i, c_r = 1.0 - h * (mu + gamma), 1.0 - h * (mu + delta)",
+        "h_sigma, h_gamma, h_delta = h * sigma, h * gamma, h * delta",
         "extend = history.extend",
         "keep = every - 1",  # the next step whose state is kept
     ]
@@ -360,20 +384,20 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
         xs, xe, xi, xr = stage[k]
         if k in read:
             # parentheses group as the call did: they leave the tree as it was
-            step.append(f"inc = ({_paste(incidence, xi, 'f_')[0]}) * {xs}")
+            step.append(f"hf = h * ({_paste(incidence, xi, 'f_')[0]})")
             if pi_of[k] == k:
                 at = "t" if form.c_stage[k] == 0.0 else "t_one" if carry and k == one else "t_pi"
                 if at != "t":
                     step.append(f"{at} = t + ct{k}")
-                value = _paste(recruitment, at, "pi_")[0]
+                value = f"h * ({_paste(recruitment, at, 'pi_')[0]})"
                 if carry and k == zero:
-                    value = f"pi{one} if t == t_one else {value}"
-                step.append(f"pi{k} = {value}")
+                    value = f"hp{one} if t == t_one else {value}"
+                step.append(f"hp{k} = {value}")
             step += [
-                f"fs{k} = {xs} + h * (pi{pi_of[k]} - mu * {xs} - inc)",
-                f"fe{k} = {xe} + h * (inc - mu_sigma * {xe})",
-                f"fi{k} = {xi} + h * (sigma * {xe} - mu_gamma * {xi} + delta * {xr})",
-                f"fr{k} = {xr} + h * (gamma * {xi} - mu_delta * {xr})",
+                f"fs{k} = (c_s - hf) * {xs} + hp{pi_of[k]}",
+                f"fe{k} = c_e * {xe} + hf * {xs}",
+                f"fi{k} = c_i * {xi} + h_sigma * {xe} + h_delta * {xr}",
+                f"fr{k} = c_r * {xr} + h_gamma * {xi}",
             ]
         # stage i: v_i*x (or 0.0, which also turns a -0.0 term into 0.0)
         # first, then the alpha terms in ascending j.  The last stage is the
@@ -383,18 +407,18 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
         if form.v[i] not in (0.0, 1.0):
             head.append(f"v{i} = form.v[{i}]")
         head += [f"a{i}_{j} = form.alpha[{i}][{j}]" for j in terms[i] if form.alpha[i][j] != 1.0]
-        # a copy stage, with v_i = 0 and one alpha term of exactly 1.0, reads
-        # stage j's Euler sub-step when that is never -0.0, and is f_j or 0.0
-        # otherwise (see the docstring)
+        # a copy stage, with v_i = 0 and one alpha term of exactly 1.0, is
+        # stage j's Euler sub-step: it reads f_j, and only the last stage,
+        # the new step state, copies it into s, e, i, r
         j = terms[i][0] if len(terms[i]) == 1 else None
         copy = j is not None and form.v[i] == 0.0 and form.alpha[i][j] == 1.0
-        if copy and i < m and j and form.v[j] == 0.0:
+        if copy and i < m:
             names = tuple(f"f{c}{j}" for c in "seir")
         else:
             names = tuple(c if i == m else f"{c}{i}" for c in "seir")
             for c, name in zip("seir", names):
                 if copy:
-                    step.append(f"{name} = f{c}{j} or 0.0")
+                    step.append(f"{name} = f{c}{j}")
                 else:
                     sum_ = ["0.0" if form.v[i] == 0.0 else _times(form.v[i], f"v{i}", c)]
                     sum_ += [_times(form.alpha[i][j], f"a{i}_{j}", f"f{c}{j}") for j in terms[i]]

@@ -8,6 +8,7 @@ import pytest
 
 from ssp_seir.checks import (
     NEGATIVITY_THRESHOLD,
+    _positivity_ok,
     check_nonnegativity,
     check_population_bound,
 )
@@ -272,6 +273,8 @@ def test_guarantees_hold_exactly_at_the_bound():
             tau = report.tau_method
             label = f"setup {idx} ({incidence.key}/{pi.key}, mu={params.mu}), {method.key}"
             traj = integrate(x0, tau, n_steps, method, params, incidence, pi)
+            if traj.stage_min < 0.0 and not _coefficient_below_zero(params, method, tau, report):
+                failures.append(f"{label}: stage {traj.stage_min!r} below 0")
             verdict = check_nonnegativity(traj, include_stages=True)
             if not verdict:
                 failures.append(f"{label}: {verdict.as_text('non-negativity')}")
@@ -290,7 +293,8 @@ def test_guarantees_hold_exactly_at_the_bound():
     # is far above the population the run reaches.
     # Each run is judged as simulate and check judge it, against the
     # negativity threshold scaled by the run's size; some of them fail the
-    # absolute -1e-12.
+    # absolute -1e-12.  In every run of both loops a stage falls below 0 only
+    # where a coefficient of the sub-step's positivity form rounds below 0.
     below_absolute = 0
     for idx in range(120):
         scale = 10.0 ** rng.uniform(0.0, 9.0)
@@ -308,6 +312,8 @@ def test_guarantees_hold_exactly_at_the_bound():
             label = f"scaled setup {idx} (scale {scale:.3g}, {term}, mu={mu}), {method.key}"
             traj = integrate(x0, tau, n_steps, method, params, incidence, pi)
             below_absolute += not traj.stage_min >= NEGATIVITY_THRESHOLD
+            if traj.stage_min < 0.0 and not _coefficient_below_zero(params, method, tau, report):
+                failures.append(f"{label}: stage {traj.stage_min!r} below 0")
             verdict = check_nonnegativity(traj, include_stages=True, cap=report.pop_cap)
             if not verdict:
                 failures.append(f"{label}: {verdict.as_text('non-negativity')}")
@@ -320,7 +326,42 @@ def test_guarantees_hold_exactly_at_the_bound():
                 if any(traj.populations[n] > envelope[n] for n in steps):
                     failures.append(f"{label}: population above N0 + n*tau*K")
     assert not failures, failures[:5]
-    assert below_absolute >= 10, below_absolute
+    assert below_absolute >= 1, below_absolute
+
+
+def _coefficient_below_zero(params, method, tau, report):
+    """Whether a coefficient of the Euler sub-step's positivity form rounds
+    below 0, computed as the step kernel computes it with h = tau/C: each
+    ``1 - h*(mu + rate)`` and S's ``(1 - h*mu) - h*B``, with B the sup of the
+    incidence over the cap.  Where none does, every stage is a sum of
+    non-negative products and so never below 0."""
+    h, mu = tau / method.r, params.mu
+    c_s = 1.0 - h * mu
+    coefficients = [c_s, c_s - h * report.b_sup]
+    coefficients += [1.0 - h * (mu + rate) for rate in (params.sigma, params.gamma, params.delta)]
+    return min(coefficients) < 0.0
+
+
+def test_threshold_probe_passes_at_the_bound_on_scaled_witnesses():
+    # the threshold search judges its probes against the absolute -1e-12, at
+    # every scale: at tau = C*dt* on a boundary witness whose coefficients
+    # all round to >= 0, no stage and so no step state is below 0, and the
+    # probe passes however large the population
+    rng = random.Random(20261020)
+    methods = [builtin_method(key) for key in BUILTIN_METHOD_KEYS]
+    probed = 0
+    for idx in range(200):
+        scale = 10.0 ** rng.uniform(6.0, 9.0)
+        term = ("sigma", "gamma", "delta", "none")[idx % 4]
+        setup = _scaled_witness(rng, term, scale, rng.uniform(0.01, 0.1))
+        for method in methods:
+            report = bound_report(setup, method, 100.0)
+            tau = report.tau_method
+            if _coefficient_below_zero(setup.params, method, tau, report):
+                continue
+            probed += 1
+            assert _positivity_ok(setup, method, tau, 100.0), (idx, scale, term, method.key)
+    assert probed >= 700, probed
 
 
 def _scaled_witness(rng, term, scale, mu):

@@ -278,6 +278,36 @@ def test_empirical_bound_probes_through_integrate(monkeypatch, default_config, m
     assert len(calls) == probes and calls[0] == tau_t
 
 
+@pytest.mark.parametrize("method_key, probes", [("euler", 18), ("ssprk104", 21)])
+def test_empirical_bound_probes_a_failing_lower_end_once(
+    monkeypatch, default_config, method_key, probes,
+):
+    # a lower end that fails becomes the upper end, known to fail: the
+    # search does not probe it again, and reaches the value that the passing
+    # half of the bracket gives, with as many probes
+    config = default_config._replace(s0=0.7, e0=0.1, i0=0.2, r0=0.0)
+    setup, method = config.setup("choiceA"), builtin_method(method_key)
+    tau_t = bound_report(setup, method, config.tf).tau_method
+    tau_r = find_empirical_bound(setup, method, config.tf, (tau_t, 2.0 * tau_t), config.bisect_tol)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "integrate", counted)
+
+    def search(bracket):
+        calls.clear()
+        return find_empirical_bound(setup, method, config.tf, bracket, config.bisect_tol), calls[:]
+
+    failing_low, failing_calls = search((2.0 * tau_r, 4.0 * tau_r))
+    passing_low, passing_calls = search((tau_r, 2.0 * tau_r))
+    assert failing_low == passing_low
+    assert failing_calls[:2] == [2.0 * tau_r, tau_r]
+    assert len(failing_calls) == len(set(failing_calls)) == len(passing_calls) == probes
+
+
 def test_empirical_bound_is_deterministic():
     setup = _experiment_setup("choiceC")
 

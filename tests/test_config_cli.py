@@ -182,7 +182,7 @@ def test_cli_simulate_stage_failure_names_no_step(tmp_path, capsys):
         "--pi", "choiceA", "--tau", "25", "--tf", "300",
     ])
     assert code == 0
-    line = "non-negativity: FAIL (stage, value -0.14808371662833586)"
+    line = "non-negativity: FAIL (stage, value -0.1480837166283359)"
     assert line in capsys.readouterr().out.splitlines()
     assert (tmp_path / "verdict.txt").read_text().splitlines()[1] == line
 
@@ -259,6 +259,20 @@ def test_cli_convergence_rejects_a_step_count_that_is_not_finite(tmp_path, capsy
     assert err.startswith("error: step count t_f/tau is not finite for t_f=1e+308")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not (tmp_path / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["convergence", "--tf", "1e300"], "convergence.csv"),
+    (["simulate", "--method", "euler", "--tau", "1e-200", "--tf", "1e100"], "trajectory.csv"),
+], ids=["convergence", "simulate"])
+def test_cli_rejects_more_steps_than_the_clock_counts(tmp_path, capsys, argv, output):
+    # a finite step count of 2**53 or more, which would run without end
+    code = main(["--out", str(tmp_path), *argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_steps must be below 2**53")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / output).exists()
 
 
 @pytest.mark.parametrize("tf", ["inf", "nan", "0", "-1"])
@@ -446,22 +460,22 @@ def test_cli_compiles_one_kernel_per_method_and_formula_pair(tmp_path, capsys, c
 # where every method overflows.  Only + - * / reach these bytes, so they
 # hold on any IEEE-754 platform.
 _GOLDEN = [
-    ("euler", "0.48", "30", "cf6fbfe6c9106389d71ba374dbde49751f3041ccf8b0c888f49d0fba324fc813",
+    ("euler", "0.48", "30", "1df82683c70b5d8dc0880a621ebaf28ca4f79cf902d6141cc4f172e384460181",
      "042302eafb4748fd826dd20e678d441ec4ac14fa953f9c7cafed464d563fd41c"),
-    ("ssprk22", "0.48", "30", "27c2bfc5ff036a816787c1addefc06bd3ed3c5d694b1edbc3da10af4b0352803",
+    ("ssprk22", "0.48", "30", "0feda5a56f1843fac819300a4839c63cfb0f80d6a8421890e704a96eb199007f",
      "042302eafb4748fd826dd20e678d441ec4ac14fa953f9c7cafed464d563fd41c"),
-    ("ssprk33", "0.48", "30", "785f26b4d17fd6f2b822d611a05d8bd2ed0bc02263e8103717b60e48a250736f",
+    ("ssprk33", "0.48", "30", "075b18cac8ed89fb7e83d4ca2029d3564fed91ac8ab9e4bc32755baccb330271",
      "042302eafb4748fd826dd20e678d441ec4ac14fa953f9c7cafed464d563fd41c"),
-    ("ssprk104", "2.9", "30", "73a49e935fd80346342e7673263c6cf09d4ae1c30f53060e5e6f9d7609ef80b3",
+    ("ssprk104", "2.9", "30", "7dcb43d86754c630b479475bd3cf2f685e359322eb61494152afb9afd6116b2e",
      "dec60363938255b844cb3e6c63b95402f69b9e7e3960adf5ccd92d1044211e4f"),
-    ("euler", "30", "600", "3ebca83f1ad6e5c1d6113a10c4b752e01f5524cc4ea9984f747433206003c7e8",
-     "af13f909f841f3c607da6a0f15722a6bf5f6e4b7cdfa457c3edfea8ca1aae557"),
-    ("ssprk22", "30", "600", "7b58e6ccdcc918827adc5d00fd3aad09f34ba8ddcb100a22cdece3abbd45a610",
-     "4477c4546fdc44b3d9bd512b6565fdc6e524338c0db3cf20946a11d6f4601814"),
-    ("ssprk33", "30", "600", "15db8124ffca448b7f7b7d67479f6e055e619bdf2d3ff29d9e0cbcb5a79aa31e",
-     "a2beea0707341ae490b0df5b4fcd09a66387394dff5996380d50a71689e54400"),
-    ("ssprk104", "30", "600", "126339bcd8a9225fe10a9c201c2618c11c7ece3fd331faad521bcf70a4db4b82",
-     "a80956950ad053c73969cf7ec2f2f4d067c5b933a42e35ebdc941563dd69beba"),
+    ("euler", "30", "600", "0b537b12d70df2a224572df27b7fda93a08d6278880ab501d4f6b237d83b152d",
+     "b777cab7b36e2da3de5674f98ee90d26cb8f24e3f47725ef02d0cbb32fa9323b"),
+    ("ssprk22", "30", "600", "f01c75e1738466327c8685124817404cb04a0b3e8133b6802d74a1e87d2dbf33",
+     "419637e3f329318b6cd7d1a281086bca24b167647960909c02d0a7fceb441648"),
+    ("ssprk33", "30", "600", "ce8dafec4be5d275b21c22ffbb859cca4395fe137389cafa507daad0212c3aee",
+     "27d1da172a2fbed0a8c10a040eff1c69bd6c7150c133cf04d29d32a77af78359"),
+    ("ssprk104", "30", "600", "abb5c93643918c710fc85818d473928032d074314ae80d4dbf1dca67bbaaa30c",
+     "4c2a06d76c371c67adb5ea8ba52a0cccfcdec8ed781156ed84f2454e0d101659"),
 ]
 
 
@@ -510,7 +524,7 @@ def test_cli_simulate_without_stages_keeps_the_golden_trajectory(
     (["bounds-table"], "bounds_table.csv",
      "6944e69e833ddf497b1d48c36e5016177b44f3610e0d97d80538609bd6d9eb79"),
     (["convergence", "--pi", "const", "--tf", "100"], "convergence.csv",
-     "114d068d87ecc6a6e33ad5b65dc09e46170eaf78933ac2d8ec024f5017ad1eb4"),
+     "36ef305241106095390a7a438739321acf2fe3fbe5738b00f0432881b50bed94"),
 ], ids=["bounds-table", "convergence"])
 def test_cli_tables_keep_their_golden_bytes(tmp_path, command, name, digest):
     path = tmp_path / "linear.cfg"

@@ -93,15 +93,25 @@ def test_euler_oscillating_population_first_step():
 
 
 def test_single_stage_form_reduces_to_euler_bitwise():
+    # the Euler step x + tau*rhs(t, x), in the paper's positivity form
     rng = random.Random(11)
     for _ in range(100):
         p, f, pi, x = _random_setup(rng)
         tau = rng.uniform(0.0, 2.0)
-        ds, de, di, dr = rhs(x.t, x, p, f, pi)
-        expected = (x.s + tau * ds, x.e + tau * de, x.i + tau * di, x.r + tau * dr)
+        hf, hp = tau * f.fn(x.i), tau * pi.fn(x.t)
+        expected = (
+            ((1.0 - tau * p.mu) - hf) * x.s + hp,
+            (1.0 - tau * (p.mu + p.sigma)) * x.e + hf * x.s,
+            (1.0 - tau * (p.mu + p.gamma)) * x.i + (tau * p.sigma) * x.e + (tau * p.delta) * x.r,
+            (1.0 - tau * (p.mu + p.delta)) * x.r + (tau * p.gamma) * x.i,
+        )
         y = _euler(x, tau, p, f, pi)
         assert y.as_tuple() == expected
         assert y.t == x.t + tau
+        derivative = rhs(x.t, x, p, f, pi)
+        assert y.as_tuple() == pytest.approx(
+            [u + tau * du for u, du in zip(x.as_tuple(), derivative)], rel=1e-12, abs=1e-12
+        )
 
 
 def test_euler_population_recurrence_per_step():
@@ -151,6 +161,14 @@ def test_integrate_rejects_a_non_finite_start_time(t0, pi, n_steps):
             State(1.0, 0.0, 0.0, 0.0, t=t0), 0.5, n_steps, builtin_method("euler"),
             ModelParams(0.1, 0.0, 0.0, 0.0), linear_incidence(), recruitment_from_key(pi),
         )
+
+
+@pytest.mark.parametrize("n_steps", [2**53, 2**53 + 1, 10**301])
+def test_integrate_rejects_more_steps_than_the_clock_counts(n_steps):
+    # the float step clock t0 + kf*tau is exact only below 2**53 steps
+    with pytest.raises(ValueError, match=f"n_steps must be below 2\\*\\*53.*got {n_steps}$"):
+        integrate(State(1.0, 0.0, 0.0, 0.0), 0.5, n_steps, builtin_method("euler"),
+                  FREE, linear_incidence(), ZERO_PI)
 
 
 def test_stop_floor_ends_at_a_failing_initial_state():
@@ -317,24 +335,32 @@ def test_csv_writer_matches_the_per_value_repr_oracle():
 def _oracle(x0, tau, n_steps, form, p, f, pi, stop_below=None):
     """Shu-Osher stepping written out stage by stage from the model equations.
 
-    Returns ``(rows, stage_min, overflow_step, end)`` with rows
-    ``(t, s, e, i, r)``; ``overflow_step`` is None unless a step overflowed
-    or turned non-finite, and ``end`` is that step's non-finite state, or
-    None.
+    Each Euler sub-step is written in the paper's positivity form, a
+    combination of the stage's compartments with the coefficients
+    ``1 - h*(mu + rate)``, and a copy stage (v = 0 and one alpha term of
+    exactly 1.0) is the sub-step it copies.  Returns ``(rows, stage_min,
+    overflow_step, end)`` with rows ``(t, s, e, i, r)``; ``overflow_step``
+    is None unless a step overflowed or turned non-finite, and ``end`` is
+    that step's non-finite state, or None.
     """
 
-    def derivative(t, x):
-        s, e, i, r = x
-        inc = f.fn(i) * s
-        pi_t = pi.fn(t)
-        return (
-            pi_t - p.mu * s - inc,
-            inc - (p.mu + p.sigma) * e,
-            p.sigma * e - (p.mu + p.gamma) * i + p.delta * r,
-            p.gamma * i - (p.mu + p.delta) * r,
-        )
-
     m, h = form.m, tau / form.r
+    mu = p.mu
+    c_s, c_e = 1.0 - h * mu, 1.0 - h * (mu + p.sigma)
+    c_i, c_r = 1.0 - h * (mu + p.gamma), 1.0 - h * (mu + p.delta)
+    h_sigma, h_gamma, h_delta = h * p.sigma, h * p.gamma, h * p.delta
+
+    def euler_substep(t, x):
+        s, e, i, r = x
+        hf = h * f.fn(i)
+        hp = h * pi.fn(t)
+        return [
+            (c_s - hf) * s + hp,
+            c_e * e + hf * s,
+            c_i * i + h_sigma * e + h_delta * r,
+            c_r * r + h_gamma * i,
+        ]
+
     x = (x0.s, x0.e, x0.i, x0.r)
     rows, low = [(x0.t, *x)], min(x)
     if stop_below is not None and not low >= stop_below:
@@ -345,15 +371,16 @@ def _oracle(x0, tau, n_steps, form, p, f, pi, stop_below=None):
         try:
             for q in range(m):
                 if any(form.alpha[later][q] != 0.0 for later in range(q + 1, m + 1)):
-                    d = derivative(t + form.c_stage[q] * tau, stage)
-                    euler.append([u + h * du for u, du in zip(stage, d)])
+                    euler.append(euler_substep(t + form.c_stage[q] * tau, stage))
                 else:
                     euler.append(None)
                 v = form.v[q + 1]
-                acc = [v * u for u in x] if v != 0.0 else [0.0] * 4
-                for j in range(q + 1):
-                    a = form.alpha[q + 1][j]
-                    if a != 0.0:
+                terms = [(j, a) for j, a in enumerate(form.alpha[q + 1][: q + 1]) if a != 0.0]
+                if v == 0.0 and len(terms) == 1 and terms[0][1] == 1.0:
+                    acc = euler[terms[0][0]]
+                else:
+                    acc = [v * u for u in x] if v != 0.0 else [0.0] * 4
+                    for j, a in terms:
                         acc = [u + a * w for u, w in zip(acc, euler[j])]
                 stage = tuple(acc)
                 step_low = min(step_low, min(stage))
@@ -427,11 +454,13 @@ def _seeded_run(rng, forms):
     form = rng.choice(forms)
     if rng.random() < 0.125:
         # I alone moves, by a factor 1 - h*mu from -1 to -9 per Euler
-        # sub-step, from near the top of the double range, and the linear
-        # incidence stays finite on it: a run overflows within a few steps,
+        # sub-step, from near the top of the double range.  h = tau/r is at
+        # most 1, so the sub-step's h*f(I) of the linear incidence stays
+        # finite while I does (a larger h overflows it first, and its
+        # product with S = 0 is a NaN): a run overflows within a few steps,
         # often with a -inf in I and no +inf or NaN anywhere, the state that
         # a -inf floor must still end as an overflow
-        tau = 10.0 ** rng.uniform(-1.0, 3.0)
+        tau = form.r * 10.0 ** rng.uniform(-2.0, 0.0)
         p = ModelParams(rng.uniform(2.0, 10.0) * form.r / tau, p.sigma, 0.0, p.delta)
         x0 = State(0.0, 0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(250.0, 308.0), 0.0, t=x0.t)
         f, pi = linear_incidence(), ZERO_PI
@@ -556,7 +585,7 @@ def test_kernel_tracebacks_show_its_source():
                   ModelParams(0.1, 0.1, 0.1, 0.1), RateFunction("failing", failing, sup=abs),
                   ZERO_PI)
     text = "".join(traceback.format_exception(exc_info.value))
-    assert "step kernel" in text and "inc = (f_fn(i)) * s" in text
+    assert "step kernel" in text and "hf = h * (f_fn(i))" in text
 
 
 @pytest.mark.parametrize("form, calls, carries", [
@@ -666,12 +695,11 @@ def _signed_zero_run(rng, forms):
 
 
 def test_integrate_matches_the_oracle_on_signed_zeros():
-    # A stage with v = 0 starts its sum at 0.0, which turns a -0.0 sub-step
-    # into 0.0: a kernel that left that 0.0 + out where the step state, which
-    # can be -0.0, feeds the stage would change bits.  Runs from -0.0, 0.0
-    # and the smallest subnormals, with or without stage tracking and over
-    # every floor, must match the oracle byte for byte, the sign of every
-    # zero included.
+    # A stage with v = 0 and more than one term, or a term other than 1.0,
+    # starts its sum at 0.0, which turns a -0.0 into 0.0, while a copy stage
+    # is its sub-step, -0.0 included.  Runs from -0.0, 0.0 and the smallest
+    # subnormals, with or without stage tracking and over every floor, must
+    # match the oracle byte for byte, the sign of every zero included.
     rng = random.Random(21)
     forms = _oracle_forms()
     negative_zeros = 0  # rows of the oracle holding a -0.0 beyond row 0
@@ -738,19 +766,13 @@ def test_kernel_emits_only_the_bookkeeping_its_run_reads(key):
     assert "before" not in bare
     assert "stage_low" not in tracked.split("t = t0 + kf * tau")[2]
     # a copy stage i < m has v_i = 0 and one alpha term, of exactly 1.0, from
-    # stage j.  It is f_j or 0.0 (0.0 + f_j without a new float) only when
-    # stage j is stage 0 or has v_j != 0, which can hold -0.0; otherwise it
-    # reads f_j, which cannot, and has no line
+    # stage j.  It is stage j's Euler sub-step f_j: it reads f_j and has no line
     copies = {}
     for i in range(1, form.m):
         sources = [j for j, a in enumerate(form.alpha[i]) if a != 0.0]
         if form.v[i] == 0.0 and [form.alpha[i][j] for j in sources] == [1.0]:
             copies[i] = sources[0]
-    summed = {i: j for i, j in copies.items() if j == 0 or form.v[j] != 0.0}
-    # (copy stages, those spelled f_j or 0.0): ssprk104 reads 6 of its 8 as f_j
-    assert (len(copies), len(summed)) == {
-        "ssprk22": (1, 1), "ssprk33": (1, 1), "ssprk104": (8, 2),
-    }.get(key, (0, 0))
+    assert len(copies) == {"ssprk22": 1, "ssprk33": 1, "ssprk104": 8}.get(key, 0)
     # a media kernel negates eta once, in its prologue
     media = _kernel_source(form, False, media_incidence(0.0115, 0.001).formula)
     assert "-f_eta" not in media.split("for k in range(n_steps):")[1]
@@ -766,16 +788,23 @@ def test_kernel_emits_only_the_bookkeeping_its_run_reads(key):
             " s < inf and e < inf and i < inf and r < inf):"
         ) in source
         assert "0.0 + f" not in source and " + 1) * tau" not in source
-        assert "kf += 1.0\n" in source
-        found = re.findall(r"^ *([seir])(\d+) = f\1(\d+) or 0\.0$", source, re.M)
-        assert sorted((c, int(i), int(j)) for c, i, j in found) == sorted(
-            (c, i, j) for i, j in summed.items() for c in "seir"
-        )
-        for i in copies.keys() - summed.keys():
+        assert "kf += 1.0\n" in source and " or 0.0" not in source
+        for i in copies:
             assert not re.search(rf"^ *[seir]{i} = ", source, re.M), i
-        # Euler's final stage is the one final copy among these forms
-        final = re.findall(r"^ *([seir]) = f\1(\d+) or 0\.0$", source, re.M)
+        # Euler's final stage is the one final copy among these forms: it
+        # copies the sub-step into the step state
+        final = re.findall(r"^ *([seir]) = f\1(\d+)$", source, re.M)
         assert final == ([(c, "0") for c in "seir"] if key == "euler" else [])
+        # each Euler sub-step in the paper's positivity form, with the
+        # coefficients bound once in the prologue
+        prologue, loop = source.split("for k in range(n_steps):")
+        assert "c_s, c_e = 1.0 - h * mu, 1.0 - h * (mu + sigma)" in prologue
+        assert "c_i, c_r = 1.0 - h * (mu + gamma), 1.0 - h * (mu + delta)" in prologue
+        assert "h_sigma, h_gamma, h_delta = h * sigma, h * gamma, h * delta" in prologue
+        assert "fs0 = (c_s - hf) * s + hp0" in loop and "fe0 = c_e * e + hf * s" in loop
+        assert "fi0 = c_i * i + h_sigma * e + h_delta * r" in loop
+        assert "fr0 = c_r * r + h_gamma * i" in loop
+        assert loop.count("hf = h * (") == len(re.findall(r"^ *fs\d+ = ", loop, re.M))
 
 
 def test_kernel_cache_keys_on_the_bookkeeping_flags():
