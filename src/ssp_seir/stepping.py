@@ -347,7 +347,7 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
     """
     m = form.m
     # nonzero alpha terms of each row in ascending j; skipping exact zeros
-    # keeps the one-stage form bitwise x + tau*rhs(t, x)
+    # keeps the one-stage form bitwise its Euler sub-step in the positivity form
     terms = [[j for j in range(i) if form.alpha[i][j] != 0.0] for i in range(m + 1)]
     read = {j for row in terms for j in row}  # stages whose Euler sub-step is used
     # pi is evaluated once per distinct abscissa, at the first stage that needs

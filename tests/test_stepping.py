@@ -454,13 +454,11 @@ def _seeded_run(rng, forms):
     form = rng.choice(forms)
     if rng.random() < 0.125:
         # I alone moves, by a factor 1 - h*mu from -1 to -9 per Euler
-        # sub-step, from near the top of the double range.  h = tau/r is at
-        # most 1, so the sub-step's h*f(I) of the linear incidence stays
-        # finite while I does (a larger h overflows it first, and its
-        # product with S = 0 is a NaN): a run overflows within a few steps,
-        # often with a -inf in I and no +inf or NaN anywhere, the state that
-        # a -inf floor must still end as an overflow
-        tau = form.r * 10.0 ** rng.uniform(-2.0, 0.0)
+        # sub-step, from near the top of the double range: a run overflows
+        # within a few steps.  Where h = tau/r exceeds 1, h*f(I) of the linear
+        # incidence can overflow before I does, and its product with S = 0 in
+        # the positivity form is a NaN in S and E
+        tau = 10.0 ** rng.uniform(-1.0, 3.0)
         p = ModelParams(rng.uniform(2.0, 10.0) * form.r / tau, p.sigma, 0.0, p.delta)
         x0 = State(0.0, 0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(250.0, 308.0), 0.0, t=x0.t)
         f, pi = linear_incidence(), ZERO_PI
@@ -475,16 +473,13 @@ def test_integrate_matches_stagewise_oracle():
     # runs (and overflowing runs) per incidence and per recruitment entry
     runs = collections.Counter()
     overflows = collections.Counter()
-    # runs under a -inf floor ending on a state whose only non-finite values
-    # are -inf: each of them passes x >= -inf and x < inf
-    floored_at_minus_inf = 0
+    # overflowing runs from S = E = 0 whose non-finite state has a NaN in S:
+    # an overflowing h*f(I) times S = 0
+    nan_from_zero_s = 0
     for _ in range(1200):
         x0, tau, n, form, p, f, pi, stop_below = _seeded_run(rng, forms)
         rows, stage_min, overflow_step, end = _oracle(x0, tau, n, form, p, f, pi, stop_below)
-        floored_at_minus_inf += (
-            stop_below == -math.inf and end is not None
-            and all(x == -math.inf or math.isfinite(x) for x in end)
-        )
+        nan_from_zero_s += end is not None and x0.s == 0.0 and math.isnan(end[0])
         expected = np.array(rows).tobytes()
         keys = [f"f={f.key}", f"pi={pi.key}"]
         if f.key == "holling" and dict(f.params)["k"] == 1.5 and min(row[3] for row in rows) < 0.0:
@@ -509,7 +504,37 @@ def test_integrate_matches_stagewise_oracle():
     entries.append("holling k=1.5, I<0")
     assert min(runs[key] for key in entries) >= 20, runs
     assert min(overflows[key] for key in entries) >= 1, overflows
-    assert floored_at_minus_inf >= 5, floored_at_minus_inf
+    assert nan_from_zero_s >= 5, nan_from_zero_s
+
+
+def test_a_minus_inf_floor_ends_a_run_that_overflows_to_minus_inf():
+    # the overflow runs of _seeded_run with h = tau/r at most 1: S and E stay
+    # 0 while h*f(I) is finite, so the first non-finite state often holds a
+    # -inf in I and nothing else non-finite.  It passes x >= -inf and x < inf,
+    # and a -inf floor must still end the run as an overflow.
+    rng = random.Random(9)
+    forms = _oracle_forms()
+    f = linear_incidence()
+    minus_inf_ends = 0
+    for _ in range(200):
+        form = rng.choice(forms)
+        tau = form.r * 10.0 ** rng.uniform(-2.0, 0.0)
+        p = ModelParams(rng.uniform(2.0, 10.0) * form.r / tau, rng.uniform(0.0, 1.0), 0.0,
+                        rng.uniform(0.0, 1.0))
+        x0 = State(0.0, 0.0, rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(250.0, 308.0), 0.0,
+                   t=rng.choice([0.0, -0.0, 1.5]))
+        rows, stage_min, overflow_step, end = _oracle(x0, tau, 120, form, p, f, ZERO_PI, -math.inf)
+        try:
+            traj = integrate(x0, tau, 120, form, p, f, ZERO_PI, stop_below=-math.inf)
+        except IntegrationOverflowError as exc:
+            assert exc.step_index == overflow_step
+            traj = exc.partial
+        else:
+            assert overflow_step is None
+        assert traj.data.tobytes() == np.array(rows).tobytes()
+        assert repr(traj.stage_min) == repr(stage_min)
+        minus_inf_ends += end is not None and all(x == -math.inf or math.isfinite(x) for x in end)
+    assert minus_inf_ends >= 20, minus_inf_ends
 
 
 def _run_to_end(args, stop_below, every, stages=True):
