@@ -34,7 +34,7 @@ from .model import (
 from .reference import grid_run, reference_trajectory, step_grid
 from .shu_osher import BUILTIN_METHOD_KEYS, ShuOsherForm, builtin_method
 from .step_bounds import bound_report
-from .stepping import IntegrationOverflowError, Trajectory, integrate
+from .stepping import STEP_LIMIT, IntegrationOverflowError, Trajectory, integrate
 
 __all__ = [
     "BoundsRow",
@@ -141,7 +141,7 @@ def run_simulation(
 ) -> SimulationResult:
     """Integrate ceil(t_f/tau) steps and judge them against the bound chain
     taken over the time of the last step.  A step count t_f/tau that is not
-    finite is a ValueError."""
+    finite, or of 2**53 or more (``STEP_LIMIT``), is a ValueError."""
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"step size must be finite and positive, got {tau}")
     if not (math.isfinite(t_f) and t_f >= 0.0):
@@ -150,6 +150,8 @@ def run_simulation(
     if not math.isfinite(steps):
         raise ValueError(f"step count t_f/tau is not finite for t_f={t_f!r}, tau={tau!r}")
     n_steps = math.ceil(steps)
+    if n_steps >= STEP_LIMIT:
+        raise ValueError(f"n_steps must be below 2**53 for t_f={t_f!r}, tau={tau!r}")
     cap = bound_report(setup, method, max(n_steps * tau, tau)).pop_cap
     return _judge(setup, method, tau, n_steps, cap, include_stages)
 

@@ -14,7 +14,8 @@ rate bounded by a constant K >= 0.
 
 import functools
 import math
-from typing import Callable, Optional
+from collections.abc import Callable, Iterable, Mapping
+from types import MappingProxyType
 
 __all__ = [
     "ModelParams",
@@ -33,13 +34,11 @@ __all__ = [
     "holling_incidence",
     "media_incidence",
     "media_exp_incidence",
-    "custom_incidence",
     "choice_a_recruitment",
     "choice_b_recruitment",
     "choice_c_recruitment",
     "constant_recruitment",
     "counterexample_cosine_recruitment",
-    "custom_recruitment",
 ]
 
 
@@ -69,7 +68,8 @@ class _Value:
 
     A subclass lists its fields in ``__slots__``, in constructor order, and
     its constructor validates its arguments, if it has any rule for them,
-    and hands them to :meth:`_set`.  Instances compare and hash by the values
+    and hands them to :meth:`_set`; a field it derives comes last, and
+    ``__reduce__`` leaves it out.  Instances compare and hash by the values
     of their fields, and a copy, an unpickled instance or one made by
     :meth:`_replace` goes through the constructor, so it is validated anew.
     """
@@ -91,7 +91,7 @@ class _Value:
 
     def _replace(self, **changes: object) -> "_Value":
         """A copy with the named fields changed, made by the constructor."""
-        values = tuple(map(changes.pop, self.__slots__, self._values()))
+        values = tuple(map(changes.pop, self.__slots__, self.__reduce__()[1]))
         if changes:
             raise TypeError(f"{type(self).__name__} has no field {', '.join(map(repr, changes))}")
         return type(self)(*values)
@@ -159,65 +159,61 @@ FORMULA_NAMESPACE = {
 
 class RateFunction(_Value):
     """A catalog entry: a force of infection ``x -> f(x)`` or a recruitment
-    rate ``t -> pi(t)``, given as a formula or as a callable.
+    rate ``t -> pi(t)``, given as a formula and its parameters.
 
-    ``formula`` is a Python expression for ``fn`` over the argument ``x``,
-    the names in ``params`` and those of :data:`FORMULA_NAMESPACE`; the step
-    kernel pastes it in place of a call.  A catalog entry's ``fn`` is
-    compiled from its formula, a closure over its float parameters.  An
-    entry built from a bare callable keeps the default formula ``fn(x)``,
-    whose ``fn`` is the callable itself.
+    ``formula`` is a Python expression over the argument ``x``, the names in
+    ``params`` and those of :data:`FORMULA_NAMESPACE`; it must read each
+    parameter and no other name, or the constructor raises ValueError.
+    ``fn`` is compiled from it, a closure over the parameters (so a copy
+    compiles its own), and the step kernel pastes it in place of a call.
+    ``params``, the read-only mapping the kernel binds, may hold a callable:
+    ``RateFunction("mine", "fn(x)", sup, {"fn": g})`` evaluates ``g``.
 
     ``sup(hi)`` is a closed-form upper bound of ``fn`` over [0, hi]; every
-    entry must state one.  ``alpha`` is an incidence's linear-bound constant
-    of |f(x)| <= alpha*|x|; it is None for every recruitment and for
-    incidences kept only for comparison, which are outside the certified
-    guarantees.  Instances are immutable and compare and hash by identity.
-    ``fn`` must be pure: the steppers evaluate a recruitment once per
-    distinct stage time within a step and reuse the value.
+    entry must state one, and no library code checks it.  ``alpha`` is an
+    incidence's linear-bound constant of |f(x)| <= alpha*|x|; it is None for
+    every recruitment and for incidences kept only for comparison, which are
+    outside the certified guarantees.  Instances are immutable and compare
+    and hash by identity.  ``fn`` must be pure: the steppers evaluate a
+    recruitment once per distinct stage time within a step and reuse it.
     """
 
-    __slots__ = ("key", "fn", "sup", "alpha", "formula", "params")
+    __slots__ = ("key", "formula", "sup", "params", "alpha", "fn")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(
-        self, key: str, fn: Callable[[float], float], sup: Callable[[float], float],
-        alpha: Optional[float] = None, formula: str = "fn(x)",
-        params: tuple[tuple[str, float], ...] = (),
+        self, key: str, formula: str, sup: Callable[[float], float],
+        params: Mapping[str, object] | Iterable[tuple[str, object]] = (),
+        alpha: float | None = None,
     ) -> None:
-        self._set(key, fn, sup, alpha, formula, params)
+        params = MappingProxyType(dict(params))
+        names, make = _formula_factory(formula)
+        if names != params.keys():
+            raise ValueError(f"entry {key!r}: formula {formula!r} and its params differ in "
+                             + ", ".join(sorted(names ^ params.keys())))
+        self._set(key, formula, sup, params, alpha, make(**params))
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.key, self.formula, self.sup, dict(self.params), self.alpha)
 
     def __call__(self, x: float) -> float:
         return self.fn(x)
 
-    @property
-    def bindings(self) -> dict[str, object]:
-        """The value of each name ``formula`` may read besides ``x`` and
-        :data:`FORMULA_NAMESPACE`: the parameters, and ``fn``."""
-        return dict(self.params, fn=self.fn)
-
 
 @functools.cache
-def _formula_factory(formula: str, names: tuple[str, ...]) -> Callable:
-    """``make(*values)``, returning ``fn(x) = formula`` as a closure over the
-    parameters ``names``.  Compiled on the first entry of each formula."""
-    lines = [f"def make({', '.join(names)}):", "    def fn(x):", f"        return {formula}"]
-    source = "\n".join(lines + ["    return fn"])
+def _formula_factory(formula: str) -> tuple[frozenset[str], Callable]:
+    """``(names, make)``: the names ``formula`` reads besides ``x`` and
+    :data:`FORMULA_NAMESPACE`, and ``make(**values)``, returning ``fn(x) =
+    formula`` as a closure over those names.  Compiled once per formula."""
+    import ast  # not at the top: a start-up that builds no entry saves about 1 ms
+    tree = ast.parse(formula, mode="eval")
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names = frozenset(names - FORMULA_NAMESPACE.keys() - {"x"})
+    # a lambda binds no name, so a parameter may be called fn
+    source = f"def make({', '.join(sorted(names))}):\n    return lambda x: {formula}"
     namespace = dict(FORMULA_NAMESPACE)
     exec(compile(source, f"<formula {formula}>", "exec"), namespace)
-    return namespace["make"]
-
-
-def _entry(
-    key: str,
-    formula: str,
-    sup: Callable[[float], float],
-    params: dict[str, float],
-    alpha: Optional[float] = None,
-) -> RateFunction:
-    """A catalog entry whose ``fn`` is compiled from ``formula``."""
-    fn = _formula_factory(formula, tuple(params))(*params.values())
-    return RateFunction(key, fn, sup, alpha, formula, tuple(params.items()))
+    return names, namespace["make"]
 
 
 class ProblemSetup(_Value):
@@ -238,7 +234,7 @@ class ProblemSetup(_Value):
 
 def linear_incidence() -> RateFunction:
     """f(x) = x."""
-    return _entry("linear", "x", lambda hi: hi, {}, alpha=1.0)
+    return RateFunction("linear", "x", lambda hi: hi, alpha=1.0)
 
 
 def holling_incidence(c1: float, c2: float, k: float) -> RateFunction:
@@ -258,7 +254,7 @@ def holling_incidence(c1: float, c2: float, k: float) -> RateFunction:
     def sup(hi: float) -> float:
         return _round_out(entry.fn(min(hi, x_star)))
 
-    entry = _entry(
+    entry = RateFunction(
         "holling", "c1 * x / (1.0 + c2 * abs(x) ** k)", sup,
         {"c1": c1, "c2": c2, "k": k}, alpha=c1,
     )
@@ -275,7 +271,7 @@ def media_incidence(nu: float, eta: float) -> RateFunction:
         xm = hi if (eta == 0.0 or hi <= 1.0 / eta) else 1.0 / eta
         return _round_out(entry.fn(xm))
 
-    entry = _entry("media", "nu * exp(-eta * x) * x", sup, {"nu": nu, "eta": eta}, alpha=nu)
+    entry = RateFunction("media", "nu * exp(-eta * x) * x", sup, {"nu": nu, "eta": eta}, alpha=nu)
     return entry
 
 
@@ -290,42 +286,7 @@ def media_exp_incidence(nu: float, eta: float) -> RateFunction:
     nu = _require_nonnegative("nu", nu)
     eta = _require_nonnegative("eta", eta)
 
-    return _entry("media-exp", "nu * exp(-eta * x)", lambda hi: nu, {"nu": nu, "eta": eta})
-
-
-def _grid(hi: float, n: int) -> list[float]:
-    """``n`` evenly spaced points from 0.0 to ``hi``, both ends exact: the
-    values of ``numpy.linspace(0.0, hi, n)``."""
-    if n < 2:
-        return [0.0] * n
-    step = hi / (n - 1)
-    return [k * step for k in range(n - 1)] + [hi]
-
-
-# a custom entry is validated on _CHECK_POINTS evenly spaced points of
-# [0, _CHECK_SPAN] (its argument x, or the time t)
-_CHECK_SPAN = 1e3
-_CHECK_POINTS = 10_001
-
-
-def custom_incidence(fn: Callable[[float], float], alpha: float) -> RateFunction:
-    """Wrap a user function after validating f(0)=0, f>=0 and f <= alpha*x on
-    the check grid; its sup over [0, hi] is the declared linear bound
-    alpha*hi."""
-    alpha = _require_nonnegative("alpha", alpha)
-    # each test is written so that a NaN fails it
-    if not abs(fn(0.0)) <= 1e-12:
-        raise ValueError(f"custom incidence must satisfy f(0)=0, got f(0)={fn(0.0)!r}")
-    for x in _grid(_CHECK_SPAN, _CHECK_POINTS):
-        y = fn(x)
-        if not y >= -1e-12:
-            raise ValueError(f"custom incidence negative or NaN at x={x}: f(x)={y}")
-        if not y <= alpha * x + 1e-12:
-            raise ValueError(
-                f"custom incidence violates declared linear bound at x={x}: "
-                f"f(x)={y} > alpha*x={alpha * x}"
-            )
-    return RateFunction("custom", fn, alpha=alpha, sup=lambda hi: alpha * hi)
+    return RateFunction("media-exp", "nu * exp(-eta * x)", lambda hi: nu, {"nu": nu, "eta": eta})
 
 
 INCIDENCE_KEYS = ("linear", "holling", "media", "media-exp")
@@ -367,7 +328,7 @@ def choice_a_recruitment(kappa: float) -> RateFunction:
     bounded by kappa * _CHOICE_A_MAX on every horizon."""
     kappa = _require_nonnegative("kappa", kappa)
 
-    return _entry(
+    return RateFunction(
         "choiceA", "kappa * (2.0 / pi * atan(x) + (1.0 if x == 0.0 else sin(x) / x))",
         lambda horizon: kappa * _CHOICE_A_MAX, {"kappa": kappa},
     )
@@ -377,7 +338,7 @@ def choice_b_recruitment(kappa: float) -> RateFunction:
     """pi(t) = kappa * (1/pi * arctan(t) + 1/2); sup is the limit kappa."""
     kappa = _require_nonnegative("kappa", kappa)
 
-    return _entry(
+    return RateFunction(
         "choiceB", "kappa * (atan(x) / pi + 0.5)", lambda horizon: kappa, {"kappa": kappa}
     )
 
@@ -386,7 +347,7 @@ def choice_c_recruitment(kappa: float) -> RateFunction:
     """pi(t) = kappa * (-t*exp(-t) + 1); bounded by kappa, attained at t=0."""
     kappa = _require_nonnegative("kappa", kappa)
 
-    return _entry(
+    return RateFunction(
         "choiceC", "kappa * (-x * exp(-x) + 1.0)", lambda horizon: kappa, {"kappa": kappa}
     )
 
@@ -394,29 +355,12 @@ def choice_c_recruitment(kappa: float) -> RateFunction:
 def constant_recruitment(p: float) -> RateFunction:
     """pi(t) = p."""
     p = _require_nonnegative("p", p)
-    return _entry("const", "p", lambda horizon: p, {"p": p})
+    return RateFunction("const", "p", lambda horizon: p, {"p": p})
 
 
 def counterexample_cosine_recruitment() -> RateFunction:
     """pi(t) = -cos(2*pi*t) + 1, the oscillating counterexample with K = 2."""
-    return _entry("cex-cos", "-cos(2.0 * pi * x) + 1.0", lambda horizon: 2.0, {})
-
-
-def custom_recruitment(fn: Callable[[float], float], bound: float) -> RateFunction:
-    """Wrap a user recruitment after validating 0 <= pi(t) <= bound on the
-    check grid.
-
-    ``fn`` must be pure (no state, no side effects): a step evaluates it once
-    per distinct stage time, so stages at equal times share one value.
-    """
-    bound = _require_nonnegative("bound", bound)
-    for t in _grid(_CHECK_SPAN, _CHECK_POINTS):
-        y = fn(t)
-        if not -1e-12 <= y <= bound + 1e-12:  # a NaN fails it too
-            raise ValueError(
-                f"custom recruitment leaves [0, {bound}] at t={t}: pi(t)={y}"
-            )
-    return RateFunction("custom", fn, sup=lambda horizon: bound)
+    return RateFunction("cex-cos", "-cos(2.0 * pi * x) + 1.0", lambda horizon: 2.0)
 
 
 RECRUITMENT_KEYS = ("choiceA", "choiceB", "choiceC", "const", "cex-cos")

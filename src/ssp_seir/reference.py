@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 from .model import ProblemSetup, RateFunction
 from .shu_osher import ShuOsherForm, builtin_method
 from .step_bounds import bound_report
-from .stepping import Trajectory, integrate
+from .stepping import STEP_LIMIT, Trajectory, integrate
 
 __all__ = [
     "QuadratureError",
@@ -122,8 +122,8 @@ def step_grid(
     The step ``base / per_base`` is ``tau_nominal`` shrunk minimally so that
     the smallest positive output time ``base`` is ``per_base`` steps, and
     ``n_steps`` steps reach ``t_f``.  Equal grids give equal runs.  A step
-    count ``base / tau_nominal`` or ``t_f / tau`` that is not finite is a
-    ValueError.
+    count ``base / tau_nominal`` or ``t_f / tau`` that is not finite, or an
+    ``n_steps`` of 2**53 or more (``STEP_LIMIT``), is a ValueError.
     """
     if not (math.isfinite(tau_nominal) and tau_nominal > 0.0):
         raise ValueError(f"tau_nominal must be finite and positive, got {tau_nominal}")
@@ -149,6 +149,8 @@ def step_grid(
     n_steps = round(steps)
     if n_steps * tau < t_f - 1e-9 * t_f:
         n_steps = math.ceil(steps)
+    if n_steps >= STEP_LIMIT:
+        raise ValueError(f"n_steps must be below 2**53 for t_f={t_f!r}, tau={tau!r}")
     return base, per_base, n_steps
 
 

@@ -4,19 +4,19 @@ Every method, explicit Euler included (the one-stage form), runs through
 :func:`integrate`, and the only step loop is a kernel generated from the
 Shu-Osher form and the two rate formulas: the source of one function holding
 the whole loop, with the stages unrolled, each Euler sub-step written out
-and each formula pasted in place of a call to its rate function (a callable
-entry's formula is the call ``fn(x)``).  A kernel is compiled on the first
-:func:`integrate` call for a form and pair of formulas and cached by their
-values, so equal forms and entries differing only in their parameters share
-one.  The coefficients and parameters are bound in the kernel's prologue,
-not written into its source, and the formulas' constant ``pi`` is a
-literal, folded by the compiler with the constants next to it.  The kernel
-does only the work its caller reads: it keeps the rows of a stride
-``every`` and the run's end row, so a threshold probe keeps just its end
-row and a grid run its output rows, and it tracks the per-stage minimum
-only for a run with ``stages`` (``simulate --stages`` and ``check``).  The
-cache key is ``(form, incidence, recruitment, stages)``; every kernel ends a
-step with the same test of the step state (see :func:`_kernel`).
+and each formula pasted in place of a call to its rate function.  A kernel
+is compiled on the first :func:`integrate` call for a form and pair of
+formulas and cached by their values, so equal forms and entries differing
+only in their parameters share one.  The coefficients and each entry's
+``params`` are bound in the kernel's prologue, not written into its source,
+and the formulas' constant ``pi`` is a literal, folded by the compiler with
+the constants next to it.  The kernel does only the work its caller
+reads: it keeps the rows of a stride ``every`` and the run's end row, so a
+threshold probe keeps just its end row and a grid run its output rows, and
+it tracks the per-stage minimum only for a run with ``stages`` (``simulate
+--stages`` and ``check``).  The cache key is ``(form, incidence,
+recruitment, stages)``; every kernel ends a step with the same test of the
+step state (see :func:`_kernel`).
 
 Each Euler sub-step ``x + h*rhs(t, x)``, with ``h = tau/r``, is evaluated
 in the positivity form of the paper's proof, a combination of the stage's
@@ -73,7 +73,10 @@ __all__ = [
     "IntegrationOverflowError",
     "integrate",
     "trajectory_to_csv",
+    "STEP_LIMIT",
 ]
+
+STEP_LIMIT = 2**53  # integrate's bound on n_steps: the float step clock counts exactly below it
 
 
 class IntegrationOverflowError(RuntimeError):
@@ -193,8 +196,7 @@ def integrate(
         raise ValueError(f"step size must be finite and non-negative, got {tau}")
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-    if n_steps >= 2**53:
-        # the float step clock (see _kernel) counts exactly only below 2**53
+    if n_steps >= STEP_LIMIT:
         raise ValueError(f"n_steps must be below 2**53, got {n_steps}")
     if stop_below is not None and math.isnan(stop_below):
         raise ValueError("stop floor must not be NaN")
@@ -215,7 +217,7 @@ def integrate(
     floor = -sys.float_info.max if stop_below is None else max(stop_below, -sys.float_info.max)
     failed_at, stage_min = _kernel(method, f.formula, pi.formula, stages)(
         s, e, i, r, x0.t, tau, n_steps,
-        p, f.bindings, pi.bindings, floor, every, history, stage_min,
+        p, f.params, pi.params, floor, every, history, stage_min,
     )
     # from about 100 floats up, struct converts them to doubles in about half
     # the time array("d", list) takes; for a probe's 10 it takes about twice as long
@@ -262,7 +264,7 @@ def _paste(formula: str, x: str, prefix: str) -> tuple[str, tuple[str, ...]]:
 
 def _bind(formula: str, prefix: str, entry: str) -> list[str]:
     """The prologue lines binding the parameters of ``formula``, pasted with
-    ``prefix``, from the bindings ``entry``."""
+    ``prefix``, from the entry's ``params`` mapping named ``entry``."""
     return [
         f"n{prefix}{n[1:]} = -{entry}[{n[1:]!r}]" if n[0] == "-"
         else f"{prefix}{n} = {entry}[{n!r}]"
@@ -285,7 +287,7 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
     formulas ``incidence`` and ``recruitment`` pasted in place of calls.
 
     The coefficients are read from ``form`` in the function's prologue, and
-    each formula parameter from the entry's bindings, not written into its
+    each formula parameter from the entry's ``params``, not written into its
     source; a coefficient of exactly 1.0 is left out of its product, which
     is bitwise the same.  The prologue also binds the coefficients of the
     Euler sub-step's positivity form (module docstring), ``c_s``, ``c_e``,

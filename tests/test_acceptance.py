@@ -19,7 +19,7 @@ from ssp_seir.experiments import (
     counterexample_report,
     property_sweep,
 )
-from ssp_seir.model import State, custom_incidence, choice_b_recruitment, ProblemSetup, ModelParams
+from ssp_seir.model import State, RateFunction, choice_b_recruitment, ProblemSetup, ModelParams
 from ssp_seir.reference import exact_population, reference_trajectory
 from ssp_seir.butcher import (
     builtin_tableau,
@@ -203,7 +203,7 @@ def test_criterion_7_lemma_identities():
 
     # stage expansion: no flows, no incidence, recruitment only
     expansion_bad = []
-    f_zero = custom_incidence(lambda x: 0.0, alpha=0.0)
+    f_zero = RateFunction("zero", "0.0 * x", lambda hi: 0.0, alpha=0.0)
     pi = choice_b_recruitment(0.8)
     params = ModelParams(0.0, 0.0, 0.0, 0.0)
     tau = 0.9

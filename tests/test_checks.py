@@ -247,7 +247,7 @@ def test_empirical_bound_ends_at_adjacent_doubles():
     setup = ProblemSetup(
         ModelParams(0.0, 0.25, 0.0, 0.0),
         linear_incidence(),
-        RateFunction("zero", zero, sup=lambda horizon: 0.0),
+        RateFunction("zero", "fn(x)", lambda horizon: 0.0, {"fn": zero}),
         State(0.0, 1.0, 0.0, 0.0),
     )
     method = builtin_method("euler")

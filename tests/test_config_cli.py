@@ -266,12 +266,14 @@ def test_cli_convergence_rejects_a_step_count_that_is_not_finite(tmp_path, capsy
     (["simulate", "--method", "euler", "--tau", "1e-200", "--tf", "1e100"], "trajectory.csv"),
 ], ids=["convergence", "simulate"])
 def test_cli_rejects_more_steps_than_the_clock_counts(tmp_path, capsys, argv, output):
-    # a finite step count of 2**53 or more, which would run without end
+    # a finite step count of 2**53 or more, which would run without end, is
+    # rejected before the run and named by its t_f and tau, not its digits
     code = main(["--out", str(tmp_path), *argv])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: n_steps must be below 2**53")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert len(err) < 200 and "t_f=" in err and "tau=" in err
     assert not (tmp_path / output).exists()
 
 

@@ -173,8 +173,7 @@ def test_every_catalog_formula_reads_only_its_argument_and_parameters(entry):
     assert set(FORMULA_NAMESPACE) == {"exp", "sin", "cos", "atan", "abs", "pi"}
     tree = ast.parse(entry.formula, mode="eval")
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    params = {name for name, _ in entry.params}
-    assert names - FORMULA_NAMESPACE.keys() - {"x"} == params
+    assert names - FORMULA_NAMESPACE.keys() - {"x"} == entry.params.keys()
 
 
 def _imported_modules(source: str) -> list[str]:

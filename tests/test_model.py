@@ -19,8 +19,6 @@ from ssp_seir.model import (
     choice_c_recruitment,
     constant_recruitment,
     counterexample_cosine_recruitment,
-    custom_incidence,
-    custom_recruitment,
     holling_incidence,
     incidence_from_key,
     linear_incidence,
@@ -30,7 +28,6 @@ from ssp_seir.model import (
     recruitment_sup,
     rhs,
     sup_incidence,
-    _grid,
 )
 
 PARAMS = ModelParams(0.05, 0.25, 0.1867, 0.011)
@@ -150,10 +147,6 @@ def test_media_exp_entry_is_not_a_valid_incidence():
     assert g.alpha is None
 
 
-def _custom_incidence(alpha):
-    return custom_incidence(lambda x: 0.0, alpha)
-
-
 @pytest.mark.parametrize("make, args, name", [
     pytest.param(media_exp_incidence, (0.0115, -0.05), "eta", id="0.0115--0.05"),
     pytest.param(media_exp_incidence, (-0.0115, 0.001), "nu", id="-0.0115-0.001"),
@@ -162,7 +155,6 @@ def _custom_incidence(alpha):
     pytest.param(holling_incidence, (-1.0, 1.0, 2.0), "c1", id="holling-c1"),
     pytest.param(holling_incidence, (1.0, -1.0, 2.0), "c2", id="holling-c2"),
     pytest.param(holling_incidence, (1.0, 1.0, -2.0), "k", id="holling-k"),
-    pytest.param(_custom_incidence, (-0.5,), "alpha", id="custom-alpha"),
 ])
 def test_media_exp_rejects_negative_parameters(make, args, name):
     # with eta < 0 the function grows, and sup = nu under-estimates it:
@@ -179,36 +171,6 @@ def test_incidence_from_key():
     assert incidence_from_key("media-exp").alpha is None
     with pytest.raises(KeyError):
         incidence_from_key("nope")
-
-
-@pytest.mark.parametrize("hi", [1e3, 10.0, 0.1, 3.0, 0.0])
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 10_001])
-def test_validation_grid_is_numpy_linspace(hi, n):
-    grid = _grid(hi, n)
-    assert np.array(grid, dtype=float).tobytes() == np.linspace(0.0, hi, n).tobytes()
-    assert all(type(x) is float for x in grid)
-
-
-def test_custom_incidence_validates():
-    f = custom_incidence(lambda x: 0.5 * x, alpha=0.5)
-    assert f(2.0) == 1.0
-    with pytest.raises(ValueError, match="f\\(0\\)=0"):
-        custom_incidence(lambda x: x + 1.0, alpha=2.0)
-    with pytest.raises(ValueError, match="linear bound"):
-        custom_incidence(lambda x: x * x, alpha=1.0)
-
-
-def test_custom_entries_reject_nan():
-    # every comparison with a NaN is False, so each test must be one a NaN
-    # fails: NaN at 0, and NaN at the check grid's last point 1e3 alone
-    with pytest.raises(ValueError, match="f\\(0\\)=0"):
-        custom_incidence(lambda x: math.nan, alpha=1.0)
-    with pytest.raises(ValueError, match="negative or NaN at x=1000.0"):
-        custom_incidence(lambda x: math.nan if x == 1e3 else 0.5 * x, alpha=1.0)
-    with pytest.raises(ValueError, match="at t=0.0"):
-        custom_recruitment(lambda t: math.nan, bound=1.0)
-    with pytest.raises(ValueError, match="at t=1000.0"):
-        custom_recruitment(lambda t: math.nan if t == 1e3 else 0.5, bound=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,17 +236,12 @@ def test_choice_a_removable_singularity():
     assert pi(1e-9) == pytest.approx(1.0, abs=1e-9)
 
 
-def _custom_recruitment(bound):
-    return custom_recruitment(lambda t: 0.0, bound)
-
-
 @pytest.mark.parametrize("make, name", [
     pytest.param(make, name, id=make.__name__) for make, name in (
         (choice_a_recruitment, "kappa"),
         (choice_b_recruitment, "kappa"),
         (choice_c_recruitment, "kappa"),
         (constant_recruitment, "p"),
-        (_custom_recruitment, "bound"),
     )
 ])
 def test_choice_recruitments_reject_negative_kappa(make, name):
@@ -297,7 +254,31 @@ def test_choice_recruitments_reject_negative_kappa(make, name):
 
 def test_rate_function_requires_a_sup():
     with pytest.raises(TypeError):
-        RateFunction("bare", lambda x: x)  # type: ignore[call-arg]
+        RateFunction("bare", "x")  # type: ignore[call-arg]
+
+
+@pytest.mark.parametrize("formula, params, differ", [
+    pytest.param("c1 * x", {}, "c1", id="unbound"),
+    pytest.param("x", {"c1": 1.0}, "c1", id="unread"),
+    pytest.param("c1 * x / (1.0 + c2 * x)", {"c1": 1.0, "k": 2.0}, "c2, k", id="both"),
+    pytest.param("nu * exp(-eta * x)", {"nu": 1.0}, "eta", id="negated"),
+    pytest.param("math.exp(x)", {}, "math", id="module"),
+    pytest.param("fn(x)", {}, "fn", id="callable"),
+    pytest.param("x", {"x": 1.0, "exp": 2.0}, "exp, x", id="reserved"),
+])
+def test_rate_function_rejects_formula_names_unlike_its_params(formula, params, differ):
+    # such an entry would fail only later: with a NameError at the first
+    # call of fn, or a KeyError in the step kernel's prologue
+    with pytest.raises(ValueError, match=f"'mine'.*differ in {differ}$"):
+        RateFunction("mine", formula, lambda hi: 1.0, params)
+
+
+def test_rate_function_takes_a_callable_as_a_parameter():
+    g = lambda x: 0.5 * x * x  # noqa: E731
+    f = RateFunction("mine", "fn(x)", lambda hi: 0.5 * hi * hi, {"fn": g})
+    assert f(3.0) == f.fn(3.0) == 4.5 and f.params["fn"] is g
+    with pytest.raises(TypeError):
+        f.params["fn"] = abs  # the kernel binds this mapping: it is read-only
 
 
 def test_recruitment_sup_choice_a_is_horizon_free():
@@ -315,11 +296,6 @@ def test_holling_sup_closed_form():
     # k <= 1 or c2 = 0: f increases throughout
     for g in (holling_incidence(2.0, 3.0, 0.7), holling_incidence(2.0, 0.0, 2.0)):
         assert g(50.0) <= sup_incidence(g, 50.0) <= g(50.0) * (1.0 + 1e-14)
-
-
-def test_custom_incidence_sup_is_its_linear_bound():
-    f = custom_incidence(lambda x: 0.5 * x / (1.0 + x), alpha=0.5)
-    assert sup_incidence(f, 4.0) == 2.0
 
 
 @pytest.mark.parametrize("kind", ["holling", "media"])
@@ -344,13 +320,6 @@ def test_recruitment_from_key():
         assert recruitment_from_key(key).key == key
     with pytest.raises(KeyError):
         recruitment_from_key("nope")
-
-
-def test_custom_recruitment_validates():
-    pi = custom_recruitment(lambda t: 0.5 + 0.1 * math.sin(t), bound=0.6)
-    assert pi(0.0) == 0.5
-    with pytest.raises(ValueError, match="leaves"):
-        custom_recruitment(lambda t: math.sin(t), bound=1.0)
 
 
 def test_catalog_entries_compare_by_identity():

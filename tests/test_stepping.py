@@ -24,8 +24,6 @@ from ssp_seir.model import (
     State,
     constant_recruitment,
     counterexample_cosine_recruitment,
-    custom_incidence,
-    custom_recruitment,
     incidence_from_key,
     linear_incidence,
     media_incidence,
@@ -419,18 +417,21 @@ def _oracle_forms():
     return forms
 
 
-# user functions, validated once: their constructors scan a 10,001-point grid
-_CUSTOM_INCIDENCE = custom_incidence(lambda x: 0.8 * x * math.exp(-x), alpha=0.8)
-_CUSTOM_RECRUITMENT = custom_recruitment(lambda t: 0.5 - 0.5 * math.cos(t), bound=1.0)
+# entries outside the catalog
+_CUSTOM_INCIDENCE = RateFunction("custom", "0.8 * x * exp(-x)", lambda hi: 0.8 * hi, alpha=0.8)
+_CUSTOM_RECRUITMENT = RateFunction("custom", "0.5 - 0.5 * cos(x)", lambda horizon: 1.0)
 
 
 def _seeded_entry(rng, key, keys, from_key, custom, **params):
     """The catalog entry ``key``, the custom entry, or (key "callable") a
-    drawn catalog entry's ``fn`` wrapped as a bare callable."""
+    drawn catalog entry's ``fn`` passed as the parameter of the formula
+    ``fn(x)``, which the kernel calls."""
     if key == "custom":
         return custom
     entry = from_key(rng.choice(keys) if key == "callable" else key, **params)
-    return RateFunction("callable", entry.fn, sup=entry.sup) if key == "callable" else entry
+    if key == "callable":
+        return RateFunction("callable", "fn(x)", entry.sup, {"fn": entry.fn})
+    return entry
 
 
 def _seeded_run(rng, forms):
@@ -605,10 +606,10 @@ def test_kernel_tracebacks_show_its_source():
     def failing(x):
         raise ZeroDivisionError("failing entry")
 
+    f = RateFunction("failing", "fn(x)", abs, {"fn": failing})
     with pytest.raises(ZeroDivisionError) as exc_info:
         integrate(State(1.0, 1.0, 1.0, 1.0), 0.5, 3, builtin_method("ssprk33"),
-                  ModelParams(0.1, 0.1, 0.1, 0.1), RateFunction("failing", failing, sup=abs),
-                  ZERO_PI)
+                  ModelParams(0.1, 0.1, 0.1, 0.1), f, ZERO_PI)
     text = "".join(traceback.format_exception(exc_info.value))
     assert "step kernel" in text and "hf = h * (f_fn(i))" in text
 
@@ -629,7 +630,7 @@ def test_recruitment_evaluated_once_per_distinct_abscissa(form, calls, carries):
         times.append(t)
         return choice_a.fn(t)
 
-    pi = RateFunction("counted", counted, sup=choice_a.sup)
+    pi = RateFunction("counted", "fn(x)", choice_a.sup, {"fn": counted})
     t0, tau, n = 1.5, 0.7, 25
     args = (State(0.2, 0.6, 0.2, 0.0, t=t0), tau, n, form,
             ModelParams(0.05, 0.25, 0.1867, 0.011), media_incidence(0.0115, 0.001))
@@ -670,7 +671,7 @@ def test_entries_differing_in_parameters_share_one_kernel():
     assert (_kernel.cache_info().misses, _kernel.cache_info().hits) == (info.misses, info.hits + 1)
     # the shared kernel reads the parameters of the entry it is given
     assert traj.data.tobytes() != published.data.tobytes()
-    called = RateFunction("callable", other.fn, sup=other.sup)
+    called = RateFunction("callable", "fn(x)", other.sup, {"fn": other.fn})
     assert traj.data.tobytes() == integrate(x0, 0.7, 20, form, p, called, pi).data.tobytes()
 
 

@@ -127,7 +127,13 @@ def test_rate_functions_compare_by_identity():
     assert len({first, second}) == 2
     for duplicate in (copy.copy(first), copy.deepcopy(first)):
         assert duplicate != first
-        assert (duplicate.key, duplicate.fn, duplicate.params) == (first.key, first.fn, first.params)
+        assert (duplicate.key, duplicate.formula, duplicate.params) == (
+            first.key, first.formula, first.params
+        )
+        # a copy compiles its own fn from the formula and its parameters
+        assert duplicate.fn is not first.fn
+        times = (0.0, 1.5, 40.0)
+        assert [duplicate.fn(t) for t in times] == [first.fn(t) for t in times]
 
 
 def test_model_params_compare_by_value():
