@@ -10,9 +10,11 @@ precision and ``n`` the run's own size, its largest row population but no
 more than the cap.  A compartment that the bound drives exactly to 0 comes
 out of the float arithmetic as a rounding error of the size of the
 population times ``eps``.  The step kernel evaluates each Euler sub-step
-as a sum of non-negative products wherever its coefficients round to >= 0
-(:mod:`~ssp_seir.stepping`), so a stage falls below 0 only where one of
-them rounds below 0, as at a ``tau`` one ulp above the bound.  Over 16,000
+as a combination whose coefficients are non-negative at ``tau <= C*dt*`` in
+exact arithmetic (:mod:`~ssp_seir.stepping`).  In floats a stage can fall
+below 0 where a bound coefficient rounds below 0, as at a ``tau`` one ulp
+above the bound, and also where none does, once the float population
+drifts above the cap and the computed ``f(I)`` exceeds B.  Over 16,000
 runs at ``tau = C*dt*`` from boundary witnesses (a state whose binding
 compartment has no inflow, rescaled by 1 to 1e9, with mu from 0 and 1e-12
 to 0.1) a stage fell below 0 in 137, all of them ssprk104 runs with such a

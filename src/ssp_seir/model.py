@@ -424,11 +424,15 @@ def rhs(
 
 
 def sup_incidence(f: RateFunction, hi: float) -> float:
-    """sup of f over [0, hi], the entry's closed form."""
+    """sup of f over [0, hi], the entry's closed form; a ValueError where it
+    overflows the double range, as Holling's ``abs(x) ** k`` can."""
     hi = float(hi)
     if not math.isfinite(hi) or hi < 0.0:
         raise ValueError(f"upper bound must be finite and non-negative, got {hi}")
-    return f.sup(hi)
+    try:
+        return f.sup(hi)
+    except OverflowError:
+        raise ValueError(f"sup of incidence {f.key!r} over [0, {hi!r}] overflows") from None
 
 
 def recruitment_sup(pi: RateFunction, horizon: float) -> float:

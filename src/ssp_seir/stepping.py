@@ -8,15 +8,13 @@ and each formula pasted in place of a call to its rate function.  A kernel
 is compiled on the first :func:`integrate` call for a form and pair of
 formulas and cached by their values, so equal forms and entries differing
 only in their parameters share one.  The coefficients and each entry's
-``params`` are bound in the kernel's prologue, not written into its source,
-and the formulas' constant ``pi`` is a literal, folded by the compiler with
-the constants next to it.  The kernel does only the work its caller
-reads: it keeps the rows of a stride ``every`` and the run's end row, so a
-threshold probe keeps just its end row and a grid run its output rows, and
-it tracks the per-stage minimum only for a run with ``stages`` (``simulate
---stages`` and ``check``).  The cache key is ``(form, incidence,
-recruitment, stages)``; every kernel ends a step with the same test of the
-step state (see :func:`_kernel`).
+``params`` are bound in the kernel's prologue, not written into its source.
+The kernel does only the work its caller reads: it keeps the rows of a
+stride ``every`` and the run's end row, so a threshold probe keeps just its
+end row and a grid run its output rows, and it tracks the per-stage minimum
+only for a run with ``stages`` (``simulate --stages`` and ``check``).  The
+cache key is ``(form, incidence, recruitment, stages)``; every kernel ends a
+step with the same test of the step state (see :func:`_kernel`).
 
 Each Euler sub-step ``x + h*rhs(t, x)``, with ``h = tau/r``, is evaluated
 in the positivity form of the paper's proof, a combination of the stage's
@@ -32,17 +30,18 @@ run, ``h*f(I)`` once per stage and ``h*pi`` once per distinct abscissa, so
 a stage takes 15 float operations besides its formulas and ``h*pi`` where
 ``x + h*F(x)`` takes 22, and it cancels no large terms near the bound.
 ``tau <= C*dt*`` makes every coefficient non-negative in exact arithmetic,
-``c_s - h*f(I)`` included, as ``f(I) <= B``.  Where they are in floats too,
-a sub-step of non-negative compartments is a sum of non-negative products,
-never below 0: a stage falls below 0 only where a coefficient rounds below 0.
+``c_s - h*f(I)`` included, as ``f(I) <= B``.  In floats a stage can still
+fall below 0: where a coefficient rounds below 0, and also where every
+coefficient of the bound is ``>= 0`` but the float population drifts above
+the cap B is taken over, so that the computed ``f(I)`` exceeds B and
+``c_s - h*f(I)`` is negative.
 
 Stage recruitment is evaluated at the Butcher abscissa times carried by the
 form (t_n + c_j * tau); this preserves classical order for time-dependent
-recruitment and collapses to pi(t_n) for forward Euler.  Within a step,
-``h*pi`` is evaluated once per distinct abscissa, and a form with the
-abscissae 0 and 1 (ssprk22, ssprk33, ssprk104) carries its c = 1 value over
-the step boundary to the next step's c = 0 stage when the two times are
-equal floats (see :func:`_kernel`), so catalog functions must be pure.
+recruitment and collapses to pi(t_n) for forward Euler.  A form with the
+abscissae 0 and 1 (ssprk22, ssprk33, ssprk104) carries its c = 1 ``h*pi``
+over the step boundary (see :func:`_kernel`), so catalog functions must be
+pure.
 The arithmetic and its order are fixed: the stage combination is v_i*x
 first, then the alpha terms in ascending stage index, so repeated runs are
 bitwise reproducible, and the kernel computes bit for bit what a plain
@@ -59,7 +58,6 @@ import functools
 import itertools
 import linecache
 import math
-import struct
 import sys
 from array import array
 from operator import add
@@ -197,7 +195,7 @@ def integrate(
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
     if n_steps >= STEP_LIMIT:
-        raise ValueError(f"n_steps must be below 2**53, got {n_steps}")
+        raise ValueError("n_steps must be below 2**53")
     if stop_below is not None and math.isnan(stop_below):
         raise ValueError("stop floor must not be NaN")
     if not (isinstance(every, int) and every >= 1):
@@ -219,9 +217,7 @@ def integrate(
         s, e, i, r, x0.t, tau, n_steps,
         p, f.params, pi.params, floor, every, history, stage_min,
     )
-    # from about 100 floats up, struct converts them to doubles in about half
-    # the time array("d", list) takes; for a probe's 10 it takes about twice as long
-    data = array("d", struct.pack(f"{len(history)}d", *history))
+    data = array("d", history)
     traj = Trajectory(data, tau, method.key or f"shu-osher-{method.m}", stage_min)
     if failed_at is not None:
         raise IntegrationOverflowError(failed_at, traj)
@@ -235,7 +231,10 @@ def _paste(formula: str, x: str, prefix: str) -> tuple[str, tuple[str, ...]]:
     and each constant of :data:`FORMULA_NAMESPACE` (``pi``) as a literal, so
     that the compiler folds ``2.0 / pi`` into one constant.  A negated
     parameter ``-name`` reads the local ``'n' + prefix + name`` instead and is
-    listed as ``-name``: :func:`_bind` negates it once, which is exact."""
+    listed as ``-name``: :func:`_bind` negates it once, which is exact.
+    Measured as in :func:`_kernel`, ``convergence`` (media, choiceA) ran 3.4%
+    slower without the literal (26 of 30 pairs) and 3.0% without the negation
+    (23 of 30)."""
     parameters = set()
 
     class Paste(ast.NodeTransformer):
@@ -272,12 +271,6 @@ def _bind(formula: str, prefix: str, entry: str) -> list[str]:
     ]
 
 
-def _times(coefficient: float, name: str, x: str) -> str:
-    """``name * x``, or ``x`` for a coefficient of exactly 1.0: bitwise the
-    same product."""
-    return x if coefficient == 1.0 else f"{name} * {x}"
-
-
 _serial = itertools.count()  # numbers the kernels' file names
 
 
@@ -287,32 +280,35 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
     formulas ``incidence`` and ``recruitment`` pasted in place of calls.
 
     The coefficients are read from ``form`` in the function's prologue, and
-    each formula parameter from the entry's ``params``, not written into its
-    source; a coefficient of exactly 1.0 is left out of its product, which
-    is bitwise the same.  The prologue also binds the coefficients of the
-    Euler sub-step's positivity form (module docstring), ``c_s``, ``c_e``,
-    ``c_i`` and ``c_r``, and the products ``h_sigma``, ``h_gamma`` and
-    ``h_delta``; each stage computes ``hf = h*f(I)`` once, and each
-    distinct abscissa ``hp = h*pi(t)``.  A formula's constants are written
-    as literals (:func:`_paste`), so the compiler folds ``2.0 / pi`` and
-    ``2.0 * pi``, and a negated parameter such as media's ``-eta`` is
-    negated once, in the prologue.
+    each formula parameter from the entry's ``params`` (a negated one
+    negated there, :func:`_paste`), not written into its source.  The
+    prologue also binds the coefficients of the Euler sub-step's positivity
+    form (module docstring), ``c_s``, ``c_e``, ``c_i`` and ``c_r``, and the
+    products ``h_sigma``, ``h_gamma`` and ``h_delta``; each stage computes
+    ``hf = h*f(I)`` once.
 
-    The kernel skips work that cannot change a bit:
+    Two rewrites skip recruitment work that cannot change a bit.  Each is
+    kept for its gain measured alone, the median over alternating pairs of
+    ``perfbench/run.py --seconds 8 --trace 0`` against the tree without it:
 
-    * Recruitment is pasted at ``t`` itself at an abscissa of 0: ``t`` is
-      finite and never -0.0, so ``t + 0.0`` is ``t``.  A form evaluating pi
-      at abscissae of exactly 0.0 and 1.0 keeps its c = 1 time ``t_one =
-      t + tau`` (``t_one`` starts at -inf) and its ``h*pi``; the next step's
-      c = 0 stage reuses that product when ``t == t_one``.  ``tau >= 0``, so
-      ``t_one`` is never -0.0 either, and equal floats are equal bits: a pure
-      pi, times the run's one ``h``, gives the same product.
-    * A copy stage ``i``, with ``v_i = 0`` and one alpha term, of exactly
-      1.0, from stage ``j``, is stage ``j``'s Euler sub-step ``f_j``, and
-      not ``0.0 + f_j``: for ``i < m`` it reads ``f_j`` and has no line,
-      and as the final stage (Euler's) it copies ``f_j`` into the step
-      state.  The plain loop defines a copy stage so too; a sub-step in
-      the positivity form can be -0.0, which ``0.0 +`` would turn into 0.0.
+    * ``hp = h*pi(t)`` is evaluated once per distinct abscissa, at ``t``
+      itself at an abscissa of 0: ``t`` is finite and never -0.0, so
+      ``t + 0.0`` is ``t``.  Without it ``threshold`` ran 1.5% slower (9 of
+      10 pairs) and ``convergence`` 3.2% (17 of 20).
+    * A form evaluating pi at abscissae of exactly 0.0 and 1.0 keeps its
+      c = 1 time ``t_one = t + tau`` (``t_one`` starts at -inf) and its
+      ``h*pi``; the next step's c = 0 stage reuses that product when
+      ``t == t_one``.  ``tau >= 0``, so ``t_one`` is never -0.0 either, and
+      equal floats are equal bits: a pure pi, times the run's one ``h``,
+      gives the same product.  Without it ``threshold`` ran 3.4% slower (10
+      of 10) and ``convergence`` 3.3% (9 of 10).
+
+    A copy stage ``i``, with ``v_i = 0`` and one alpha term, of exactly 1.0,
+    from stage ``j``, is stage ``j``'s Euler sub-step ``f_j``, and not
+    ``0.0 + f_j``: for ``i < m`` it reads ``f_j`` and has no line, and as
+    the final stage (Euler's) it copies ``f_j`` into the step state.  The
+    plain loop defines a copy stage so too; a sub-step in the positivity
+    form can be -0.0, which ``0.0 +`` would turn into 0.0.
 
     It extends the flat list ``history`` by the row ``t, s, e, i, r`` of
     every ``every``-th step state and of the state the run ended on, its
@@ -352,10 +348,8 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
     # keeps the one-stage form bitwise its Euler sub-step in the positivity form
     terms = [[j for j in range(i) if form.alpha[i][j] != 0.0] for i in range(m + 1)]
     read = {j for row in terms for j in row}  # stages whose Euler sub-step is used
-    # pi is evaluated once per distinct abscissa, at the first stage that needs
-    # it; later stages at the same time reuse it.  0.0 and -0.0 are one key: t
-    # is never -0.0 (below), so t + 0.0*tau and t + -0.0*tau are the same bits
-    # as t, which is pasted itself
+    # h*pi once per distinct abscissa, at the first stage that reads it.  0.0
+    # and -0.0 are one key: t is never -0.0, so t + -0.0*tau is t, pasted itself
     first: dict[float, int] = {}
     pi_of = {k: first.setdefault(form.c_stage[k], k) for k in sorted(read)}
     # the stages that carry pi over the step boundary (see the docstring)
@@ -406,14 +400,15 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
         # new step state; each of its components reads only its own old
         # value, so it is written over s, e, i, r.
         i = k + 1
-        if form.v[i] not in (0.0, 1.0):
-            head.append(f"v{i} = form.v[{i}]")
-        head += [f"a{i}_{j} = form.alpha[{i}][{j}]" for j in terms[i] if form.alpha[i][j] != 1.0]
         # a copy stage, with v_i = 0 and one alpha term of exactly 1.0, is
         # stage j's Euler sub-step: it reads f_j, and only the last stage,
         # the new step state, copies it into s, e, i, r
         j = terms[i][0] if len(terms[i]) == 1 else None
         copy = j is not None and form.v[i] == 0.0 and form.alpha[i][j] == 1.0
+        if not copy:
+            if form.v[i] != 0.0:
+                head.append(f"v{i} = form.v[{i}]")
+            head += [f"a{i}_{j} = form.alpha[{i}][{j}]" for j in terms[i]]
         if copy and i < m:
             names = tuple(f"f{c}{j}" for c in "seir")
         else:
@@ -422,8 +417,8 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
                 if copy:
                     step.append(f"{name} = f{c}{j}")
                 else:
-                    sum_ = ["0.0" if form.v[i] == 0.0 else _times(form.v[i], f"v{i}", c)]
-                    sum_ += [_times(form.alpha[i][j], f"a{i}_{j}", f"f{c}{j}") for j in terms[i]]
+                    sum_ = ["0.0" if form.v[i] == 0.0 else f"v{i} * {c}"]
+                    sum_ += [f"a{i}_{j} * f{c}{j}" for j in terms[i]]
                     step.append(f"{name} = {' + '.join(sum_)}")
         stage.append(names)
         if stages:
@@ -462,11 +457,8 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
         + ["    return None, stage_min", ""]
     )
     filename = f"<{form.key or 'shu-osher'}{' stages' * stages} step kernel {next(_serial)}>"
-    # mtime None: linecache.checkcache keeps the entry, having no file to
-    # check.  Most lines recur in every kernel of a form: interned, each is
-    # stored once.
-    lines = list(map(sys.intern, source.splitlines(True)))
-    linecache.cache[filename] = (len(source), None, lines, filename)
+    # mtime None: linecache.checkcache keeps the entry, having no file to check
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {"form": form, **FORMULA_NAMESPACE}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["kernel"]

@@ -295,6 +295,9 @@ def test_guarantees_hold_exactly_at_the_bound():
     # negativity threshold scaled by the run's size; some of them fail the
     # absolute -1e-12.  In every run of both loops a stage falls below 0 only
     # where a coefficient of the sub-step's positivity form rounds below 0.
+    # That is a fact of these draws, not a theorem: a float population that
+    # drifts above the cap lets f(I) exceed B with every bound coefficient
+    # >= 0 (test_bound_coefficients_at_or_above_zero_allow_a_stage_below_zero).
     below_absolute = 0
     for idx in range(120):
         scale = 10.0 ** rng.uniform(0.0, 9.0)
@@ -333,13 +336,31 @@ def _coefficient_below_zero(params, method, tau, report):
     """Whether a coefficient of the Euler sub-step's positivity form rounds
     below 0, computed as the step kernel computes it with h = tau/C: each
     ``1 - h*(mu + rate)`` and S's ``(1 - h*mu) - h*B``, with B the sup of the
-    incidence over the cap.  Where none does, every stage is a sum of
-    non-negative products and so never below 0."""
+    incidence over the cap.  Where none does, a stage can still fall below
+    0: the kernel's S coefficient is ``c_s - h*f(I)`` with the computed
+    ``f(I)``, which exceeds B once the float population drifts above the cap
+    (ROADMAP item 8)."""
     h, mu = tau / method.r, params.mu
     c_s = 1.0 - h * mu
     coefficients = [c_s, c_s - h * report.b_sup]
     coefficients += [1.0 - h * (mu + rate) for rate in (params.sigma, params.gamma, params.delta)]
     return min(coefficients) < 0.0
+
+
+def test_bound_coefficients_at_or_above_zero_allow_a_stage_below_zero():
+    # mu = 0 conserves the population, but its float value drifts above the
+    # cap B is taken over; linear incidence binds, so f(I) > B makes S's
+    # coefficient c_s - h*f(I) round below 0 although c_s - h*B is 0.0.  The
+    # verdict on such a run is left to the directed-rounding bound chain
+    params = ModelParams(0.0, 0.9546322325266341, 0.0, 0.8456990768794442)
+    x0 = State(5.564543226524334e-07, 1.4634415443986684, 0.0, 0.0)
+    incidence, pi = linear_incidence(), recruitment_from_key("const", kappa=1.24e-300)
+    method = builtin_method("ssprk22")
+    report = bound_report(ProblemSetup(params, incidence, pi, x0), method, 1000.0)
+    assert report.tau_method == 0.683320508147971 and report.binding_term == "incidence"
+    assert not _coefficient_below_zero(params, method, report.tau_method, report)
+    traj = integrate(x0, report.tau_method, 100, method, params, incidence, pi)
+    assert traj.stage_min < 0.0
 
 
 def test_threshold_probe_passes_at_the_bound_on_scaled_witnesses():

@@ -441,6 +441,20 @@ def test_cli_simulate_rejects_negative_media_exp_rate(tmp_path, capsys):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["bounds-table"], ["simulate", "--method", "euler", "--tau", "1"]])
+def test_cli_reports_an_overflowing_holling_sup_in_one_line(tmp_path, capsys, command):
+    # the cap N0 + K/mu is about 1e199 and x* = c2**(-1/2) about 3e154, so
+    # the Holling sup's abs(x) ** k overflows the double range
+    path = tmp_path / "holling.cfg"
+    text = DEFAULT_CONFIG_TEXT.replace("incidence=media", "incidence=holling")
+    path.write_text(text.replace("c2=1.0", "c2=1e-309").replace("mu=0.05", "mu=1e-200"))
+    code = main(["--config", str(path), "--out", str(tmp_path), *command])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: sup of incidence 'holling' over \[0, \S+\] overflows\n", err), err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("command, kernels", [
     (["bounds-table"], 12), (["convergence", "--tf", "100"], 4),
 ], ids=["bounds-table", "convergence"])

@@ -163,8 +163,9 @@ def test_integrate_rejects_a_non_finite_start_time(t0, pi, n_steps):
 
 @pytest.mark.parametrize("n_steps", [2**53, 2**53 + 1, 10**301])
 def test_integrate_rejects_more_steps_than_the_clock_counts(n_steps):
-    # the float step clock t0 + kf*tau is exact only below 2**53 steps
-    with pytest.raises(ValueError, match=f"n_steps must be below 2\\*\\*53.*got {n_steps}$"):
+    # the float step clock t0 + kf*tau is exact only below 2**53 steps; the
+    # message does not print the count, which may have hundreds of digits
+    with pytest.raises(ValueError, match=r"^n_steps must be below 2\*\*53$"):
         integrate(State(1.0, 0.0, 0.0, 0.0), 0.5, n_steps, builtin_method("euler"),
                   FREE, linear_incidence(), ZERO_PI)
 
