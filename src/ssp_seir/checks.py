@@ -35,7 +35,14 @@ instead of integrating on to the horizon, keeps only its first and last
 rows, and tracks no stage minimum.  Its kernel judges each step state by
 float comparisons alone, the same test that ends it at the floor, and the
 probe reads its verdict from the end row's four compartments by four more
-comparisons, building no row or generator.
+comparisons, building no row or generator.  The search's lower end is not
+probed at all where :func:`~ssp_seir.step_bounds.positivity_certificate`
+proves, in the kernel's own floats, that its run keeps every stage at or
+above 0.0, so the probe would pass: ``mu > 0``, catalog rate entries with
+valid parameters, a non-negative start, a form with non-negative weights
+and abscissae, the sub-step coefficients ``>= 0`` and ``h*B_w <= c_s``,
+with ``B_w`` the incidence's sup over the cap ``N0 + K/mu`` widened by a
+bound on the float drift of the population over the run's stages.
 """
 
 import math
@@ -44,6 +51,7 @@ from typing import Optional
 
 from .model import ProblemSetup, _Value
 from .shu_osher import ShuOsherForm
+from .step_bounds import positivity_certificate
 from .stepping import IntegrationOverflowError, Trajectory, integrate
 
 __all__ = [
@@ -223,6 +231,19 @@ def find_empirical_bound(
     (or until its ends are adjacent doubles); the returned threshold is the
     midpoint of the final bracket.  The run count ceil(t_f/tau) covers the
     horizon with a constant step throughout.
+
+    The lower end is first checked against
+    :func:`~ssp_seir.step_bounds.positivity_certificate`; where it holds,
+    the theorem decides that the probe passes, and it is not integrated.
+    Its conditions: ``mu > 0``; the incidence and recruitment are catalog
+    entries with valid parameters (the incidence with ``alpha``), whose
+    closed-form K and B it reads; ``x0`` finite and non-negative with
+    ``t0 >= 0``; every weight and abscissa of the form ``>= 0``; ``c_e``,
+    ``c_i`` and ``c_r`` ``>= 0`` as the kernel computes them; and
+    ``h*B_w <= c_s``, with ``B_w`` over the cap widened by the float drift
+    of the run.  Every later probe runs as before, so the result does not
+    change: ``bounds-table``'s bracket ``(tau_t, 2*tau_t)`` saves one probe,
+    its longest, in each row the certificate decides.
     """
     if not (math.isfinite(t_f) and t_f > 0.0):
         raise ValueError(f"t_f must be finite and positive, got {t_f!r}")
@@ -235,8 +256,10 @@ def find_empirical_bound(
     def ok(tau: float) -> bool:
         return _positivity_ok(setup, method, tau, t_f)
 
+    # the lower end the certificate decides passes: it is not integrated
+    passed = positivity_certificate(setup, method, lo, t_f) is not None or ok(lo)
     attempts = 0
-    while not ok(lo):
+    while not passed:
         hi = lo
         lo *= 0.5
         attempts += 1
@@ -244,6 +267,7 @@ def find_empirical_bound(
             raise RuntimeError(
                 f"could not find a passing lower bracket (smallest step probed {hi!r})"
             )
+        passed = ok(lo)
     # after a failing lower end, hi is the last one, known to fail
     if not attempts:
         while ok(hi):

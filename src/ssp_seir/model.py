@@ -9,11 +9,15 @@ The model is
 
 where ``f`` is a force-of-infection function (f(0) = 0, f >= 0 on the
 non-negative axis, |f(x)| <= alpha*|x|) and ``pi`` a continuous recruitment
-rate bounded by a constant K >= 0.
+rate with ``0 <= pi(t) <= K`` for ``t >= 0``, K a constant: the positivity
+bounds need both sides, pi >= 0 so that no compartment is drained by it
+and pi <= K for the population cap N0 + K/mu.  Every catalog entry with
+non-negative parameters meets it.
 """
 
 import functools
 import math
+import sys
 from collections.abc import Callable, Iterable, Mapping
 from types import MappingProxyType
 
@@ -248,8 +252,17 @@ def holling_incidence(c1: float, c2: float, k: float) -> RateFunction:
     k = _require_nonnegative("k", k)
 
     # f increases up to x* = (c2*(k-1))**(-1/k) and decreases afterwards;
-    # for c2 = 0 or k <= 1 it increases throughout
-    x_star = (c2 * (k - 1.0)) ** (-1.0 / k) if c2 > 0.0 and k > 1.0 else math.inf
+    # for c2 = 0 or k <= 1 it increases throughout.  A product below the
+    # normal range, which has lost precision or underflowed to 0, is taken
+    # in logs; an x* beyond the double range is inf
+    x_star = math.inf
+    if c2 > 0.0 and k > 1.0:
+        product = c2 * (k - 1.0)
+        if product >= sys.float_info.min:
+            x_star = product ** (-1.0 / k)
+        else:
+            log_x_star = -(math.log(c2) + math.log(k - 1.0)) / k
+            x_star = math.exp(log_x_star) if log_x_star < math.log(sys.float_info.max) else math.inf
 
     def sup(hi: float) -> float:
         return _round_out(entry.fn(min(hi, x_star)))

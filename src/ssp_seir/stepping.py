@@ -72,6 +72,7 @@ __all__ = [
     "integrate",
     "trajectory_to_csv",
     "STEP_LIMIT",
+    "sub_step_coefficients",
 ]
 
 STEP_LIMIT = 2**53  # integrate's bound on n_steps: the float step clock counts exactly below it
@@ -224,6 +225,21 @@ def integrate(
     return traj
 
 
+def sub_step_coefficients(
+    tau: float, r: float, p: ModelParams,
+) -> tuple[float, float, float, float, float, float, float, float]:
+    """``(h, c_s, c_e, c_i, c_r, h_sigma, h_gamma, h_delta)``: the sub-step
+    ``h = tau/r`` and the coefficients of the Euler sub-step's positivity
+    form (module docstring), bit for bit as every kernel binds them in its
+    prologue, which calls this once per run."""
+    h = tau / r
+    mu, sigma, gamma, delta = p.mu, p.sigma, p.gamma, p.delta
+    return (
+        h, 1.0 - h * mu, 1.0 - h * (mu + sigma), 1.0 - h * (mu + gamma), 1.0 - h * (mu + delta),
+        h * sigma, h * gamma, h * delta,
+    )
+
+
 @functools.cache
 def _paste(formula: str, x: str, prefix: str) -> tuple[str, tuple[str, ...]]:
     """``(expression, parameters)``: ``formula`` reading its argument from the
@@ -284,7 +300,9 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
     negated there, :func:`_paste`), not written into its source.  The
     prologue also binds the coefficients of the Euler sub-step's positivity
     form (module docstring), ``c_s``, ``c_e``, ``c_i`` and ``c_r``, and the
-    products ``h_sigma``, ``h_gamma`` and ``h_delta``; each stage computes
+    products ``h_sigma``, ``h_gamma`` and ``h_delta``, from one call of
+    :func:`sub_step_coefficients`, which the positivity certificate
+    (:mod:`~ssp_seir.step_bounds`) calls too; each stage computes
     ``hf = h*f(I)`` once.
 
     Two rewrites skip recruitment work that cannot change a bit.  Each is
@@ -356,12 +374,7 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
     zero, one = first.get(0.0), first.get(1.0)
     carry = zero is not None and one is not None
     head = [
-        "h = tau / form.r",
-        "mu, sigma, gamma, delta = p.mu, p.sigma, p.gamma, p.delta",
-        # the coefficients of the Euler sub-step's positivity form
-        "c_s, c_e = 1.0 - h * mu, 1.0 - h * (mu + sigma)",
-        "c_i, c_r = 1.0 - h * (mu + gamma), 1.0 - h * (mu + delta)",
-        "h_sigma, h_gamma, h_delta = h * sigma, h * gamma, h * delta",
+        "h, c_s, c_e, c_i, c_r, h_sigma, h_gamma, h_delta = coefficients(tau, form.r, p)",
         "extend = history.extend",
         "keep = every - 1",  # the next step whose state is kept
     ]
@@ -459,7 +472,7 @@ def _kernel(form: ShuOsherForm, incidence: str, recruitment: str, stages: bool =
     filename = f"<{form.key or 'shu-osher'}{' stages' * stages} step kernel {next(_serial)}>"
     # mtime None: linecache.checkcache keeps the entry, having no file to check
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"form": form, **FORMULA_NAMESPACE}
+    namespace = {"form": form, "coefficients": sub_step_coefficients, **FORMULA_NAMESPACE}
     exec(compile(source, filename, "exec"), namespace)
     return namespace["kernel"]
 

@@ -36,7 +36,7 @@ from ssp_seir.model import (
     recruitment_from_key,
 )
 from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, builtin_method
-from ssp_seir.step_bounds import bound_report
+from ssp_seir.step_bounds import bound_report, positivity_certificate
 from ssp_seir.stepping import IntegrationOverflowError, Trajectory, integrate
 
 EXPERIMENT_PARAMS = ModelParams(0.05, 0.25, 0.1867, 0.011)
@@ -260,10 +260,12 @@ def test_empirical_bound_ends_at_adjacent_doubles():
         assert _positivity_ok(setup, method, down, 8.0)
 
 
-@pytest.mark.parametrize("method_key, probes", [("euler", 18), ("ssprk104", 20)])
+@pytest.mark.parametrize("method_key, probes", [("euler", 17), ("ssprk104", 19)])
 def test_empirical_bound_probes_through_integrate(monkeypatch, default_config, method_key, probes):
     # two rows of the published table (choiceA in its threshold state): the
-    # bisection makes this many probes, each one an integrate call
+    # bisection makes this many probes, each one an integrate call.  The
+    # lower end tau_t is decided by the positivity certificate and not
+    # integrated, so the first probe is the upper end
     calls = []
 
     def counted(*args, **kwargs):
@@ -275,7 +277,8 @@ def test_empirical_bound_probes_through_integrate(monkeypatch, default_config, m
     setup, method = config.setup("choiceA"), builtin_method(method_key)
     tau_t = bound_report(setup, method, config.tf).tau_method
     find_empirical_bound(setup, method, config.tf, (tau_t, 2.0 * tau_t), config.bisect_tol)
-    assert len(calls) == probes and calls[0] == tau_t
+    assert positivity_certificate(setup, method, tau_t, config.tf) is not None
+    assert len(calls) == probes and calls[0] == 2.0 * tau_t
 
 
 @pytest.mark.parametrize("method_key, probes", [("euler", 18), ("ssprk104", 21)])

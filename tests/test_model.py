@@ -211,6 +211,28 @@ def test_sup_incidence_never_underestimates():
         assert got >= f(float(x))
 
 
+@pytest.mark.parametrize("c2, k", [(1e-308, 2.0), (1.5e-308, 1.5), (2e-308, 3.0)])
+def test_holling_sup_with_a_subnormal_c2(c2, k):
+    # c2*(k-1) below the normal range has lost precision: it is taken in
+    # logs, so the sup sits at x*, where f(x*) = x*(k-1)/k
+    f = holling_incidence(1.0, c2, k)
+    x_star = math.exp(-(math.log(c2) + math.log(k - 1.0)) / k)
+    got = sup_incidence(f, 1e300)
+    assert got == pytest.approx(x_star * (k - 1.0) / k, rel=1e-12)
+    assert got >= max(f(x_star * (1.0 + d)) for d in np.linspace(-1e-3, 1e-3, 2001))
+
+
+def test_holling_with_a_product_that_underflows_to_zero():
+    # c2*(k-1) == 0.0 used to raise ZeroDivisionError when the entry was
+    # built; now x* is finite, and a sup whose x*^k overflows is the
+    # ValueError of sup_incidence
+    f = holling_incidence(1.0, 5e-324, 1.5)
+    assert f(1e10) > 0.0
+    with pytest.raises(ValueError, match="overflows"):
+        sup_incidence(f, 1e300)
+    assert sup_incidence(f, 1e10) == f.fn(1e10) * (1.0 + 2.0**-48)
+
+
 def test_sup_incidence_rejects_bad_bound():
     with pytest.raises(ValueError):
         sup_incidence(linear_incidence(), -1.0)

@@ -37,6 +37,7 @@ from ssp_seir.stepping import (
     Trajectory,
     _kernel,
     integrate,
+    sub_step_coefficients,
     trajectory_to_csv,
 )
 
@@ -823,15 +824,32 @@ def test_kernel_emits_only_the_bookkeeping_its_run_reads(key):
         final = re.findall(r"^ *([seir]) = f\1(\d+)$", source, re.M)
         assert final == ([(c, "0") for c in "seir"] if key == "euler" else [])
         # each Euler sub-step in the paper's positivity form, with the
-        # coefficients bound once in the prologue
+        # coefficients bound once in the prologue, by the helper that the
+        # positivity certificate calls too (test_sub_step_coefficients_*)
         prologue, loop = source.split("for k in range(n_steps):")
-        assert "c_s, c_e = 1.0 - h * mu, 1.0 - h * (mu + sigma)" in prologue
-        assert "c_i, c_r = 1.0 - h * (mu + gamma), 1.0 - h * (mu + delta)" in prologue
-        assert "h_sigma, h_gamma, h_delta = h * sigma, h * gamma, h * delta" in prologue
+        assert (
+            "h, c_s, c_e, c_i, c_r, h_sigma, h_gamma, h_delta = coefficients(tau, form.r, p)"
+        ) in prologue
         assert "fs0 = (c_s - hf) * s + hp0" in loop and "fe0 = c_e * e + hf * s" in loop
         assert "fi0 = c_i * i + h_sigma * e + h_delta * r" in loop
         assert "fr0 = c_r * r + h_gamma * i" in loop
         assert loop.count("hf = h * (") == len(re.findall(r"^ *fs\d+ = ", loop, re.M))
+
+
+def test_sub_step_coefficients_are_the_positivity_form_terms():
+    # h = tau/r, c_x = 1 - h*(mu + rate) and h*rate, bit for bit: the
+    # kernel's prologue binds them from this one call
+    rng = random.Random(20261021)
+    for _ in range(500):
+        p = ModelParams(*(rng.choice([0.0, 10.0 ** rng.uniform(-12, 1)]) for _ in range(4)))
+        tau, r = 10.0 ** rng.uniform(-6, 2), rng.choice([1.0, 6.0, 0.75])
+        h = tau / r
+        expected = (
+            h, 1.0 - h * p.mu, 1.0 - h * (p.mu + p.sigma), 1.0 - h * (p.mu + p.gamma),
+            1.0 - h * (p.mu + p.delta), h * p.sigma, h * p.gamma, h * p.delta,
+        )
+        got = sub_step_coefficients(tau, r, p)
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 def test_kernel_cache_keys_on_the_bookkeeping_flags():
