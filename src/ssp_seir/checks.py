@@ -60,7 +60,6 @@ __all__ = [
     "InsufficientDataError",
     "check_nonnegativity",
     "check_population_bound",
-    "check_limit",
     "detect_oscillation",
     "find_empirical_bound",
 ]
@@ -161,24 +160,6 @@ def check_population_bound(traj: Trajectory, cap: float) -> Verdict:
             if not x <= high:
                 return Verdict(False, k, "N", x)
     return Verdict(True)
-
-
-def check_limit(
-    traj: Trajectory, p_target: float, mu: float, window: Optional[int] = None
-) -> float:
-    """Max |N_k - p_target/mu| over the trailing window (default: last 10%)."""
-    if not mu > 0.0:
-        raise ValueError("limit check requires mu > 0")
-    n = len(traj)
-    if window is None:
-        window = max(1, n // 10)
-    if window < 1:
-        raise ValueError(f"window must be at least 1, got {window}")
-    if window > n:
-        raise ValueError(f"window {window} longer than trajectory {n}")
-    target = p_target / mu
-    gaps = [abs(x - target) for x in traj.populations[n - window :]]
-    return math.nan if any(g != g for g in gaps) else max(gaps)
 
 
 def detect_oscillation(traj: Trajectory, period: int) -> tuple[float, ...]:

@@ -132,6 +132,11 @@ class SimulationResult(_Value):
         return "\n".join(lines)
 
 
+# the rows a simulation may keep: it keeps every one, at about 230 MB of
+# peak RSS per million, so 2**24 rows take about 3.9 GB
+_ROW_LIMIT = 2**24
+
+
 def run_simulation(
     setup: ProblemSetup,
     method: ShuOsherForm,
@@ -141,7 +146,8 @@ def run_simulation(
 ) -> SimulationResult:
     """Integrate ceil(t_f/tau) steps and judge them against the bound chain
     taken over the time of the last step.  A step count t_f/tau that is not
-    finite, or of 2**53 or more (``STEP_LIMIT``), is a ValueError."""
+    finite, or of 2**53 or more (``STEP_LIMIT``), is a ValueError, and so is
+    a run that would keep more than 2**24 rows (row 0 and every step)."""
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"step size must be finite and positive, got {tau}")
     if not (math.isfinite(t_f) and t_f >= 0.0):
@@ -152,6 +158,8 @@ def run_simulation(
     n_steps = math.ceil(steps)
     if n_steps >= STEP_LIMIT:
         raise ValueError(f"n_steps must be below 2**53 for t_f={t_f!r}, tau={tau!r}")
+    if n_steps + 1 > _ROW_LIMIT:
+        raise ValueError(f"the run would keep more than 2**24 rows for t_f={t_f!r}, tau={tau!r}")
     cap = bound_report(setup, method, max(n_steps * tau, tau)).pop_cap
     return _judge(setup, method, tau, n_steps, cap, include_stages)
 

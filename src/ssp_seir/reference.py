@@ -1,117 +1,30 @@
-"""Independent ground-truth generators.
+"""Reference trajectories for convergence-order measurement.
 
-Two oracles:
-
-* the total-population solution N(t) = N0*exp(-mu*t) + integral of
-  pi(s)*exp(-mu*(t-s)), evaluated by adaptive Simpson quadrature; it shares
-  no code with the stepper, and
-* high-resolution reference trajectories for convergence-order measurement,
-  generated by :func:`~ssp_seir.stepping.integrate` with the ten-stage
-  fourth-order method at a step far below its positivity bound
-  (:func:`~ssp_seir.step_bounds.bound_report`), with output times forced
-  onto the fine grid (no interpolation).  It measures the methods' order
-  but cannot expose a fault of the stepping loop they share.
+They are generated by :func:`~ssp_seir.stepping.integrate` with the
+ten-stage fourth-order method at a step far below its positivity bound
+(:func:`~ssp_seir.step_bounds.bound_report`), with output times forced onto
+the fine grid (no interpolation).  Such a reference measures the methods'
+order but cannot expose a fault of the stepping loop they share; the
+quadrature oracle of the total population, which shares no code with the
+stepper, is a test-side oracle (``tests/oracles.py``).
 """
 
 import math
 from array import array
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .model import ProblemSetup, RateFunction
+from .model import ProblemSetup
 from .shu_osher import ShuOsherForm, builtin_method
 from .step_bounds import bound_report
 from .stepping import STEP_LIMIT, Trajectory, integrate
 
 __all__ = [
-    "QuadratureError",
-    "adaptive_simpson",
-    "exact_population",
     "grid_run",
     "reference_trajectory",
     "step_grid",
 ]
 
 DEFAULT_REFINEMENT = 2.0**-10
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-    def __init__(self, achieved: float, requested: float):
-        self.achieved = achieved
-        self.requested = requested
-        super().__init__(
-            f"quadrature reached {achieved:.3e}, requested {requested:.3e}"
-        )
-
-
-def _simpson(fn: Callable[[float], float], a: float, fa: float, b: float, fb: float):
-    m = 0.5 * (a + b)
-    fm = fn(m)
-    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def adaptive_simpson(
-    fn: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-9,
-    max_depth: int = 48,
-) -> float:
-    """Adaptive composite Simpson integral of ``fn`` over [a, b].
-
-    Interval-bisection with the standard 1/15 error estimate; raises
-    :class:`QuadratureError` when the depth cap is hit before the local
-    tolerance is met.
-    """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if a == b:
-        return 0.0
-    fa, fb = fn(a), fn(b)
-    m, fm, whole = _simpson(fn, a, fa, b, fb)
-    total = 0.0
-    # (a, fa, b, fb, m, fm, whole, tol, depth)
-    stack = [(a, fa, b, fb, m, fm, whole, tol, 0)]
-    while stack:
-        a0, fa0, b0, fb0, m0, fm0, whole0, tol0, depth = stack.pop()
-        lm, flm, left = _simpson(fn, a0, fa0, m0, fm0)
-        rm, frm, right = _simpson(fn, m0, fm0, b0, fb0)
-        err = left + right - whole0
-        if abs(err) <= 15.0 * tol0:
-            total += left + right + err / 15.0
-            continue
-        if depth >= max_depth:
-            raise QuadratureError(abs(err) / 15.0, tol0)
-        stack.append((a0, fa0, m0, fm0, lm, flm, left, 0.5 * tol0, depth + 1))
-        stack.append((m0, fm0, b0, fb0, rm, frm, right, 0.5 * tol0, depth + 1))
-    return total
-
-
-def exact_population(
-    n0: float,
-    mu: float,
-    pi: RateFunction,
-    t: float,
-    quad_tol: float = 1e-9,
-) -> float:
-    """Total population of the exact N' = pi(t) - mu*N solution at time t."""
-    if t < 0.0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if t == 0.0:
-        return float(n0)
-    if pi.key == "const":
-        p = pi.fn(0.0)
-        if mu > 0.0:
-            return n0 * math.exp(-mu * t) + (p / mu) * (1.0 - math.exp(-mu * t))
-        return n0 + p * t
-    if mu == 0.0:
-        return n0 + adaptive_simpson(pi.fn, 0.0, t, quad_tol)
-
-    def integrand(s: float) -> float:
-        return pi.fn(s) * math.exp(-mu * (t - s))
-
-    return n0 * math.exp(-mu * t) + adaptive_simpson(integrand, 0.0, t, quad_tol)
 
 
 def step_grid(

@@ -4,8 +4,8 @@ A Shu-Osher form is what the stepping core runs.  The four builtin methods
 are their optimal forms (r = C; Gottlieb, Ketcheson & Shu, 2011, ch. 2),
 written below as rational literals: Python rounds each ``int / int``
 correctly, so every coefficient is the float that the exact derivation from
-the Butcher tableau rounds to.  That derivation lives in
-:mod:`ssp_seir.butcher`, which no command loads; a test compares the two bit
+the Butcher tableau rounds to.  That derivation is a test-side oracle
+(``tests/butcher.py``), which no command runs; a test compares the two bit
 for bit.
 """
 

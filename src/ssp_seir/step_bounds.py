@@ -1,5 +1,4 @@
-"""Theoretical step-size and population bounds, plus the stage-coefficient
-recurrences used in the boundedness arguments.
+"""Theoretical step-size and population bounds.
 
 The Euler positivity bound is the a priori form
 
@@ -10,9 +9,8 @@ linear envelope's [0, N0 + K*t_f]); an SSP method with coefficient C admits
 tau <= C * dt*.  :func:`positivity_certificate` checks that guarantee in
 the step kernel's own floats for one run, so that the threshold search can
 skip the probe it decides.  The A_i/B_i recurrences and the gamma_ij
-expansion express how total population propagates through the stages and
-are exposed here so the identities they satisfy can be tested directly
-against the integrator.
+expansion of the boundedness argument, which no command runs, are
+test-side oracles (``tests/oracles.py``).
 """
 
 import math
@@ -36,8 +34,6 @@ __all__ = [
     "BoundReport",
     "euler_step_bound",
     "population_cap",
-    "ab_coefficients",
-    "gamma_coefficients",
     "bound_report",
     "positivity_certificate",
 ]
@@ -98,51 +94,6 @@ def population_cap(n0: float, k_sup: float, mu: float) -> float:
     if mu == 0.0:
         return math.inf
     return n0 + k_sup / mu
-
-
-def ab_coefficients(
-    method: ShuOsherForm, tau: float, mu: float
-) -> tuple[list[float], list[float]]:
-    """The A_i and B_i recurrences over all m+1 stages.
-
-    A_1 = 1, B_1 = 0 and
-
-        A_i = v_i + (1 - tau*mu/C) * sum_j alpha_ij A_j
-        B_i = 1 - v_i + (1 - tau*mu/C) * sum_j alpha_ij B_j
-
-    Valid only while tau*mu/C <= 1.  A_i always stays in [0, 1].  B_i stays
-    in [0, C] but NOT in [0, 1] for C > 1: at tau*mu = 0 the recurrence
-    collapses to the gamma row sums, and consistency forces the final-stage
-    row sum to equal C exactly.  The identity (tau*mu/C)*B_i = 1 - A_i
-    holds throughout either way.
-    """
-    x = tau * mu / method.r
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"tau*mu/C = {x} outside [0, 1]")
-    damp = 1.0 - x
-    a = [1.0]
-    b = [0.0]
-    for i in range(1, method.m + 1):
-        row = method.alpha[i]
-        a.append(method.v[i] + damp * math.fsum(row[j] * a[j] for j in range(i)))
-        b.append(1.0 - method.v[i] + damp * math.fsum(row[j] * b[j] for j in range(i)))
-    return a, b
-
-
-def gamma_coefficients(method: ShuOsherForm) -> list[list[float]]:
-    """Lower-triangular gamma_ij = alpha_ij + sum_{k=j+1}^{i-1} alpha_ik gamma_kj.
-
-    Row i gives the weights with which stage recruitment enters the total
-    population at stage i+1 (0-indexed rows over all m+1 stages).
-    """
-    n = method.m + 1
-    gamma = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i):
-            gamma[i][j] = method.alpha[i][j] + math.fsum(
-                method.alpha[i][k] * gamma[k][j] for k in range(j + 1, i)
-            )
-    return gamma
 
 
 def bound_report(

@@ -12,16 +12,16 @@ and v entry is non-negative, with no tolerance; each coefficient is rounded
 to float once, after that test.  The SSP coefficient is the largest feasible
 ``r``, located here by bisection.
 
-No command runs this module: the builtin forms that the commands step with
-are literals in :mod:`ssp_seir.shu_osher`, and the tests check them bit for
-bit against the derivation here.
+This is a test-side oracle, which no command runs: the builtin forms that
+the commands step with are literals in :mod:`ssp_seir.shu_osher`, and the
+tests check them bit for bit against the derivation here.
 """
 
 import math
 from fractions import Fraction
 
-from .model import _Value
-from .shu_osher import BUILTIN_METHOD_KEYS, ShuOsherForm
+from ssp_seir.model import _Value
+from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, ShuOsherForm
 
 __all__ = [
     "ButcherTableau",

@@ -20,16 +20,18 @@ from ssp_seir.experiments import (
     property_sweep,
 )
 from ssp_seir.model import State, RateFunction, choice_b_recruitment, ProblemSetup, ModelParams
-from ssp_seir.reference import exact_population, reference_trajectory
-from ssp_seir.butcher import (
+from ssp_seir.reference import reference_trajectory
+from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, builtin_method
+from ssp_seir.step_bounds import bound_report
+from ssp_seir.stepping import integrate
+
+from butcher import (
     builtin_tableau,
     butcher_amplification,
     shu_osher_amplification,
     ssp_coefficient,
 )
-from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, builtin_method
-from ssp_seir.step_bounds import ab_coefficients, bound_report, gamma_coefficients
-from ssp_seir.stepping import integrate
+from oracles import ab_coefficients, exact_population, gamma_coefficients
 
 RECRUITMENT_CHOICES = ("choiceA", "choiceB", "choiceC")
 

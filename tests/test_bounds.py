@@ -25,14 +25,10 @@ from ssp_seir.model import (
     sup_incidence,
 )
 from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, builtin_method
-from ssp_seir.step_bounds import (
-    ab_coefficients,
-    bound_report,
-    euler_step_bound,
-    gamma_coefficients,
-    population_cap,
-)
+from ssp_seir.step_bounds import bound_report, euler_step_bound, population_cap
 from ssp_seir.stepping import integrate
+
+from oracles import ab_coefficients, gamma_coefficients
 
 EXPERIMENT_PARAMS = ModelParams(0.05, 0.25, 0.1867, 0.011)
 EXPERIMENT_SETUP = ProblemSetup(

@@ -13,7 +13,6 @@ from ssp_seir.checks import (
     NEGATIVITY_THRESHOLD,
     InsufficientDataError,
     Verdict,
-    check_limit,
     check_nonnegativity,
     check_population_bound,
     detect_oscillation,
@@ -38,6 +37,8 @@ from ssp_seir.model import (
 from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, builtin_method
 from ssp_seir.step_bounds import bound_report, positivity_certificate
 from ssp_seir.stepping import IntegrationOverflowError, Trajectory, integrate
+
+from oracles import check_limit
 
 EXPERIMENT_PARAMS = ModelParams(0.05, 0.25, 0.1867, 0.011)
 

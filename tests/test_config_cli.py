@@ -277,6 +277,18 @@ def test_cli_rejects_more_steps_than_the_clock_counts(tmp_path, capsys, argv, ou
     assert not (tmp_path / output).exists()
 
 
+def test_cli_simulate_rejects_more_rows_than_the_budget(tmp_path, capsys):
+    # 1e15 steps are below 2**53, but keeping their rows would take about
+    # 2e8 GB; the run is rejected before it starts
+    code = main([
+        "--out", str(tmp_path), "simulate", "--method", "euler", "--tau", "1e-10", "--tf", "1e5",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: the run would keep more than 2**24 rows for t_f=100000.0, tau=1e-10\n"
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("tf", ["inf", "nan", "0", "-1"])
 def test_config_rejects_bad_horizon(tf):
     with pytest.raises(ConfigError, match="key tf"):

@@ -1,5 +1,5 @@
-"""The convergence study's slope fit and the inputs it refuses, and the
-guarantee sweep's stage verdict."""
+"""The convergence study's slope fit and the inputs it refuses, the
+simulation's row budget, and the guarantee sweep's stage verdict."""
 
 import math
 import re
@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from ssp_seir.cli import main
 from ssp_seir.config import DEFAULT_CONFIG_TEXT, parse_config
 import ssp_seir.experiments as experiments
-from ssp_seir.experiments import _fit_slope, convergence_study, property_sweep
+from ssp_seir.experiments import _fit_slope, convergence_study, property_sweep, run_simulation
+from ssp_seir.shu_osher import builtin_method
 from ssp_seir.stepping import Trajectory
 
 
@@ -112,6 +113,25 @@ def test_convergence_integrates_each_distinct_grid_step_once(monkeypatch):
     # the reference run, then one run per distinct step of each method
     assert len(steps) == 1 + sum(len(set(r.taus)) for r in results) == 31
     assert steps[1:] == [tau for r in results for tau in dict.fromkeys(r.taus)]
+
+
+def test_simulation_keeps_at_most_the_row_budget(monkeypatch):
+    # every row is kept, so a finite step count below 2**53 could still end
+    # out of memory; the budget rejects such a run before it starts
+    setup = parse_config(DEFAULT_CONFIG_TEXT).setup("choiceA")
+    euler = builtin_method("euler")
+    with pytest.raises(ValueError) as info:
+        run_simulation(setup, euler, 1e-10, 1e5)
+    assert str(info.value) == "the run would keep more than 2**24 rows for t_f=100000.0, tau=1e-10"
+    with pytest.raises(ValueError, match=re.escape("more than 2**24 rows")):
+        run_simulation(setup, euler, 1.0, 2.0**24)
+    # the step clock's limit is checked first and keeps its message
+    with pytest.raises(ValueError, match=re.escape("n_steps must be below 2**53")):
+        run_simulation(setup, euler, 1.0, 2.0**53)
+    monkeypatch.setattr(experiments, "_ROW_LIMIT", 11)
+    assert len(run_simulation(setup, euler, 1.0, 10.0).trajectory) == 11
+    with pytest.raises(ValueError, match=re.escape("for t_f=11.0, tau=1.0")):
+        run_simulation(setup, euler, 1.0, 11.0)
 
 
 def test_sweep_flags_a_negative_stage(monkeypatch):

@@ -1,11 +1,13 @@
 """Every name a module imports is used in it, every name it exports is
-defined (no linter is installed), importing the package loads none of its
-modules, importing the CLI loads neither ``dataclasses`` nor ``inspect``,
-the CLI, the set-up and the stepping path load no ``fractions`` and no
-``__future__``, every record is a ``model._Value`` (no ``NamedTuple``) and
-only ``model._Value._set`` bypasses its ``__setattr__``, every
-source file parses as Python 3.10, every catalog formula reads only names it is given,
-and the package runs on the standard library alone."""
+defined (no linter is installed) and read by the package or the benchmark,
+importing the package loads none of its modules, importing the CLI loads
+neither ``dataclasses`` nor ``inspect``, the CLI, the set-up and the
+stepping path load no ``fractions`` and no ``__future__``, every record is
+a ``model._Value`` (no ``NamedTuple``) and only ``model._Value._set``
+bypasses its ``__setattr__``, every source file parses as Python 3.10,
+every catalog formula reads only names it is given, and the package runs
+on the standard library alone.  The test-side oracles keep the same import
+rules."""
 
 import ast
 import importlib
@@ -26,6 +28,8 @@ from ssp_seir.model import (
 )
 
 MODULES = sorted(Path(ssp_seir.__file__).parent.glob("*.py"))
+# the oracles that only the tests call, held to the package's import rules
+ORACLES = [Path(__file__).with_name(name) for name in ("butcher.py", "oracles.py")]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -40,17 +44,77 @@ def _unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + ORACLES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
 
 
 @pytest.mark.parametrize(
-    "name", [f"ssp_seir.{path.stem}" for path in MODULES if path.name != "__init__.py"]
+    "name",
+    [f"ssp_seir.{path.stem}" for path in MODULES if path.name != "__init__.py"]
+    + [path.stem for path in ORACLES],
 )
 def test_every_export_resolves(name):
     module = importlib.import_module(name)
     assert [export for export in module.__all__ if not hasattr(module, export)] == []
+
+
+def _reads(tree: ast.AST, strings: bool = False) -> set:
+    """The names a tree reads: loaded names, attributes and, with
+    ``strings``, string constants (the benchmark's tracer names the
+    functions it wraps)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def _bound_names(node: ast.stmt) -> set:
+    """The names a top-level statement defines; none for imports and code
+    that runs, such as a ``__main__`` block."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def test_every_export_is_read_outside_its_definition():
+    # src/ holds only what a command or the benchmark runs; an oracle that
+    # only the tests call lives under tests/.  A definition's reads count
+    # only while it is read itself, so a chain of definitions that only the
+    # tests reach fails as a whole.
+    statements, exports = [], {}
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            bound = _bound_names(node)
+            if bound == {"__all__"}:
+                exports[path.stem] = ast.literal_eval(node.value)
+            else:
+                statements.append((bound, _reads(node)))
+    bench = set()
+    for path in sorted((Path(ssp_seir.__file__).resolve().parents[2] / "perfbench").glob("*.py")):
+        bench |= _reads(ast.parse(path.read_text()), strings=True)
+    assert bench
+    defined = set().union(*(bound for bound, _ in statements))
+    unread = set()
+    while True:
+        read = set(bench)
+        for bound, names in statements:
+            if not bound or not bound <= unread:
+                read |= names - bound
+        if defined - read == unread:
+            break
+        unread = defined - read
+    assert [
+        f"{stem}.{name}" for stem, names in exports.items() for name in names if name not in read
+    ] == []
 
 
 def _setattr_sites(source: str) -> list[str]:
@@ -81,7 +145,7 @@ def test_one_immutable_value_idiom():
     assert naming == ["model"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + ORACLES, ids=lambda path: path.name)
 def test_no_named_tuple_and_no_future_import(path):
     # a NamedTuple class costs 0.1-0.4 ms to build at import, and the first
     # ``from __future__`` import about 0.3 ms; records derive from _Value
@@ -148,8 +212,8 @@ def test_importing_loads_neither_dataclasses_nor_inspect(code):
 
 @pytest.mark.parametrize("module", ["stepping", "checks", "step_bounds", "reference"])
 def test_the_stepping_path_loads_no_exact_rationals(module):
-    # the builtin forms are float literals; only ``butcher`` (the exact
-    # oracle) and ``experiments._fit_slope`` use ``fractions``
+    # the builtin forms are float literals; only ``experiments._fit_slope``
+    # and the exact Butcher oracle, which lives under tests/, use ``fractions``
     assert _newly_loaded(f"import ssp_seir.{module}", {"fractions", "decimal"}) == []
 
 
@@ -188,7 +252,7 @@ def _imported_modules(source: str) -> list[str]:
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + ORACLES, ids=lambda path: path.name)
 def test_imports_only_the_standard_library(path):
     foreign = [
         name for name in _imported_modules(path.read_text())

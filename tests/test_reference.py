@@ -14,16 +14,11 @@ from ssp_seir.model import (
     media_incidence,
     recruitment_from_key,
 )
-from ssp_seir.reference import (
-    QuadratureError,
-    adaptive_simpson,
-    exact_population,
-    grid_run,
-    reference_trajectory,
-    step_grid,
-)
+from ssp_seir.reference import grid_run, reference_trajectory, step_grid
 from ssp_seir.shu_osher import builtin_method
 from ssp_seir.stepping import Trajectory, integrate
+
+from oracles import QuadratureError, adaptive_simpson, exact_population
 
 EXPERIMENT_PARAMS = ModelParams(0.05, 0.25, 0.1867, 0.011)
 

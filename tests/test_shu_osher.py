@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ssp_seir.butcher import (
+from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, ShuOsherForm, builtin_method
+
+from butcher import (
     ButcherTableau,
     InfeasibleFormError,
     builtin_tableau,
@@ -20,7 +22,6 @@ from ssp_seir.butcher import (
     shu_osher_from_butcher,
     ssp_coefficient,
 )
-from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, ShuOsherForm, builtin_method
 
 KNOWN_C = {"euler": 1.0, "ssprk22": 1.0, "ssprk33": 1.0, "ssprk104": 6.0}
 

@@ -30,7 +30,6 @@ from ssp_seir.model import (
     recruitment_from_key,
     rhs,
 )
-from ssp_seir.butcher import builtin_tableau, shu_osher_from_butcher
 from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, ShuOsherForm, builtin_method
 from ssp_seir.stepping import (
     IntegrationOverflowError,
@@ -40,6 +39,8 @@ from ssp_seir.stepping import (
     sub_step_coefficients,
     trajectory_to_csv,
 )
+
+from butcher import builtin_tableau, shu_osher_from_butcher
 
 ZERO_PI = constant_recruitment(0.0)
 FREE = ModelParams(0.0, 0.0, 0.0, 0.0)

@@ -17,10 +17,11 @@ from ssp_seir.experiments import (
     run_simulation,
 )
 from ssp_seir.model import ModelParams, State, linear_incidence, recruitment_from_key
-from ssp_seir.butcher import ButcherTableau, builtin_tableau, shu_osher_from_butcher
 from ssp_seir.shu_osher import ShuOsherForm, builtin_method
 from ssp_seir.step_bounds import EulerBound, bound_report
 from ssp_seir.stepping import Trajectory, _kernel, integrate
+
+from butcher import ButcherTableau, builtin_tableau, shu_osher_from_butcher
 
 RATES = ("mu", "sigma", "gamma", "delta")
 
