@@ -57,10 +57,8 @@ from .stepping import IntegrationOverflowError, Trajectory, integrate
 __all__ = [
     "NEGATIVITY_THRESHOLD",
     "Verdict",
-    "InsufficientDataError",
     "check_nonnegativity",
     "check_population_bound",
-    "detect_oscillation",
     "find_empirical_bound",
 ]
 
@@ -68,10 +66,6 @@ NEGATIVITY_THRESHOLD = -1e-12
 _ROUNDING_MULTIPLE = 8.0  # c of the scaled rule, in units of eps*n
 
 _COMPARTMENTS = ("S", "E", "I", "R")
-
-
-class InsufficientDataError(ValueError):
-    """The trajectory is too short for the requested estimate."""
 
 
 class Verdict(_Value):
@@ -160,24 +154,6 @@ def check_population_bound(traj: Trajectory, cap: float) -> Verdict:
             if not x <= high:
                 return Verdict(False, k, "N", x)
     return Verdict(True)
-
-
-def detect_oscillation(traj: Trajectory, period: int) -> tuple[float, ...]:
-    """Tail-averaged limit of each residue-class sub-sequence of N_k."""
-    if period < 2:
-        raise ValueError(f"period must be >= 2, got {period}")
-    n = len(traj)
-    if n < 10 * period:
-        raise InsufficientDataError(
-            f"trajectory of {n} states too short for period {period}"
-        )
-    populations = traj.populations
-    limits = []
-    for residue in range(period):
-        values = populations[residue::period]
-        tail = values[-10:]
-        limits.append(math.fsum(tail) / len(tail))
-    return tuple(limits)
 
 
 def _positivity_ok(setup: ProblemSetup, method: ShuOsherForm, tau: float, t_f: float) -> bool:

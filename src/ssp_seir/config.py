@@ -51,15 +51,6 @@ methods=euler,ssprk22,ssprk33,ssprk104
 bisect_tol=1e-4
 """
 
-_FLOAT_KEYS = (
-    "mu", "sigma", "gamma", "delta", "nu", "eta", "c1", "c2", "k",
-    "kappa", "s0", "e0", "i0", "r0", "tf", "bisect_tol",
-)
-_LIST_KEYS = ("recruitments", "methods")
-_STR_KEYS = ("incidence",)
-_ALL_KEYS = _FLOAT_KEYS + _LIST_KEYS + _STR_KEYS
-
-
 class ExperimentConfig(_Value):
     """The values of a config file, one field per key.
 
@@ -72,17 +63,6 @@ class ExperimentConfig(_Value):
         "mu", "sigma", "gamma", "delta", "incidence", "nu", "eta", "c1", "c2", "k",
         "recruitments", "kappa", "s0", "e0", "i0", "r0", "tf", "methods", "bisect_tol",
     )
-
-    def __init__(
-        self, mu: float, sigma: float, gamma: float, delta: float, incidence: str,
-        nu: float, eta: float, c1: float, c2: float, k: float, recruitments: tuple[str, ...],
-        kappa: float, s0: float, e0: float, i0: float, r0: float, tf: float,
-        methods: tuple[str, ...], bisect_tol: float,
-    ) -> None:
-        self._set(
-            mu, sigma, gamma, delta, incidence, nu, eta, c1, c2, k, recruitments,
-            kappa, s0, e0, i0, r0, tf, methods, bisect_tol,
-        )
 
     def params(self) -> ModelParams:
         return ModelParams(self.mu, self.sigma, self.gamma, self.delta)
@@ -98,6 +78,11 @@ class ExperimentConfig(_Value):
         )
 
 
+_LIST_KEYS = ("recruitments", "methods")
+_STR_KEYS = ("incidence",)
+_FLOAT_KEYS = tuple(key for key in ExperimentConfig.__slots__ if key not in _LIST_KEYS + _STR_KEYS)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse key=value text; every key required, unknown keys rejected."""
     raw: dict[str, str] = {}
@@ -108,12 +93,12 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in ExperimentConfig.__slots__:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
-    missing = [key for key in _ALL_KEYS if key not in raw]
+    missing = [key for key in ExperimentConfig.__slots__ if key not in raw]
     if missing:
         raise ConfigError(f"missing keys: {', '.join(sorted(missing))}")
     values: dict[str, object] = {}
@@ -136,7 +121,7 @@ def parse_config(text: str) -> ExperimentConfig:
         values[key] = items
     for key in _STR_KEYS:
         values[key] = raw[key]
-    return ExperimentConfig(**values)  # type: ignore[arg-type]
+    return ExperimentConfig(*map(values.__getitem__, ExperimentConfig.__slots__))
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:

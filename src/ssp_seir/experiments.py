@@ -9,15 +9,9 @@ output.
 import math
 import random
 from operator import sub
-from typing import IO, Optional, Sequence
+from typing import IO, Sequence
 
-from .checks import (
-    check_nonnegativity,
-    check_population_bound,
-    detect_oscillation,
-    find_empirical_bound,
-    Verdict,
-)
+from .checks import check_nonnegativity, check_population_bound, find_empirical_bound
 from .config import ExperimentConfig
 from .model import (
     RECRUITMENT_KEYS,
@@ -34,7 +28,7 @@ from .model import (
 from .reference import grid_run, reference_trajectory, step_grid
 from .shu_osher import BUILTIN_METHOD_KEYS, ShuOsherForm, builtin_method
 from .step_bounds import bound_report
-from .stepping import STEP_LIMIT, IntegrationOverflowError, Trajectory, integrate
+from .stepping import STEP_LIMIT, IntegrationOverflowError, integrate
 
 __all__ = [
     "BoundsRow",
@@ -60,9 +54,6 @@ class BoundsRow(_Value):
     """One row of the bound table: the theoretical and the empirical threshold."""
 
     __slots__ = ("recruitment", "method", "tau_t", "tau_r")
-
-    def __init__(self, recruitment: str, method: str, tau_t: float, tau_r: float) -> None:
-        self._set(recruitment, method, tau_t, tau_r)
 
     @property
     def ratio(self) -> float:
@@ -110,12 +101,6 @@ class SimulationResult(_Value):
     the overflow, and ``overflow_step`` is the 0-based index of that step."""
 
     __slots__ = ("trajectory", "nonnegativity", "population", "cap", "overflow_step")
-
-    def __init__(
-        self, trajectory: Trajectory, nonnegativity: Verdict, population: Verdict, cap: float,
-        overflow_step: Optional[int],
-    ) -> None:
-        self._set(trajectory, nonnegativity, population, cap, overflow_step)
 
     @property
     def passed(self) -> bool:
@@ -195,11 +180,6 @@ class ConvergenceResult(_Value):
     """One method's errors against the reference at each step size, and the fitted order."""
 
     __slots__ = ("method", "taus", "errors", "slope")
-
-    def __init__(
-        self, method: str, taus: tuple[float, ...], errors: tuple[float, ...], slope: float,
-    ) -> None:
-        self._set(method, taus, errors, slope)
 
 
 _CONVERGENCE_OUTPUTS = 50
@@ -308,12 +288,6 @@ class CounterexampleReport(_Value):
 
     __slots__ = ("even_limit", "odd_limit", "gap_tail_min", "gap_tail_max", "trajectory")
 
-    def __init__(
-        self, even_limit: float, odd_limit: float, gap_tail_min: float, gap_tail_max: float,
-        trajectory: Trajectory,
-    ) -> None:
-        self._set(even_limit, odd_limit, gap_tail_min, gap_tail_max, trajectory)
-
     def as_text(self) -> str:
         return "\n".join(
             [
@@ -328,6 +302,7 @@ class CounterexampleReport(_Value):
 
 _CEX_STEPS = 500
 _CEX_TAIL = 100
+_CEX_MEAN = 10
 
 
 def counterexample_report() -> CounterexampleReport:
@@ -336,8 +311,9 @@ def counterexample_report() -> CounterexampleReport:
     All mass starts in S with the other flows switched off, so the total
     population follows N{n+1} = N{n}/2 + pi(t_n)/2 exactly and splits into
     even/odd subsequences with distinct limits.  The run takes
-    _CEX_STEPS steps; the gap range is read over the last
-    _CEX_TAIL states.
+    _CEX_STEPS steps; each subsequence's limit is the mean of its last
+    _CEX_MEAN states, and the gap range is read over the last _CEX_TAIL
+    states.
     """
     params = ModelParams(mu=1.0, sigma=0.0, gamma=0.0, delta=0.0)
     pi = counterexample_cosine_recruitment()
@@ -347,18 +323,15 @@ def counterexample_report() -> CounterexampleReport:
         setup.x0, tau, _CEX_STEPS, builtin_method("euler"),
         params, setup.incidence, pi, stages=False,
     )
-    even_limit, odd_limit = detect_oscillation(traj, period=2)
+    populations = traj.populations
+    even_limit, odd_limit = (
+        math.fsum(populations[parity::2][-_CEX_MEAN:]) / _CEX_MEAN for parity in (0, 1)
+    )
     gaps = [
         abs(n - pi.fn(t) / params.mu)
-        for t, n in zip(traj.times[-_CEX_TAIL:], traj.populations[-_CEX_TAIL:])
+        for t, n in zip(traj.times[-_CEX_TAIL:], populations[-_CEX_TAIL:])
     ]
-    return CounterexampleReport(
-        even_limit=even_limit,
-        odd_limit=odd_limit,
-        gap_tail_min=min(gaps),
-        gap_tail_max=max(gaps),
-        trajectory=traj,
-    )
+    return CounterexampleReport(even_limit, odd_limit, min(gaps), max(gaps), traj)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +343,6 @@ class SweepReport(_Value):
     """How many setups and runs the sweep made, and a line per failed guarantee."""
 
     __slots__ = ("n_configs", "n_runs", "failures")
-
-    def __init__(self, n_configs: int, n_runs: int, failures: tuple[str, ...]) -> None:
-        self._set(n_configs, n_runs, failures)
 
     @property
     def passed(self) -> bool:

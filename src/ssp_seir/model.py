@@ -70,25 +70,34 @@ def _immutable(self, name: str, *value: object) -> None:
 class _Value:
     """Base of the package's immutable records.
 
-    A subclass lists its fields in ``__slots__``, in constructor order, and
-    its constructor validates its arguments, if it has any rule for them,
-    and hands them to :meth:`_set`; a field it derives comes last, and
-    ``__reduce__`` leaves it out.  Instances compare and hash by the values
-    of their fields, and a copy, an unpickled instance or one made by
-    :meth:`_replace` goes through the constructor, so it is validated anew.
+    A subclass lists its fields in ``__slots__``, and that is its
+    constructor: it takes one value per slot, in slot order, positionally,
+    and raises TypeError when their number is wrong.  A subclass with a rule
+    for its values (a check, a default or a derived field) has its own
+    constructor, which hands the final values to :meth:`_set`; a field it
+    derives comes last, and ``__reduce__`` leaves it out.  Instances compare
+    and hash by the values of their fields, and a copy, an unpickled
+    instance or one made by :meth:`_replace`, the one keyword path, goes
+    through the constructor, so it is validated anew.
     """
 
     __slots__ = ("_hash",)
     __setattr__ = __delattr__ = _immutable
 
     def _set(self, *values: object) -> None:
-        """Set the fields, in slot order, and the cached hash; once, from ``__init__``."""
+        """Set the fields, one value per slot in slot order, and the cached hash."""
+        if len(values) != len(self.__slots__):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(self.__slots__)} values, got {len(values)}"
+            )
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
         # cached because every integrate call hashes its form for the kernel
         # cache; a subclass that hashes by identity may hold unhashable fields
         value_hash = hash(values) if type(self).__hash__ is _Value.__hash__ else None
         object.__setattr__(self, "_hash", value_hash)
+
+    __init__ = _set
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -143,14 +152,6 @@ class State(_Value):
     def total(self) -> float:
         """Total population N = S + E + I + R."""
         return self.s + self.e + self.i + self.r
-
-    @property
-    def admissible(self) -> bool:
-        """True iff every compartment is non-negative."""
-        return self.s >= 0.0 and self.e >= 0.0 and self.i >= 0.0 and self.r >= 0.0
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.s, self.e, self.i, self.r)
 
 
 # The names a formula may read besides ``x`` and its parameters; the step
@@ -224,11 +225,6 @@ class ProblemSetup(_Value):
     """A fully specified integration problem."""
 
     __slots__ = ("params", "incidence", "recruitment", "x0")
-
-    def __init__(
-        self, params: ModelParams, incidence: RateFunction, recruitment: RateFunction, x0: State,
-    ) -> None:
-        self._set(params, incidence, recruitment, x0)
 
 
 # ---------------------------------------------------------------------------

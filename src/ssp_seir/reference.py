@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 DEFAULT_REFINEMENT = 2.0**-10
+# the steps one grid run may take: the default horizon's reference run takes
+# about 5e4, and 2**32 steps of ssprk104 already take hours
+STEP_BUDGET = 2**32
 
 
 def step_grid(
@@ -35,8 +38,9 @@ def step_grid(
     The step ``base / per_base`` is ``tau_nominal`` shrunk minimally so that
     the smallest positive output time ``base`` is ``per_base`` steps, and
     ``n_steps`` steps reach ``t_f``.  Equal grids give equal runs.  A step
-    count ``base / tau_nominal`` or ``t_f / tau`` that is not finite, or an
-    ``n_steps`` of 2**53 or more (``STEP_LIMIT``), is a ValueError.
+    count ``base / tau_nominal`` or ``t_f / tau`` that is not finite, an
+    ``n_steps`` of 2**53 or more (``STEP_LIMIT``), or one above the
+    ``STEP_BUDGET`` of 2**32, is a ValueError.
     """
     if not (math.isfinite(tau_nominal) and tau_nominal > 0.0):
         raise ValueError(f"tau_nominal must be finite and positive, got {tau_nominal}")
@@ -64,6 +68,8 @@ def step_grid(
         n_steps = math.ceil(steps)
     if n_steps >= STEP_LIMIT:
         raise ValueError(f"n_steps must be below 2**53 for t_f={t_f!r}, tau={tau!r}")
+    if n_steps > STEP_BUDGET:
+        raise ValueError(f"the run would take more than 2**32 steps for t_f={t_f!r}, tau={tau!r}")
     return base, per_base, n_steps
 
 

@@ -46,9 +46,6 @@ class EulerBound(_Value):
 
     __slots__ = ("dt_star", "binding_term")
 
-    def __init__(self, dt_star: float, binding_term: str) -> None:
-        self._set(dt_star, binding_term)
-
 
 class BoundReport(_Value):
     """Step-size bound summary for one method on one problem setup: ``dt_star``,
@@ -56,12 +53,6 @@ class BoundReport(_Value):
     ``binding_term`` of :class:`EulerBound`.  It does not name the method."""
 
     __slots__ = ("dt_star", "tau_method", "pop_cap", "b_sup", "k_sup", "binding_term")
-
-    def __init__(
-        self, dt_star: float, tau_method: float, pop_cap: float, b_sup: float, k_sup: float,
-        binding_term: str,
-    ) -> None:
-        self._set(dt_star, tau_method, pop_cap, b_sup, k_sup, binding_term)
 
 
 def euler_step_bound(p: ModelParams, b_sup: float) -> EulerBound:
@@ -115,12 +106,7 @@ def bound_report(
     b_sup = sup_incidence(setup.incidence, cap)
     eb = euler_step_bound(setup.params, b_sup)
     return BoundReport(
-        dt_star=eb.dt_star,
-        tau_method=method.ssp_c * eb.dt_star,
-        pop_cap=cap,
-        b_sup=b_sup,
-        k_sup=k_sup,
-        binding_term=eb.binding_term,
+        eb.dt_star, method.ssp_c * eb.dt_star, cap, b_sup, k_sup, eb.binding_term
     )
 
 

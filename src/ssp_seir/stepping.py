@@ -106,9 +106,6 @@ class Trajectory(_Value):
     __slots__ = ("data", "tau", "method", "stage_min")
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __init__(self, data: array, tau: float, method: str, stage_min: float | None) -> None:
-        self._set(data, tau, method, stage_min)
-
     def __repr__(self) -> str:
         return (
             f"Trajectory(rows={len(self)}, tau={self.tau!r}, method={self.method!r}, "

@@ -1,4 +1,4 @@
-"""Trajectory verdicts, oscillation detection and the threshold search."""
+"""Trajectory verdicts, the oscillating counterexample's limit and the threshold search."""
 
 import math
 import random
@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 from ssp_seir import checks
 from ssp_seir.checks import (
     NEGATIVITY_THRESHOLD,
-    InsufficientDataError,
     Verdict,
     check_nonnegativity,
     check_population_bound,
-    detect_oscillation,
     find_empirical_bound,
     _positivity_ok,
 )
+from ssp_seir.experiments import counterexample_report
 from ssp_seir.model import (
     INCIDENCE_KEYS,
     RECRUITMENT_KEYS,
@@ -130,7 +129,7 @@ def test_array_checks_match_per_state_scan(rows, cap):
         (
             (k, name, value)
             for k, x in enumerate(states)
-            for name, value in zip("SEIR", x.as_tuple())
+            for name, value in zip("SEIR", (x.s, x.e, x.i, x.r))
             if not value >= -1e-12
         ),
         None,
@@ -186,35 +185,12 @@ def _oscillating_trajectory(n_steps):
     )
 
 
-def test_detect_oscillation_two_limits():
-    even, odd = detect_oscillation(_oscillating_trajectory(200), period=2)
-    assert even == pytest.approx(4.0 / 3.0, abs=1e-8)
-    assert odd == pytest.approx(2.0 / 3.0, abs=1e-8)
-
-
 def test_even_limit_matches_fixed_point_oracle():
     # the even sub-sequence obeys x -> x/4 + 1
     x = 2.0
     for _ in range(50):
         x = x / 4.0 + 1.0
-    even, _ = detect_oscillation(_oscillating_trajectory(500), period=2)
-    assert even == pytest.approx(x, abs=1e-12)
-
-
-def test_detect_oscillation_constant_recruitment_degenerate():
-    traj = integrate(
-        State(4.0, 0.0, 0.0, 0.0), 0.5, 200, builtin_method("euler"),
-        ModelParams(0.5, 0.0, 0.0, 0.0), linear_incidence(), constant_recruitment(0.3),
-    )
-    limits = detect_oscillation(traj, period=2)
-    assert all(v == pytest.approx(0.6, abs=1e-8) for v in limits)
-
-
-def test_detect_oscillation_requires_enough_data():
-    with pytest.raises(InsufficientDataError):
-        detect_oscillation(_oscillating_trajectory(10), period=2)
-    with pytest.raises(ValueError):
-        detect_oscillation(_oscillating_trajectory(100), period=1)
+    assert counterexample_report().even_limit == pytest.approx(x, abs=1e-12)
 
 
 def test_empirical_bound_linear_decay_oracle():

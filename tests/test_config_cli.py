@@ -277,6 +277,19 @@ def test_cli_rejects_more_steps_than_the_clock_counts(tmp_path, capsys, argv, ou
     assert not (tmp_path / output).exists()
 
 
+def test_cli_convergence_rejects_more_steps_than_the_budget(tmp_path, capsys):
+    # about 5e15 steps of the reference run are below 2**53, but they would
+    # take years; the run is rejected before it starts
+    code = main(["--out", str(tmp_path), "convergence", "--tf", "1e14"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: the run would take more than 2**32 steps for "
+        "t_f=100000000000000.0, tau=0.01953125\n"
+    )
+    assert not (tmp_path / "convergence.csv").exists()
+
+
 def test_cli_simulate_rejects_more_rows_than_the_budget(tmp_path, capsys):
     # 1e15 steps are below 2**53, but keeping their rows would take about
     # 2e8 GB; the run is rejected before it starts

@@ -1,9 +1,11 @@
 """Every name a module imports is used in it, every name it exports is
 defined (no linter is installed) and read by the package or the benchmark,
+and so is every public method and property of a package class,
 importing the package loads none of its modules, importing the CLI loads
 neither ``dataclasses`` nor ``inspect``, the CLI, the set-up and the
 stepping path load no ``fractions`` and no ``__future__``, every record is
-a ``model._Value`` (no ``NamedTuple``) and only ``model._Value._set``
+a ``model._Value`` (no ``NamedTuple``), no record's constructor only
+forwards its parameters to ``_set``, and only ``model._Value._set``
 bypasses its ``__setattr__``, every source file parses as Python 3.10,
 every catalog formula reads only names it is given, and the package runs
 on the standard library alone.  The test-side oracles keep the same import
@@ -14,6 +16,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -59,19 +62,26 @@ def test_every_export_resolves(name):
     assert [export for export in module.__all__ if not hasattr(module, export)] == []
 
 
-def _reads(tree: ast.AST, strings: bool = False) -> set:
-    """The names a tree reads: loaded names, attributes and, with
-    ``strings``, string constants (the benchmark's tracer names the
+def _read_names(tree: ast.AST, strings: bool = False):
+    """The names a tree reads, once per read: loaded names, attributes and,
+    with ``strings``, string constants (the benchmark's tracer names the
     functions it wraps)."""
-    names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+            yield node.id
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            yield node.attr
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
-    return names
+            yield node.value
+
+
+def _reads(tree: ast.AST, strings: bool = False) -> set:
+    return set(_read_names(tree, strings))
+
+
+def _bench_trees() -> list:
+    root = Path(ssp_seir.__file__).resolve().parents[2]
+    return [ast.parse(path.read_text()) for path in sorted((root / "perfbench").glob("*.py"))]
 
 
 def _bound_names(node: ast.stmt) -> set:
@@ -98,9 +108,7 @@ def test_every_export_is_read_outside_its_definition():
                 exports[path.stem] = ast.literal_eval(node.value)
             else:
                 statements.append((bound, _reads(node)))
-    bench = set()
-    for path in sorted((Path(ssp_seir.__file__).resolve().parents[2] / "perfbench").glob("*.py")):
-        bench |= _reads(ast.parse(path.read_text()), strings=True)
+    bench = set().union(*(_reads(tree, strings=True) for tree in _bench_trees()))
     assert bench
     defined = set().union(*(bound for bound, _ in statements))
     unread = set()
@@ -115,6 +123,69 @@ def test_every_export_is_read_outside_its_definition():
     assert [
         f"{stem}.{name}" for stem, names in exports.items() for name in names if name not in read
     ] == []
+
+
+def test_every_public_method_is_read_outside_its_definition():
+    # a method or property that only the tests read belongs under tests/
+    reads, methods = Counter(), []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        reads.update(_read_names(tree))
+        methods += [
+            (f"{path.stem}.{cls.name}.{node.name}", node)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        ]
+    for tree in _bench_trees():
+        reads.update(_read_names(tree, strings=True))
+    assert len(methods) > 10
+    assert [
+        label for label, node in methods
+        if reads[node.name] <= Counter(_read_names(node))[node.name]
+    ] == []
+
+
+def _forwarding_constructors(source: str) -> list[str]:
+    """The classes whose ``__init__`` only hands its parameters, in order
+    and with no default, to ``self._set``: the constructor ``_Value``
+    already is."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if not (isinstance(node, ast.FunctionDef) and node.name == "__init__"):
+                continue
+            args = node.args
+            params = [arg.arg for arg in args.posonlyargs + args.args]
+            call = node.body[-1].value if isinstance(node.body[-1], ast.Expr) else None
+            if (
+                len(node.body) == 1 + (ast.get_docstring(node) is not None)
+                and isinstance(call, ast.Call) and ast.unparse(call.func) == "self._set"
+                and [ast.unparse(arg) for arg in call.args] == params[1:]
+                and not (args.defaults or args.vararg or args.kwonlyargs or args.kwarg)
+            ):
+                found.append(cls.name)
+    return found
+
+
+_FORWARDER = """\
+class Row(_Value):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: float, b: float) -> None:
+        self._set(a, b)
+"""
+
+
+@pytest.mark.parametrize("path", MODULES + ORACLES, ids=lambda path: path.name)
+def test_no_record_constructor_only_forwards_to_set(path):
+    # a record without a rule for its values is built by _Value's own
+    # constructor, so its fields are written once, in __slots__
+    assert _forwarding_constructors(_FORWARDER) == ["Row"]
+    assert _forwarding_constructors(_FORWARDER.replace("b: float)", "b: float = 0.0)")) == []
+    assert _forwarding_constructors(path.read_text()) == []
 
 
 def _setattr_sites(source: str) -> list[str]:

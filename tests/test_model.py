@@ -113,9 +113,7 @@ def test_model_params_validation():
 def test_state_helpers():
     x = State(1.0, 2.0, 3.0, 4.0, t=5.0)
     assert x.total == 10.0
-    assert x.admissible
-    assert not State(1.0, -1e-30, 0.0, 0.0).admissible
-    assert x.as_tuple() == (1.0, 2.0, 3.0, 4.0)
+    assert (x.s, x.e, x.i, x.r, x.t) == (1.0, 2.0, 3.0, 4.0, 5.0)
 
 
 # ---------------------------------------------------------------------------

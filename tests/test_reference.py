@@ -14,7 +14,7 @@ from ssp_seir.model import (
     media_incidence,
     recruitment_from_key,
 )
-from ssp_seir.reference import grid_run, reference_trajectory, step_grid
+from ssp_seir.reference import STEP_BUDGET, grid_run, reference_trajectory, step_grid
 from ssp_seir.shu_osher import builtin_method
 from ssp_seir.stepping import Trajectory, integrate
 
@@ -91,7 +91,7 @@ def _experiment_setup(pi_key="choiceA"):
 
 def test_reference_includes_initial_state():
     ref = reference_trajectory(_experiment_setup(), 10.0, [0.0, 5.0, 10.0])
-    assert ref.states[0].as_tuple() == (0.2, 0.6, 0.2, 0.0)
+    assert ref.states[0] == State(0.2, 0.6, 0.2, 0.0)
     assert ref.times[0] == 0.0
 
 
@@ -110,8 +110,8 @@ def test_reference_is_grid_independent():
     fine = reference_trajectory(setup, 20.0, outputs, refinement=2.0**-11)
     worst = max(
         abs(a - b)
-        for xa, xb in zip(coarse.states, fine.states)
-        for a, b in zip(xa.as_tuple(), xb.as_tuple())
+        for xa, xb in zip(coarse.compartments, fine.compartments)
+        for a, b in zip(xa, xb)
     )
     assert worst < 1e-8
 
@@ -146,6 +146,15 @@ def test_grid_run_rejects_bad_input_by_name(tau_nominal, t_f, outputs, name):
 def test_step_grid_rejects_a_step_count_that_is_not_finite(tau_nominal, t_f, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         step_grid(tau_nominal, t_f, [5.0])
+
+
+def test_step_grid_allows_at_most_the_step_budget():
+    assert STEP_BUDGET == 2**32
+    assert step_grid(1.0, float(STEP_BUDGET), [1.0]) == (1.0, 1, STEP_BUDGET)
+    with pytest.raises(ValueError, match=re.escape(
+        "the run would take more than 2**32 steps for t_f=4294967297.0, tau=1.0"
+    )):
+        step_grid(1.0, float(STEP_BUDGET + 1), [1.0])
 
 
 def test_reference_rejects_a_zero_refinement():

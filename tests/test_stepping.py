@@ -68,7 +68,7 @@ def _euler(x, tau, p, f, pi):
 def test_euler_zero_step_is_identity_in_value():
     x = State(1.0, 1.0, 1.0, 1.0, t=0.0)
     y = _euler(x, 0.0, FREE, linear_incidence(), ZERO_PI)
-    assert y.as_tuple() == x.as_tuple()
+    assert (y.s, y.e, y.i, y.r) == (x.s, x.e, x.i, x.r)
     assert y.t == 0.0
 
 
@@ -106,12 +106,11 @@ def test_single_stage_form_reduces_to_euler_bitwise():
             (1.0 - tau * (p.mu + p.delta)) * x.r + (tau * p.gamma) * x.i,
         )
         y = _euler(x, tau, p, f, pi)
-        assert y.as_tuple() == expected
+        assert (y.s, y.e, y.i, y.r) == expected
         assert y.t == x.t + tau
         derivative = rhs(x.t, x, p, f, pi)
-        assert y.as_tuple() == pytest.approx(
-            [u + tau * du for u, du in zip(x.as_tuple(), derivative)], rel=1e-12, abs=1e-12
-        )
+        euler = [u + tau * du for u, du in zip((x.s, x.e, x.i, x.r), derivative)]
+        assert (y.s, y.e, y.i, y.r) == pytest.approx(euler, rel=1e-12, abs=1e-12)
 
 
 def test_euler_population_recurrence_per_step():
@@ -222,11 +221,11 @@ def test_trajectory_views_agree_with_its_states():
     states = traj.states
     assert len(states) == len(traj) == 31
     assert [x.t for x in states] == traj.times
-    assert [tuple(c) for c in traj.compartments] == list(zip(*(x.as_tuple() for x in states)))
+    assert list(zip(*traj.compartments)) == [(x.s, x.e, x.i, x.r) for x in states]
     assert [repr(x.total) for x in states] == [repr(n) for n in traj.populations]
     for k in (0, 7, 30, -1, -31):
         x = states[k]
-        assert traj.row(k).tolist() == [x.t, *x.as_tuple()]
+        assert traj.row(k).tolist() == [x.t, x.s, x.e, x.i, x.r]
     for k in (31, -32):
         with pytest.raises(IndexError):
             traj.row(k)
@@ -241,7 +240,7 @@ def test_integrate_is_deterministic():
         )
 
     a, b = run(), run()
-    assert [x.as_tuple() for x in a.states] == [x.as_tuple() for x in b.states]
+    assert a.states == b.states
 
 
 def test_stage_min_bounds_step_states():
@@ -250,7 +249,7 @@ def test_stage_min_bounds_step_states():
         ModelParams(0.05, 0.25, 0.1867, 0.011),
         media_incidence(0.0115, 0.001), recruitment_from_key("choiceC"),
     )
-    step_min = min(min(x.as_tuple()) for x in traj.states)
+    step_min = min(min(x.s, x.e, x.i, x.r) for x in traj.states)
     assert traj.stage_min <= step_min
 
 

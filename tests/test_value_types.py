@@ -16,7 +16,7 @@ from ssp_seir.experiments import (
     SweepReport,
     run_simulation,
 )
-from ssp_seir.model import ModelParams, State, linear_incidence, recruitment_from_key
+from ssp_seir.model import ModelParams, State, _Value, linear_incidence, recruitment_from_key
 from ssp_seir.shu_osher import ShuOsherForm, builtin_method
 from ssp_seir.step_bounds import EulerBound, bound_report
 from ssp_seir.stepping import Trajectory, _kernel, integrate
@@ -220,6 +220,28 @@ def test_replace_goes_through_the_constructor():
         p._replace(mu=-1.0)
     with pytest.raises(ValueError, match="consistency"):
         builtin_method("ssprk22")._replace(v=(1.0, 0.25, 0.5))
+
+
+def test_a_record_takes_one_positional_value_per_slot(monkeypatch):
+    values = ("choiceA", "euler", 1.5, 1.75)
+    row = BoundsRow(*values)
+    for wrong in (values[:3], (*values, 2.0), ()):
+        with pytest.raises(TypeError, match=f"^BoundsRow takes 4 values, got {len(wrong)}$"):
+            BoundsRow(*wrong)
+    with pytest.raises(TypeError):
+        BoundsRow(recruitment="choiceA", method="euler", tau_t=1.5, tau_r=1.75)
+    # _replace, a copy and an unpickled record are each built by the constructor
+    built = []
+
+    def constructor(self, *values):
+        built.append(values)
+        _Value.__init__(self, *values)
+
+    monkeypatch.setattr(BoundsRow, "__init__", constructor)
+    changed = row._replace(tau_r=2.0)
+    duplicates = [copy.copy(row), copy.deepcopy(row), pickle.loads(pickle.dumps(row))]
+    assert built == [(*values[:3], 2.0)] + [values] * 3
+    assert changed.tau_r == 2.0 and duplicates == [row] * 3
 
 
 def test_trajectory_is_read_only_and_compares_by_identity():
