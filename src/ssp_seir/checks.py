@@ -52,7 +52,7 @@ from typing import Optional
 from .model import ProblemSetup, _Value
 from .shu_osher import ShuOsherForm
 from .step_bounds import positivity_certificate
-from .stepping import IntegrationOverflowError, Trajectory, integrate
+from .stepping import IntegrationOverflowError, Trajectory, integrate, step_count
 
 __all__ = [
     "NEGATIVITY_THRESHOLD",
@@ -157,7 +157,7 @@ def check_population_bound(traj: Trajectory, cap: float) -> Verdict:
 
 
 def _positivity_ok(setup: ProblemSetup, method: ShuOsherForm, tau: float, t_f: float) -> bool:
-    n_steps = math.ceil(t_f / tau)
+    n_steps = step_count(t_f, tau)
     try:
         traj = integrate(
             setup.x0, tau, n_steps, method,
@@ -186,8 +186,8 @@ def find_empirical_bound(
     the lower end and fails at the upper end (a lower end that fails becomes
     the upper end and is not probed again), then bisected to width ``tol``
     (or until its ends are adjacent doubles); the returned threshold is the
-    midpoint of the final bracket.  The run count ceil(t_f/tau) covers the
-    horizon with a constant step throughout.
+    midpoint of the final bracket.  Each probe runs ``step_count(t_f, tau)``
+    steps; its ValueError ends a lower end that keeps failing.
 
     The lower end is first checked against
     :func:`~ssp_seir.step_bounds.positivity_certificate`; where it holds,
@@ -214,19 +214,8 @@ def find_empirical_bound(
         return _positivity_ok(setup, method, tau, t_f)
 
     # the lower end the certificate decides passes: it is not integrated
-    passed = positivity_certificate(setup, method, lo, t_f) is not None or ok(lo)
-    attempts = 0
-    while not passed:
-        hi = lo
-        lo *= 0.5
-        attempts += 1
-        if attempts > 60:
-            raise RuntimeError(
-                f"could not find a passing lower bracket (smallest step probed {hi!r})"
-            )
-        passed = ok(lo)
-    # after a failing lower end, hi is the last one, known to fail
-    if not attempts:
+    if positivity_certificate(setup, method, lo, t_f) is not None or ok(lo):
+        attempts = 0
         while ok(hi):
             lo = hi
             hi *= 2.0
@@ -235,6 +224,10 @@ def find_empirical_bound(
                 raise RuntimeError(
                     f"could not find a failing upper bracket (largest step probed {lo!r})"
                 )
+    else:
+        hi, lo = lo, 0.5 * lo
+        while not ok(lo):
+            hi, lo = lo, 0.5 * lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

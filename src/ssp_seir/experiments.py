@@ -28,7 +28,7 @@ from .model import (
 from .reference import grid_run, reference_trajectory, step_grid
 from .shu_osher import BUILTIN_METHOD_KEYS, ShuOsherForm, builtin_method
 from .step_bounds import bound_report
-from .stepping import STEP_LIMIT, IntegrationOverflowError, integrate
+from .stepping import IntegrationOverflowError, integrate, step_count
 
 __all__ = [
     "BoundsRow",
@@ -77,8 +77,8 @@ def bounds_table(config: ExperimentConfig) -> list[BoundsRow]:
                     bracket=(tau_t, 2.0 * tau_t),
                     tol=config.bisect_tol,
                 )
-            except RuntimeError as exc:
-                raise RuntimeError(f"row {pi_key}/{method_key}: {exc}") from exc
+            except (RuntimeError, ValueError) as exc:
+                raise type(exc)(f"row {pi_key}/{method_key}: {exc}") from exc
             rows.append(BoundsRow(pi_key, method_key, tau_t, tau_r))
     return rows
 
@@ -129,20 +129,11 @@ def run_simulation(
     t_f: float,
     include_stages: bool = False,
 ) -> SimulationResult:
-    """Integrate ceil(t_f/tau) steps and judge them against the bound chain
-    taken over the time of the last step.  A step count t_f/tau that is not
-    finite, or of 2**53 or more (``STEP_LIMIT``), is a ValueError, and so is
-    a run that would keep more than 2**24 rows (row 0 and every step)."""
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"step size must be finite and positive, got {tau}")
-    if not (math.isfinite(t_f) and t_f >= 0.0):
-        raise ValueError(f"final time must be finite and non-negative, got {t_f}")
-    steps = t_f / tau
-    if not math.isfinite(steps):
-        raise ValueError(f"step count t_f/tau is not finite for t_f={t_f!r}, tau={tau!r}")
-    n_steps = math.ceil(steps)
-    if n_steps >= STEP_LIMIT:
-        raise ValueError(f"n_steps must be below 2**53 for t_f={t_f!r}, tau={tau!r}")
+    """Integrate :func:`~ssp_seir.stepping.step_count` steps and judge them
+    against the bound chain taken over the time of the last step.  A ``t_f``
+    and ``tau`` that ``step_count`` rejects are a ValueError, and so is a run
+    that would keep more than 2**24 rows (row 0 and every step)."""
+    n_steps = step_count(t_f, tau)
     if n_steps + 1 > _ROW_LIMIT:
         raise ValueError(f"the run would keep more than 2**24 rows for t_f={t_f!r}, tau={tau!r}")
     cap = bound_report(setup, method, max(n_steps * tau, tau)).pop_cap

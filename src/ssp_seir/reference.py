@@ -16,7 +16,7 @@ from typing import Sequence
 from .model import ProblemSetup
 from .shu_osher import ShuOsherForm, builtin_method
 from .step_bounds import bound_report
-from .stepping import STEP_LIMIT, Trajectory, integrate
+from .stepping import Trajectory, integrate, step_count
 
 __all__ = [
     "grid_run",
@@ -25,9 +25,6 @@ __all__ = [
 ]
 
 DEFAULT_REFINEMENT = 2.0**-10
-# the steps one grid run may take: the default horizon's reference run takes
-# about 5e4, and 2**32 steps of ssprk104 already take hours
-STEP_BUDGET = 2**32
 
 
 def step_grid(
@@ -38,9 +35,9 @@ def step_grid(
     The step ``base / per_base`` is ``tau_nominal`` shrunk minimally so that
     the smallest positive output time ``base`` is ``per_base`` steps, and
     ``n_steps`` steps reach ``t_f``.  Equal grids give equal runs.  A step
-    count ``base / tau_nominal`` or ``t_f / tau`` that is not finite, an
-    ``n_steps`` of 2**53 or more (``STEP_LIMIT``), or one above the
-    ``STEP_BUDGET`` of 2**32, is a ValueError.
+    count ``base / tau_nominal`` that is not finite is a ValueError, and so
+    is a ``t_f`` and ``tau`` that :func:`~ssp_seir.stepping.step_count`
+    rejects; ``n_steps`` is never above its count.
     """
     if not (math.isfinite(tau_nominal) and tau_nominal > 0.0):
         raise ValueError(f"tau_nominal must be finite and positive, got {tau_nominal}")
@@ -60,16 +57,10 @@ def step_grid(
         )
     per_base = max(1, math.ceil(ratio - 1e-12))
     tau = base / per_base
-    steps = t_f / tau
-    if not math.isfinite(steps):
-        raise ValueError(f"step count t_f/tau is not finite for t_f={t_f!r}, tau={tau!r}")
-    n_steps = round(steps)
-    if n_steps * tau < t_f - 1e-9 * t_f:
-        n_steps = math.ceil(steps)
-    if n_steps >= STEP_LIMIT:
-        raise ValueError(f"n_steps must be below 2**53 for t_f={t_f!r}, tau={tau!r}")
-    if n_steps > STEP_BUDGET:
-        raise ValueError(f"the run would take more than 2**32 steps for t_f={t_f!r}, tau={tau!r}")
+    n_steps = step_count(t_f, tau)
+    rounded = round(t_f / tau)  # at most step_count's ceil, so within its limits
+    if rounded * tau >= t_f - 1e-9 * t_f:  # t_f is within 1e-9 of a step
+        n_steps = rounded
     return base, per_base, n_steps
 
 

@@ -27,7 +27,7 @@ from .model import (
     sup_incidence,
 )
 from .shu_osher import ShuOsherForm
-from .stepping import STEP_LIMIT, sub_step_coefficients
+from .stepping import step_count, sub_step_coefficients
 
 __all__ = [
     "EulerBound",
@@ -120,7 +120,7 @@ def positivity_certificate(
     setup: ProblemSetup, method: ShuOsherForm, tau: float, t_f: float,
 ) -> Optional[float]:
     """Prove, in the step kernel's own floats, that integrating ``setup``
-    with ``method`` at step ``tau`` for ``n = ceil(t_f/tau)`` steps keeps
+    with ``method`` for ``n = step_count(t_f, tau)`` steps of ``tau`` keeps
     every stage value ``>= 0.0``.  Returns the widened cap ``W``, which
     bounds the population of every stage of that run, or None when any of
     these conditions fails:
@@ -137,7 +137,7 @@ def positivity_certificate(
     * Every ``v_i``, ``alpha_ij`` and abscissa of the form is ``>= 0``, so
       every recruitment argument is ``>= 0``; the largest, about
       ``t0 + n*tau*max(1, c_j)``, is finite with a factor 2 to spare, and
-      ``n`` is below ``STEP_LIMIT``.
+      ``n = step_count(t_f, tau)`` does not raise and is at least 1.
     * With ``h = tau/r``, each of ``c_e``, ``c_i`` and ``c_r`` is ``>= 0``
       as :func:`~ssp_seir.stepping.sub_step_coefficients` computes it for
       the kernel, bit for bit.
@@ -209,11 +209,12 @@ def positivity_certificate(
         return None
     if min(*method.v, *map(min, method.alpha), *method.c_stage) < 0.0:
         return None
-    if not (0.0 < tau < math.inf and 0.0 < t_f < math.inf):
+    try:
+        n = step_count(t_f, tau)
+    except ValueError:
         return None
-    n = math.ceil(t_f / tau)
     horizon = x0.t + n * tau * max(1.0, *method.c_stage)
-    if n >= STEP_LIMIT or not 2.0 * horizon < math.inf:
+    if not (n > 0 and 2.0 * horizon < math.inf):
         return None
     h, c_s, c_e, c_i, c_r = sub_step_coefficients(tau, method.r, p)[:5]
     if not min(c_e, c_i, c_r) >= 0.0:

@@ -72,10 +72,34 @@ __all__ = [
     "integrate",
     "trajectory_to_csv",
     "STEP_LIMIT",
+    "STEP_BUDGET",
+    "step_count",
     "sub_step_coefficients",
 ]
 
 STEP_LIMIT = 2**53  # integrate's bound on n_steps: the float step clock counts exactly below it
+# the steps one run may take: 2**32 steps of ssprk104 already take hours
+STEP_BUDGET = 2**32
+
+
+def step_count(t_f: float, tau: float) -> int:
+    """``ceil(t_f/tau)``, the steps of ``tau`` that cover the horizon ``t_f``.
+    In this order, a ValueError is raised for a ``tau`` not finite and
+    positive, a ``t_f`` not finite and non-negative, a ``t_f/tau`` not
+    finite, a count of ``STEP_LIMIT`` or more and one above ``STEP_BUDGET``."""
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"step size must be finite and positive, got {tau}")
+    if not (math.isfinite(t_f) and t_f >= 0.0):
+        raise ValueError(f"final time must be finite and non-negative, got {t_f}")
+    steps = t_f / tau
+    if not math.isfinite(steps):
+        raise ValueError(f"step count t_f/tau is not finite for t_f={t_f!r}, tau={tau!r}")
+    n_steps = math.ceil(steps)
+    if n_steps >= STEP_LIMIT:
+        raise ValueError(f"n_steps must be below 2**53 for t_f={t_f!r}, tau={tau!r}")
+    if n_steps > STEP_BUDGET:
+        raise ValueError(f"the run would take more than 2**32 steps for t_f={t_f!r}, tau={tau!r}")
+    return n_steps
 
 
 class IntegrationOverflowError(RuntimeError):

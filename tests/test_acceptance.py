@@ -12,14 +12,14 @@ import sys
 
 import pytest
 
-from ssp_seir.checks import check_nonnegativity, check_population_bound, find_empirical_bound
+from ssp_seir.checks import check_nonnegativity, find_empirical_bound
 from ssp_seir.config import load_config
 from ssp_seir.experiments import (
     convergence_study,
     counterexample_report,
     property_sweep,
 )
-from ssp_seir.model import State, RateFunction, choice_b_recruitment, ProblemSetup, ModelParams
+from ssp_seir.model import State, RateFunction, choice_b_recruitment, ModelParams
 from ssp_seir.reference import reference_trajectory
 from ssp_seir.shu_osher import BUILTIN_METHOD_KEYS, builtin_method
 from ssp_seir.step_bounds import bound_report

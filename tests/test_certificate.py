@@ -12,7 +12,7 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from ssp_seir import checks
+from ssp_seir import checks, stepping
 from ssp_seir.checks import _positivity_ok, find_empirical_bound
 from ssp_seir.config import DEFAULT_CONFIG_TEXT, parse_config
 from ssp_seir.model import (
@@ -228,6 +228,25 @@ def test_certificate_declines_a_catalog_formula_with_a_negative_parameter():
         "media", media.formula, media.sup, {"nu": -0.0115, "eta": 0.001}, alpha=0.0115,
     )
     assert _declined(TABLE_SETUP._replace(incidence=negative), factor=0.5)
+
+
+def test_certificate_declines_a_run_whose_step_count_is_rejected(monkeypatch):
+    # it counts the run's steps as a probe does: a run over the budget is
+    # declined, and so are sigma = 1e308, whose t_f/tau is infinite (which
+    # was an OverflowError), and a run of no steps, with t_f = 0 or a
+    # t_f/tau that underflows to 0 (which was a ValueError from the sup)
+    steps = math.ceil(1000.0 / TABLE_TAU)
+    monkeypatch.setattr(stepping, "STEP_BUDGET", steps)
+    assert not _declined(TABLE_SETUP)
+    monkeypatch.setattr(stepping, "STEP_BUDGET", steps - 1)
+    assert _declined(TABLE_SETUP)
+    huge = TABLE_SETUP._replace(params=TABLE_SETUP.params._replace(sigma=1e308))
+    tau = bound_report(huge, SSPRK33, 1000.0).tau_method
+    assert 1000.0 / tau == math.inf
+    assert positivity_certificate(huge, SSPRK33, tau, 1000.0) is None
+    assert 5e-324 / 2.5 == 0.0 and 2.5 < TABLE_TAU
+    for t_f in (0.0, 5e-324):
+        assert positivity_certificate(TABLE_SETUP, SSPRK33, 2.5, t_f) is None
 
 
 @pytest.mark.parametrize("x0", [

@@ -2,13 +2,14 @@
 
 import math
 import random
+import re
 from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssp_seir import checks
+from ssp_seir import checks, stepping
 from ssp_seir.checks import (
     NEGATIVITY_THRESHOLD,
     Verdict,
@@ -17,7 +18,7 @@ from ssp_seir.checks import (
     find_empirical_bound,
     _positivity_ok,
 )
-from ssp_seir.experiments import counterexample_report
+from ssp_seir.experiments import bounds_table, counterexample_report
 from ssp_seir.model import (
     INCIDENCE_KEYS,
     RECRUITMENT_KEYS,
@@ -286,6 +287,45 @@ def test_empirical_bound_probes_a_failing_lower_end_once(
     assert failing_low == passing_low
     assert failing_calls[:2] == [2.0 * tau_r, tau_r]
     assert len(failing_calls) == len(set(failing_calls)) == len(passing_calls) == probes
+
+
+def test_empirical_bound_ends_a_failing_lower_end_on_the_step_budget(monkeypatch):
+    # every probe fails at its initial state, so the lower end is halved
+    # until its step count passes the budget: 10 * 2**28 steps is the last
+    # probe, and the next one is a ValueError, not a 2**32-step run
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "integrate", counted)
+    setup = _experiment_setup("choiceA")._replace(x0=State(1.0, -1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match=re.escape(
+        f"the run would take more than 2**32 steps for t_f=10.0, tau={2.0**-29!r}"
+    )):
+        find_empirical_bound(setup, builtin_method("euler"), 10.0, (1.0, 2.0))
+    assert calls == [10 * 2**k for k in range(29)]
+
+
+def test_empirical_bound_with_mu_zero_stops_at_the_step_budget(monkeypatch, default_config):
+    # with mu = 0 the certificate declines and only the step budget bounds a
+    # probe's run (sigma = 1e9 takes 1e12 steps per probe); with the budget
+    # patched below this row's 732 steps, the search and the table row fail
+    # before any integration, and the table names the row
+    calls = []
+    monkeypatch.setattr(checks, "integrate", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(stepping, "STEP_BUDGET", 100)
+    config = default_config._replace(mu=0.0, methods=("euler",))
+    setup, method = config.setup("choiceA"), builtin_method("euler")
+    tau_t = bound_report(setup, method, config.tf).tau_method
+    assert positivity_certificate(setup, method, tau_t, config.tf) is None
+    message = f"the run would take more than 2**32 steps for t_f=1000.0, tau={tau_t!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        find_empirical_bound(setup, method, config.tf, (tau_t, 2.0 * tau_t), config.bisect_tol)
+    with pytest.raises(ValueError, match=f"^row choiceA/euler: {re.escape(message)}$"):
+        bounds_table(config)
+    assert calls == []
 
 
 def test_empirical_bound_is_deterministic():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ssp_seir import stepping
 from ssp_seir.cli import main
 from ssp_seir.config import DEFAULT_CONFIG_TEXT, ConfigError, load_config, parse_config
 
@@ -291,14 +292,23 @@ def test_cli_convergence_rejects_more_steps_than_the_budget(tmp_path, capsys):
 
 
 def test_cli_simulate_rejects_more_rows_than_the_budget(tmp_path, capsys):
-    # 1e15 steps are below 2**53, but keeping their rows would take about
-    # 2e8 GB; the run is rejected before it starts
+    # 1e8 steps are within the step budget, but keeping their rows would
+    # take about 23 GB; the run is rejected before it starts
+    code = main([
+        "--out", str(tmp_path), "simulate", "--method", "euler", "--tau", "1e-3", "--tf", "1e5",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: the run would keep more than 2**24 rows for t_f=100000.0, tau=0.001\n"
+    # 1e15 steps, below 2**53, are above the step budget, checked first
     code = main([
         "--out", str(tmp_path), "simulate", "--method", "euler", "--tau", "1e-10", "--tf", "1e5",
     ])
     assert code == 2
     err = capsys.readouterr().err
-    assert err == "error: the run would keep more than 2**24 rows for t_f=100000.0, tau=1e-10\n"
+    assert err == (
+        "error: the run would take more than 2**32 steps for t_f=100000.0, tau=1e-10\n"
+    )
     assert not (tmp_path / "trajectory.csv").exists()
 
 
@@ -394,6 +404,27 @@ def test_cli_bounds_table_names_the_row_without_a_failing_step(tmp_path, capsys)
     )
     assert match, err
     assert float(match.group(1)) > 1e18
+    assert not (tmp_path / "bounds_table.csv").exists()
+
+
+@pytest.mark.parametrize("line, budget, message", [
+    ("sigma=1e308", 2**32, "step count t_f/tau is not finite for t_f=1000.0, tau=1e-308"),
+    ("mu=0", 100, "the run would take more than 2**32 steps for t_f=1000.0, tau=1.3671263858367406"),
+], ids=["sigma-1e308", "mu-zero"])
+def test_cli_bounds_table_names_the_row_of_a_step_count_it_rejects(
+    tmp_path, capsys, monkeypatch, line, budget, message,
+):
+    # sigma = 1e308 puts t_f/tau_t at inf, which ended on an OverflowError
+    # traceback; with mu = 0 only the step budget bounds a probe's run,
+    # patched below the row's 732 steps (sigma = 1e9 takes 1e12 per probe)
+    monkeypatch.setattr(stepping, "STEP_BUDGET", budget)
+    key = line.split("=")[0]
+    path = tmp_path / "exp.cfg"
+    path.write_text(re.sub(f"(?m)^{key}=.*$", line, DEFAULT_CONFIG_TEXT))
+    code = main(["--config", str(path), "--out", str(tmp_path), "bounds-table"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: row choiceA/euler: {message}\n" and len(err) < 200
     assert not (tmp_path / "bounds_table.csv").exists()
 
 

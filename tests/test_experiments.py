@@ -121,8 +121,14 @@ def test_simulation_keeps_at_most_the_row_budget(monkeypatch):
     setup = parse_config(DEFAULT_CONFIG_TEXT).setup("choiceA")
     euler = builtin_method("euler")
     with pytest.raises(ValueError) as info:
+        run_simulation(setup, euler, 1e-3, 1e5)
+    assert str(info.value) == "the run would keep more than 2**24 rows for t_f=100000.0, tau=0.001"
+    # 1e15 steps are also above the step budget, which is checked first
+    with pytest.raises(ValueError) as info:
         run_simulation(setup, euler, 1e-10, 1e5)
-    assert str(info.value) == "the run would keep more than 2**24 rows for t_f=100000.0, tau=1e-10"
+    assert str(info.value) == (
+        "the run would take more than 2**32 steps for t_f=100000.0, tau=1e-10"
+    )
     with pytest.raises(ValueError, match=re.escape("more than 2**24 rows")):
         run_simulation(setup, euler, 1.0, 2.0**24)
     # the step clock's limit is checked first and keeps its message

@@ -1,8 +1,8 @@
-"""Every name a module imports is used in it, every name it exports is
-defined (no linter is installed) and read by the package or the benchmark,
-and so is every public method and property of a package class,
-importing the package loads none of its modules, importing the CLI loads
-neither ``dataclasses`` nor ``inspect``, the CLI, the set-up and the
+"""Every name a module or test file imports is used in it, every name a
+module exports is defined (no linter is installed) and read by the package
+or the benchmark, and so is every public method and property of a package
+class, importing the package loads none of its modules, importing the CLI
+loads neither ``dataclasses`` nor ``inspect``, the CLI, the set-up and the
 stepping path load no ``fractions`` and no ``__future__``, every record is
 a ``model._Value`` (no ``NamedTuple``), no record's constructor only
 forwards its parameters to ``_set``, and only ``model._Value._set``
@@ -47,7 +47,9 @@ def _unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES + ORACLES, ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", MODULES + sorted(Path(__file__).parent.glob("*.py")), ids=lambda path: path.name,
+)
 def test_every_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
 

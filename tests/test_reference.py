@@ -14,9 +14,9 @@ from ssp_seir.model import (
     media_incidence,
     recruitment_from_key,
 )
-from ssp_seir.reference import STEP_BUDGET, grid_run, reference_trajectory, step_grid
+from ssp_seir.reference import grid_run, reference_trajectory, step_grid
 from ssp_seir.shu_osher import builtin_method
-from ssp_seir.stepping import Trajectory, integrate
+from ssp_seir.stepping import STEP_BUDGET, Trajectory, integrate
 
 from oracles import QuadratureError, adaptive_simpson, exact_population
 

@@ -19,7 +19,6 @@ from ssp_seir.model import (
     INCIDENCE_KEYS,
     RECRUITMENT_KEYS,
     ModelParams,
-    ProblemSetup,
     RateFunction,
     State,
     constant_recruitment,
@@ -35,7 +34,9 @@ from ssp_seir.stepping import (
     IntegrationOverflowError,
     Trajectory,
     _kernel,
+    STEP_BUDGET,
     integrate,
+    step_count,
     sub_step_coefficients,
     trajectory_to_csv,
 )
@@ -169,6 +170,32 @@ def test_integrate_rejects_more_steps_than_the_clock_counts(n_steps):
     with pytest.raises(ValueError, match=r"^n_steps must be below 2\*\*53$"):
         integrate(State(1.0, 0.0, 0.0, 0.0), 0.5, n_steps, builtin_method("euler"),
                   FREE, linear_incidence(), ZERO_PI)
+
+
+@pytest.mark.parametrize("t_f, tau, message", [
+    (math.nan, math.nan, "step size must be finite and positive, got nan"),
+    (-1.0, 0.0, "step size must be finite and positive, got 0.0"),
+    (1.0, math.inf, "step size must be finite and positive, got inf"),
+    (math.inf, 5e-324, "final time must be finite and non-negative, got inf"),
+    (-1.0, 1.0, "final time must be finite and non-negative, got -1.0"),
+    (1e308, 1e-10, "step count t_f/tau is not finite for t_f=1e+308, tau=1e-10"),
+    (2.0**53, 1.0, "n_steps must be below 2**53 for t_f=9007199254740992.0, tau=1.0"),
+    (1e300, 1e-5, "n_steps must be below 2**53 for t_f=1e+300, tau=1e-05"),
+    (2.0**32 + 1, 1.0, "the run would take more than 2**32 steps for t_f=4294967297.0, tau=1.0"),
+    (2.0**32 + 0.5, 1.0, "the run would take more than 2**32 steps"),
+])
+def test_step_count_rejects_in_order(t_f, tau, message):
+    # each case also fails every later check: the first one failed names it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        step_count(t_f, tau)
+
+
+def test_step_count_is_ceil_up_to_the_budget():
+    assert STEP_BUDGET == 2**32
+    assert step_count(0.0, 1.0) == 0
+    assert step_count(30.0, 3.3) == 10
+    assert step_count(1.0, 0.1) == 10  # 1.0/0.1 is exactly 10.0 in floats
+    assert step_count(2.0**32 - 0.5, 1.0) == step_count(2.0**32, 1.0) == STEP_BUDGET
 
 
 def test_stop_floor_ends_at_a_failing_initial_state():
